@@ -22,6 +22,7 @@ from .ideals import (
     element_census,
     mask_members,
     subgroup_sum,
+    _bool_from_mask,
     _resolve,
 )
 from .rings import FiniteRing, OrderCapExceeded, opposite, order_cap
@@ -150,16 +151,16 @@ def element_class(R: FiniteRing, side: Side, a: int) -> ElementClass:
     ring, tables = _resolve(R, side)
     if not 0 <= a < ring.order:
         raise ValueError(f"element index {a} out of range [0, {ring.order})")
-    pri, ann = tables["pri"], tables["ann"]
+    pri, ann = tables.pri, tables.ann
     ra, la = pri[a], ann[a]
-    pseudo_witness = tables["ann_first"].get(ra)
-    generalized_witness = tables["pri_first"].get(la)
+    pseudo_witness = tables.ann_first.get(ra)
+    generalized_witness = tables.pri_first.get(la)
     pseudo = pseudo_witness is not None
     generalized = generalized_witness is not None
     quasi = pseudo and generalized
     morphic_witness = None
     if quasi:
-        for b in tables["ann_members"].get(ra, ()):
+        for b in tables.ann_members.get(ra, ()):
             if pri[b] == la:
                 morphic_witness = b
                 break
@@ -179,9 +180,9 @@ def element_class(R: FiniteRing, side: Side, a: int) -> ElementClass:
 
 def _side_hierarchy(R: FiniteRing, side: Side) -> SideHierarchy:
     ring, tables = _resolve(R, side)
-    pri, ann = tables["pri"], tables["ann"]
-    ann_first, pri_first = tables["ann_first"], tables["pri_first"]
-    ann_members = tables["ann_members"]
+    pri, ann = tables.pri, tables.ann
+    ann_first, pri_first = tables.ann_first, tables.pri_first
+    ann_members = tables.ann_members
     first_fail: dict[str, int] = {}
     for a in range(ring.order):
         ra, la = pri[a], ann[a]
@@ -226,7 +227,7 @@ def ring_morphic_profile(R: FiniteRing) -> MorphicProfile:
 def regularity_profile(R: FiniteRing) -> RegularityProfile:
     """Von Neumann regularity and its unit and strong refinements."""
     n = R.order
-    mul = np.asarray(R.mul_table, dtype=np.int32)
+    mul = R.mul_table
     units = element_census(R).units
     unit_idx = np.asarray(mask_members(units), dtype=np.int32)
 
@@ -251,8 +252,7 @@ def regularity_profile(R: FiniteRing) -> RegularityProfile:
 def _is_commutative(R: FiniteRing) -> bool:
     flag = R._cache.get("commutative")
     if flag is None:
-        mul = np.asarray(R.mul_table, dtype=np.int32)
-        flag = bool(np.array_equal(mul, mul.T))
+        flag = bool(np.array_equal(R.mul_table, R.mul_table.T))
         R._cache["commutative"] = flag
     return flag
 
@@ -261,7 +261,7 @@ def commutation_profile(R: FiniteRing) -> CommutationProfile:
     """Reduced, reversible, symmetric, semiprime, and directly finite flags."""
     n = R.order
     zero, one = R.zero, R.one
-    mul = np.asarray(R.mul_table, dtype=np.int32)
+    mul = R.mul_table
     census = element_census(R)
 
     if census.nilpotents == 1 << zero:
@@ -321,8 +321,8 @@ def _bezout(R: FiniteRing, side: Side) -> Flag:
     two generators at a time, each partial sum staying principal.
     """
     ring, tables = _resolve(R, side)
-    pri_first = tables["pri_first"]
-    masks = tables["pri_distinct"]
+    pri_first = tables.pri_first
+    masks = tables.pri_distinct
     for i, m1 in enumerate(masks):
         for m2 in masks[i + 1 :]:
             total = subgroup_sum(ring, m1, m2)
@@ -336,8 +336,8 @@ def _p_injective(R: FiniteRing, side: Side) -> Flag:
     other = Side.RIGHT if side is Side.LEFT else Side.LEFT
     _, own = _resolve(R, side)
     _, mirrored = _resolve(R, other)
-    ann = own["ann"]          # side annihilator of a, e.g. l(a) for Left
-    pri = mirrored["pri"]     # other-side principal ideal, e.g. aR for Left
+    ann = own.ann          # side annihilator of a, e.g. l(a) for Left
+    pri = mirrored.pri     # other-side principal ideal, e.g. aR for Left
     for a in range(R.order):
         if annihilator(R, other, ann[a]) != pri[a]:
             return Flag(False, counterexample=a)
@@ -366,7 +366,7 @@ def _lear(R: FiniteRing, side: Side) -> Flag:
     except LatticeOverflow as exc:
         return Flag(None, note=str(exc))
     _, tables = _resolve(R, side)
-    ann_first = tables["ann_first"]
+    ann_first = tables.ann_first
     for ideal in ideals:
         if ideal not in ann_first:
             return Flag(False, counterexample=ideal)
@@ -376,7 +376,7 @@ def _lear(R: FiniteRing, side: Side) -> Flag:
 def _pp(R: FiniteRing, side: Side) -> Flag:
     """Every element annihilator is generated by an idempotent."""
     ring, tables = _resolve(R, side)
-    pri, ann = tables["pri"], tables["ann"]
+    pri, ann = tables.pri, tables.ann
     idem = mask_members(element_census(ring).idempotents)
     idem_masks = {pri[e] for e in idem}
     for a in range(ring.order):
@@ -386,18 +386,16 @@ def _pp(R: FiniteRing, side: Side) -> Flag:
 
 
 def _strongly_clean(R: FiniteRing) -> Flag:
+    """Every ``a`` is ``e + u`` with ``e`` idempotent, ``u`` a unit, ``eu = ue``."""
     census = element_census(R)
-    idem = mask_members(census.idempotents)
-    units = census.units
-    for a in range(R.order):
-        found = False
-        for e in idem:
-            u = R.sub(a, e)
-            if (units >> u) & 1 and R.mul(e, u) == R.mul(u, e):
-                found = True
-                break
-        if not found:
-            return Flag(False, counterexample=a)
+    is_unit = _bool_from_mask(census.units, R.order)
+    add, mul, neg = R.add_table, R.mul_table, R.neg_table
+    clean = np.zeros(R.order, dtype=bool)
+    for e in mask_members(census.idempotents):
+        u = add[:, neg[e]]                       # a - e for every a
+        clean |= is_unit[u] & (mul[e, u] == mul[u, e])
+    if not clean.all():
+        return Flag(False, counterexample=int(np.argmin(clean)))
     return Flag(True)
 
 

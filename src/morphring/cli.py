@@ -260,31 +260,50 @@ def _build_bimodule(mod: tuple, base: FiniteRing) -> BimoduleSpec:
     return _load_bimodule_tables(mod[1], base)
 
 
-def build_ring(expr: RingExpr) -> FiniteRing:
-    """Evaluate an expression tree to a ring."""
+def _trivext_parts(expr: RingExpr, built: dict) -> tuple[FiniteRing, BimoduleSpec]:
+    """Base ring and bimodule of a ``trivext`` node, built once per ``built`` memo."""
+    parts = built.get(expr)
+    if parts is None:
+        base = build_ring(expr[1], built)
+        parts = built[expr] = (base, _build_bimodule(expr[2], base))
+    return parts
+
+
+def build_ring(expr: RingExpr, built: dict | None = None) -> FiniteRing:
+    """Evaluate an expression tree to a ring.
+
+    ``built`` memoises the base ring and bimodule of each ``trivext`` node,
+    so that a caller that already projected the order (which builds them)
+    does not build them again.
+    """
+    built = {} if built is None else built
     head = expr[0]
     if head == "z":
         return make_zmod(expr[1])
     if head == "gf":
         return make_gf(expr[1], expr[2])
     if head == "prod":
-        return direct_product([build_ring(e) for e in expr[1:]])
+        return direct_product([build_ring(e, built) for e in expr[1:]])
     if head == "mat":
-        return matrix_ring(build_ring(expr[1]), expr[2])
+        return matrix_ring(build_ring(expr[1], built), expr[2])
     if head == "tri":
-        return matrix_ring(build_ring(expr[1]), expr[2], shape="lower_triangular")
+        return matrix_ring(build_ring(expr[1], built), expr[2], shape="lower_triangular")
     if head == "poly":
-        return truncated_poly(build_ring(expr[1]), expr[2])
+        return truncated_poly(build_ring(expr[1], built), expr[2])
     if head == "trivext":
-        base = build_ring(expr[1])
-        return trivial_extension(base, _build_bimodule(expr[2], base))
+        return trivial_extension(*_trivext_parts(expr, built))
     if head == "opp":
-        return opposite(build_ring(expr[1]))
+        return opposite(build_ring(expr[1], built))
     raise ValueError(f"unknown expression head {head!r}")
 
 
-def projected_order(expr: RingExpr) -> int:
-    """Order of the resulting ring, computed before building it."""
+def projected_order(expr: RingExpr, built: dict | None = None) -> int:
+    """Order of the resulting ring, computed before building it.
+
+    Only a ``trivext`` node builds anything: its base ring and bimodule,
+    which are kept in ``built`` when given.
+    """
+    built = {} if built is None else built
     head = expr[0]
     if head == "z":
         return expr[1]
@@ -293,31 +312,32 @@ def projected_order(expr: RingExpr) -> int:
     if head == "prod":
         total = 1
         for e in expr[1:]:
-            total *= projected_order(e)
+            total *= projected_order(e, built)
         return total
     if head == "mat":
-        return projected_order(expr[1]) ** (expr[2] * expr[2])
+        return projected_order(expr[1], built) ** (expr[2] * expr[2])
     if head == "tri":
         k = expr[2]
-        return projected_order(expr[1]) ** (k * (k + 1) // 2)
+        return projected_order(expr[1], built) ** (k * (k + 1) // 2)
     if head == "poly":
-        return projected_order(expr[1]) ** expr[2]
+        return projected_order(expr[1], built) ** expr[2]
     if head == "trivext":
-        base = build_ring(expr[1])
-        return base.order * _build_bimodule(expr[2], base).order
+        base, bimodule = _trivext_parts(expr, built)
+        return base.order * bimodule.order
     if head == "opp":
-        return projected_order(expr[1])
+        return projected_order(expr[1], built)
     raise ValueError(f"unknown expression head {head!r}")
 
 
-def _build_checked(expr: RingExpr) -> FiniteRing:
-    order = projected_order(expr)
+def _build_checked(expr: RingExpr, built: dict | None = None) -> FiniteRing:
+    built = {} if built is None else built
+    order = projected_order(expr, built)
     cap = order_cap()
     if order > cap:
         raise OrderCapExceeded(
             f"projected order {order} exceeds the cap {cap}; "
             f"raise RING_ORDER_CAP to allow it")
-    return build_ring(expr)
+    return build_ring(expr, built)
 
 
 def default_corpus(max_order: int) -> list[str]:
@@ -403,14 +423,13 @@ _RING_THEOREMS: dict[str, Callable[[FiniteRing], VerificationReport]] = {
 }
 
 
-def _verify_suite(expr: RingExpr, ring: FiniteRing,
-                  only: str | None) -> list[VerificationReport]:
+def _verify_suite(expr: RingExpr, ring: FiniteRing, only: str | None,
+                  built: dict) -> list[VerificationReport]:
     available: dict[str, Callable[[], VerificationReport]] = {
         name: (lambda fn=fn: fn(ring)) for name, fn in _RING_THEOREMS.items()
     }
     if expr[0] == "trivext":
-        base = build_ring(expr[1])
-        case = TrivialExtensionCase(base, _build_bimodule(expr[2], base))
+        case = TrivialExtensionCase(*_trivext_parts(expr, built))
         available["extension_heredity"] = lambda: verify_extension_heredity(case)
     if serialize_ring_expr(expr) == "tri(z2,2)":
         available["triangular_example_identity"] = verify_triangular_example_identity
@@ -466,9 +485,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     expr = parse_ring_expr(args.expression)
-    ring = _build_checked(expr)
+    built: dict = {}
+    ring = _build_checked(expr, built)
     expression = serialize_ring_expr(expr)
-    reports = _verify_suite(expr, ring, args.theorem)
+    reports = _verify_suite(expr, ring, args.theorem, built)
     records = [_report_record(expression, report) for report in reports]
 
     def human() -> str:
@@ -555,8 +575,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
             {"rings": len(expressions), "fingerprint": fingerprint, "hits": hits},
             0.0)
     else:
-        rings = [_build_checked(parse_ring_expr(e)) for e in expressions]
-        report = search_counterexample(rings)
+        # one ring alive at a time: each is built as the search reaches it
+        report = search_counterexample(
+            _build_checked(parse_ring_expr(e)) for e in expressions)
     records = [_report_record(report.expression, report)]
 
     def human() -> str:
@@ -628,12 +649,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run_command(argv: Sequence[str]) -> int:
     """Run one command line; returns the exit status."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        # building the parser reads RING_ORDER_CAP for the --max-order defaults
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
         return args.handler(args)
     except (ExprSyntaxError, OrderCapExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,7 @@ Right-sided computations are left-sided computations on the opposite ring.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -86,21 +86,52 @@ def _mask_from_bool(col: np.ndarray) -> int:
     return int.from_bytes(np.packbits(col, bitorder="little").tobytes(), "little")
 
 
-def _left_tables(R: FiniteRing) -> dict:
-    """Annihilator and principal-ideal masks for the left side, cached."""
-    tables = R._cache.get("left_tables")
+def _bool_from_mask(mask: int, n: int) -> np.ndarray:
+    """Membership array of length ``n``: the inverse of ``_mask_from_bool``."""
+    data = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(data, count=n, bitorder="little").astype(bool)
+
+
+def _row_masks(bits: np.ndarray) -> list[int]:
+    """One mask per row of a 2-D boolean array."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+
+
+@dataclass(frozen=True)
+class SideTables:
+    """Left annihilator and principal-ideal masks of one ring, with inverse indexes.
+
+    ``ann[b]`` is the mask of ``l(b)`` and ``pri[a]`` the mask of ``Ra``.
+    ``ann_first`` and ``pri_first`` map each distinct mask to its least
+    generating element, ``ann_members`` maps each annihilator mask to all
+    its ``b`` in ascending order, and ``pri_distinct`` lists the distinct
+    principal masks in ascending order.  ``ann_of_mask`` memoises
+    ``annihilator`` on this side.
+    """
+
+    ann: list[int]
+    pri: list[int]
+    ann_first: dict[int, int]
+    ann_members: dict[int, list[int]]
+    pri_first: dict[int, int]
+    pri_distinct: list[int]
+    ann_of_mask: dict[int, int] = field(default_factory=dict)
+
+
+def _side_tables(R: FiniteRing) -> SideTables:
+    """The left ``SideTables`` of ``R``, built once and cached on it."""
+    tables = R._cache.get("side_tables")
     if tables is not None:
         return tables
     n = R.order
-    mul = np.asarray(R.mul_table, dtype=np.int32)
-    is_zero = mul == R.zero
-    ann = [_mask_from_bool(is_zero[:, b]) for b in range(n)]
-    pri = []
-    hit = np.zeros(n, dtype=bool)
-    for a in range(n):
-        hit[:] = False
-        hit[mul[:, a]] = True
-        pri.append(_mask_from_bool(hit))
+    mul = R.mul_table
+    ann = _row_masks(mul.T == R.zero)          # row b: {x : x b = 0}
+    hit = np.zeros((n, n), dtype=bool)
+    hit[np.arange(n)[None, :], mul] = True     # row a: {x a : x in R}
+    pri = _row_masks(hit)
     ann_first: dict[int, int] = {}
     ann_members: dict[int, list[int]] = {}
     for b, m in enumerate(ann):
@@ -109,25 +140,15 @@ def _left_tables(R: FiniteRing) -> dict:
     pri_first: dict[int, int] = {}
     for a, m in enumerate(pri):
         pri_first.setdefault(m, a)
-    tables = {
-        "ann": ann,
-        "pri": pri,
-        "ann_first": ann_first,
-        "ann_members": ann_members,
-        "pri_first": pri_first,
-        "pri_distinct": sorted(pri_first),
-        "ann_of_mask": {},
-    }
-    R._cache["left_tables"] = tables
+    tables = SideTables(ann, pri, ann_first, ann_members, pri_first, sorted(pri_first))
+    R._cache["side_tables"] = tables
     return tables
 
 
-def _resolve(R: FiniteRing, side: Side) -> tuple[FiniteRing, dict]:
+def _resolve(R: FiniteRing, side: Side) -> tuple[FiniteRing, SideTables]:
     """Ring to compute on (``R`` or its opposite) plus its left tables."""
-    if side is Side.RIGHT:
-        opp = opposite(R)
-        return opp, _left_tables(opp)
-    return R, _left_tables(R)
+    ring = opposite(R) if side is Side.RIGHT else R
+    return ring, _side_tables(ring)
 
 
 def annihilator(R: FiniteRing, side: Side, S: int | Iterable[int]) -> int:
@@ -141,11 +162,11 @@ def annihilator(R: FiniteRing, side: Side, S: int | Iterable[int]) -> int:
     full = (1 << ring.order) - 1
     if target == 0:
         return full
-    memo = tables["ann_of_mask"]
+    memo = tables.ann_of_mask
     cached = memo.get(target)
     if cached is not None:
         return cached
-    ann = tables["ann"]
+    ann = tables.ann
     result = full
     for s in mask_members(target):
         result &= ann[s]
@@ -158,10 +179,10 @@ def principal_ideal(R: FiniteRing, side: Side, a: int) -> int:
     ring, tables = _resolve(R, side)
     if not 0 <= a < ring.order:
         raise ValueError(f"element index {a} out of range [0, {ring.order})")
-    return tables["pri"][a]
+    return tables.pri[a]
 
 
-def _translate(add: Sequence[Sequence[int]], mask: int, t: int) -> int:
+def _translate(add: list[list[int]], mask: int, t: int) -> int:
     out = 0
     for x in mask_members(mask):
         out |= 1 << add[x][t]
@@ -172,7 +193,7 @@ def _extend_subgroup(R: FiniteRing, sub: int, g: int) -> int:
     """Subgroup generated by the subgroup ``sub`` and the element ``g``."""
     if (sub >> g) & 1:
         return sub
-    add = R.add_table
+    add = R.add_rows
     res = sub
     shift = g
     while not (res >> shift) & 1:
@@ -204,7 +225,7 @@ def fg_ideal(R: FiniteRing, side: Side, generators: Sequence[int]) -> int:
     if not generators:
         raise ValueError("generator list must be nonempty")
     ring, tables = _resolve(R, side)
-    pri = tables["pri"]
+    pri = tables.pri
     result = pri[generators[0]]
     for g in generators[1:]:
         result = subgroup_sum(ring, result, pri[g])
@@ -219,7 +240,7 @@ def is_ideal(R: FiniteRing, side: Side, mask: int) -> bool:
     members = mask_members(mask)
     if members and members[-1] >= ring.order:
         raise ValueError(f"mask has bits beyond ring order {ring.order}")
-    add, mul = ring.add_table, ring.mul_table
+    add, mul = ring.add_rows, ring.mul_rows
     for x in members:
         row = add[x]
         for y in members:
@@ -244,7 +265,7 @@ def all_ideals(R: FiniteRing, side: Side, cap: int | None = None) -> list[int]:
     if cap is None:
         cap = lattice_cap()
     zero_mask = 1 << ring.zero
-    generators = [m for m in tables["pri_distinct"] if m != zero_mask]
+    generators = [m for m in tables.pri_distinct if m != zero_mask]
     found = {zero_mask}
     frontier = [zero_mask]
     while frontier:
@@ -280,22 +301,16 @@ def element_census(R: FiniteRing) -> ElementCensus:
     if cached is not None:
         return cached
     n = R.order
-    mul = np.asarray(R.mul_table, dtype=np.int32)
-    units = 0
-    for a in range(n):
-        row = mul[a]
-        candidates = np.nonzero(row == R.one)[0]
-        if any(mul[b][a] == R.one for b in candidates):
-            units |= 1 << a
-    idem = _mask_from_bool(mul.diagonal() == np.arange(n))
-    nilp = 0
-    for a in range(n):
-        p = a
-        for _ in range(n):
-            if p == R.zero:
-                nilp |= 1 << a
-                break
-            p = R.mul_table[p][a]
+    mul = R.mul_table
+    is_one = mul == R.one
+    units = _mask_from_bool((is_one & is_one.T).any(axis=1))
+    idx = np.arange(n)
+    idem = _mask_from_bool(mul.diagonal() == idx)
+    # a is nilpotent iff a^k = 0 for some k <= n, iff a^(2^j) = 0 once 2^j >= n
+    power = idx
+    for _ in range(max(1, (n - 1).bit_length())):
+        power = mul[power, power]
+    nilp = _mask_from_bool(power == R.zero)
     census = ElementCensus(units, idem, nilp)
     R._cache["census"] = census
     return census
@@ -306,19 +321,10 @@ def jacobson_radical(R: FiniteRing) -> int:
     cached = R._cache.get("jacobson")
     if cached is not None:
         return cached
-    n = R.order
-    units = element_census(R).units
-    unit_arr = np.zeros(n, dtype=bool)
-    for u in mask_members(units):
-        unit_arr[u] = True
-    add = np.asarray(R.add_table, dtype=np.int32)
-    mul = np.asarray(R.mul_table, dtype=np.int32)
-    neg = np.asarray([R.neg(x) for x in range(n)], dtype=np.int32)
-    radical = 0
-    for a in range(n):
-        one_minus = add[R.one, neg[mul[:, a]]]
-        if unit_arr[one_minus].all():
-            radical |= 1 << a
+    is_unit = _bool_from_mask(element_census(R).units, R.order)
+    # column a holds 1 - x a for every x
+    one_minus = R.add_table[R.one][R.neg_table[R.mul_table]]
+    radical = _mask_from_bool(is_unit[one_minus].all(axis=0))
     R._cache["jacobson"] = radical
     return radical
 
@@ -332,7 +338,7 @@ def is_essential(R: FiniteRing, side: Side, mask: int) -> bool:
     if not is_ideal(R, side, mask):
         raise ValueError(f"mask {mask:#x} is not a {side.value} ideal")
     ring, tables = _resolve(R, side)
-    pri = tables["pri"]
+    pri = tables.pri
     zero_bit = 1 << ring.zero
     for a in range(ring.order):
         if a == ring.zero:
@@ -345,7 +351,7 @@ def is_essential(R: FiniteRing, side: Side, mask: int) -> bool:
 def singular_ideal(R: FiniteRing, side: Side) -> int:
     """Mask of the side singular ideal: elements whose side annihilator is essential."""
     ring, tables = _resolve(R, side)
-    ann, pri = tables["ann"], tables["pri"]
+    ann, pri = tables.ann, tables.pri
     zero_bit = 1 << ring.zero
     nonzero = [a for a in range(ring.order) if a != ring.zero]
     out = 0
@@ -356,11 +362,11 @@ def singular_ideal(R: FiniteRing, side: Side) -> int:
     return out
 
 
-def _minimal_principal_masks(ring: FiniteRing, tables: dict) -> list[int]:
+def _minimal_principal_masks(ring: FiniteRing, tables: SideTables) -> list[int]:
     zero_bit = 1 << ring.zero
-    pri = tables["pri"]
+    pri = tables.pri
     minimal = []
-    for m in tables["pri_distinct"]:
+    for m in tables.pri_distinct:
         if m == zero_bit:
             continue
         if all(pri[b] == m for b in mask_members(m & ~zero_bit)):

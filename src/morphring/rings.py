@@ -1,7 +1,8 @@
 """Finite rings as explicit Cayley tables, built from composable constructors.
 
 A ring of order ``n`` is stored as two ``n x n`` tables of element indices
-(addition and multiplication) together with the indices of 0 and 1.  All
+(addition and multiplication), read-only ``int32`` arrays, together with
+the indices of 0 and 1.  All
 constructors produce canonical element orderings (mixed-radix or row-major
 encodings of component indices) so that reports built from them are
 reproducible bit for bit.
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,7 +53,10 @@ def order_cap() -> int:
     raw = os.environ.get("RING_ORDER_CAP")
     if raw is None:
         return _DEFAULT_ORDER_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"RING_ORDER_CAP must be a positive integer, got {raw!r}") from None
     if cap < 1:
         raise ValueError(f"RING_ORDER_CAP must be positive, got {cap}")
     return cap
@@ -76,49 +80,88 @@ class AxiomCheck(NamedTuple):
     witness: tuple[int, ...] | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteRing:
     """An associative ring with identity, given by Cayley tables.
 
-    ``add_table[a][b]`` and ``mul_table[a][b]`` are element indices in
-    ``[0, order)``.  ``construction`` is the canonical expression text that
-    built the ring, when one exists.  The instance is immutable; ``_cache``
-    holds derived read-only tables (annihilator masks, the opposite ring)
-    built lazily by other modules.
+    ``add_table[a, b]`` and ``mul_table[a, b]`` are element indices in
+    ``[0, order)``, held as read-only ``int32`` arrays of shape
+    ``(order, order)``; they are the only stored form of the tables.  The
+    opposite ring's ``mul_table`` is the transposed view of this one's.
+    ``add_rows`` and ``mul_rows`` are the same tables as nested lists of
+    Python ints, built on first use, for loops that index one entry at a
+    time.  ``construction`` is the canonical expression text that built
+    the ring, when one exists.  Two rings are equal when their tables,
+    distinguished elements, labels and construction agree.  ``_cache``
+    holds derived tables (annihilator masks, the opposite ring) built
+    lazily by other modules.
     """
 
     order: int
-    add_table: tuple[tuple[int, ...], ...]
-    mul_table: tuple[tuple[int, ...], ...]
+    add_table: np.ndarray
+    mul_table: np.ndarray
     zero: int
     one: int
     labels: tuple[str, ...]
     construction: str | None = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, repr=False)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FiniteRing):
+            return NotImplemented
+        return (
+            (self.order, self.zero, self.one, self.labels, self.construction)
+            == (other.order, other.zero, other.one, other.labels, other.construction)
+            and np.array_equal(self.add_table, other.add_table)
+            and np.array_equal(self.mul_table, other.mul_table)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.zero, self.one, self.construction))
+
+    @property
+    def add_rows(self) -> list[list[int]]:
+        """``add_table`` as nested lists; shared with the opposite ring."""
+        rows = self._cache.get("add_rows")
+        if rows is None:
+            twin = self._cache.get("opposite")
+            rows = twin._cache.get("add_rows") if twin is not None else None
+            if rows is None:
+                rows = self.add_table.tolist()
+            self._cache["add_rows"] = rows
+        return rows
+
+    @property
+    def mul_rows(self) -> list[list[int]]:
+        """``mul_table`` as nested lists."""
+        rows = self._cache.get("mul_rows")
+        if rows is None:
+            rows = self._cache["mul_rows"] = self.mul_table.tolist()
+        return rows
+
+    @property
+    def neg_table(self) -> np.ndarray:
+        """Read-only ``int32`` array whose entry ``a`` is the index of ``-a``."""
+        negs = self._cache.get("neg")
+        if negs is None:
+            negs = self._cache["neg"] = _frozen(np.argmax(self.add_table == self.zero, axis=1))
+        return negs
 
     def add(self, a: int, b: int) -> int:
         """Return the index of ``a + b``."""
-        return self.add_table[a][b]
+        return int(self.add_table[a, b])
 
     def mul(self, a: int, b: int) -> int:
         """Return the index of ``a * b``."""
-        return self.mul_table[a][b]
+        return int(self.mul_table[a, b])
 
     def neg(self, a: int) -> int:
         """Return the index of ``-a``."""
-        negs = self._cache.get("neg")
-        if negs is None:
-            zero = self.zero
-            negs = [0] * self.order
-            for x in range(self.order):
-                row = self.add_table[x]
-                negs[x] = row.index(zero)
-            self._cache["neg"] = negs
-        return negs[a]
+        return int(self.neg_table[a])
 
     def sub(self, a: int, b: int) -> int:
         """Return the index of ``a - b``."""
-        return self.add_table[a][self.neg(b)]
+        return int(self.add_table[a, self.neg_table[b]])
 
     @property
     def elements(self) -> range:
@@ -134,12 +177,11 @@ class FiniteRing:
         return f"FiniteRing(order={self.order}, construction={name!r})"
 
 
-def _np(table: Sequence[Sequence[int]]) -> np.ndarray:
-    return np.asarray(table, dtype=np.int32)
-
-
-def _tuples(arr: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(row) for row in arr.tolist())
+def _frozen(table) -> np.ndarray:
+    """``table`` as a read-only ``int32`` array (no copy when it already is one)."""
+    out = np.asarray(table, dtype=np.int32)
+    out.flags.writeable = False
+    return out
 
 
 def _validate_tables(add_table, mul_table, zero: int, one: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -256,7 +298,7 @@ def ring_from_tables(
         labels = tuple(labels)
         if len(labels) != n:
             raise ValueError(f"expected {n} labels, got {len(labels)}")
-    return FiniteRing(n, _tuples(add), _tuples(mul), zero, one, labels, construction)
+    return FiniteRing(n, _frozen(add), _frozen(mul), zero, one, labels, construction)
 
 
 def _require_order(n: int, what: str) -> None:
@@ -279,7 +321,7 @@ def make_zmod(n: int) -> FiniteRing:
     mul = (idx[:, None] * idx[None, :]) % n
     one = 1 if n > 1 else 0
     labels = tuple(str(i) for i in range(n))
-    return FiniteRing(n, _tuples(add), _tuples(mul), 0, one, labels, f"z{n}")
+    return FiniteRing(n, _frozen(add), _frozen(mul), 0, one, labels, f"z{n}")
 
 
 def _is_prime(p: int) -> bool:
@@ -437,7 +479,7 @@ def make_gf(p: int, k: int) -> FiniteRing:
         mul[1][1] = 1
 
     labels = tuple(_poly_label(_digits(i, p, k)) for i in range(n))
-    return FiniteRing(n, _tuples(add), _tuples(mul), 0, 1, labels, f"gf({p},{k})")
+    return FiniteRing(n, _frozen(add), _frozen(mul), 0, 1, labels, f"gf({p},{k})")
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +512,8 @@ def direct_product(rings: Sequence[FiniteRing]) -> FiniteRing:
     mul = np.zeros((n, n), dtype=np.int64)
     for r, stride in zip(rings, strides):
         comp = (idx // stride) % r.order
-        radd, rmul = _np(r.add_table), _np(r.mul_table)
-        add += radd[comp[:, None], comp[None, :]].astype(np.int64) * stride
-        mul += rmul[comp[:, None], comp[None, :]].astype(np.int64) * stride
+        add += r.add_table[comp[:, None], comp[None, :]].astype(np.int64) * stride
+        mul += r.mul_table[comp[:, None], comp[None, :]].astype(np.int64) * stride
     zero = sum(r.zero * s for r, s in zip(rings, strides))
     one = sum(r.one * s for r, s in zip(rings, strides))
 
@@ -481,7 +522,7 @@ def direct_product(rings: Sequence[FiniteRing]) -> FiniteRing:
         return "(" + ",".join(parts) + ")"
 
     labels = tuple(lab(i) for i in range(n))
-    return FiniteRing(n, _tuples(add), _tuples(mul), zero, one, labels,
+    return FiniteRing(n, _frozen(add), _frozen(mul), zero, one, labels,
                       _components_construction(rings))
 
 
@@ -507,7 +548,7 @@ def matrix_ring(R: FiniteRing, k: int, shape: str = "full") -> FiniteRing:
     where = {ij: t for t, ij in enumerate(pos)}
     idx = np.arange(n)
     comp = [(idx // strides[t]) % m for t in range(e)]
-    radd, rmul = _np(R.add_table), _np(R.mul_table)
+    radd, rmul = R.add_table, R.mul_table
 
     add = np.zeros((n, n), dtype=np.int64)
     for t in range(e):
@@ -541,7 +582,7 @@ def matrix_ring(R: FiniteRing, k: int, shape: str = "full") -> FiniteRing:
     labels = tuple(lab(x) for x in range(n))
     tag = "mat" if shape == "full" else "tri"
     construction = f"{tag}({R.construction},{k})" if R.construction else None
-    return FiniteRing(n, _tuples(add), _tuples(mul), zero, one, labels, construction)
+    return FiniteRing(n, _frozen(add), _frozen(mul), zero, one, labels, construction)
 
 
 def truncated_poly(R: FiniteRing, n: int) -> FiniteRing:
@@ -553,7 +594,7 @@ def truncated_poly(R: FiniteRing, n: int) -> FiniteRing:
     _require_order(order, f"degree-{n} truncated polynomials over order {m}")
     idx = np.arange(order)
     comp = [(idx // m**i) % m for i in range(n)]
-    radd, rmul = _np(R.add_table), _np(R.mul_table)
+    radd, rmul = R.add_table, R.mul_table
 
     add = np.zeros((order, order), dtype=np.int64)
     for i in range(n):
@@ -592,26 +633,28 @@ def truncated_poly(R: FiniteRing, n: int) -> FiniteRing:
 
     labels = tuple(lab(x) for x in range(order))
     construction = f"poly({R.construction},{n})" if R.construction else None
-    return FiniteRing(order, _tuples(add), _tuples(mul), zero, one, labels, construction)
+    return FiniteRing(order, _frozen(add), _frozen(mul), zero, one, labels, construction)
 
 
 # ---------------------------------------------------------------------------
 # bimodules and extensions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BimoduleSpec:
     """An explicit bimodule: abelian group tables plus two action tables.
 
-    ``left_action[r][m]`` is the module index of ``r . m`` for a ring index
-    ``r``; ``right_action[m][s]`` is ``m . s``.  No implicit coercions:
-    every action is a full table.
+    ``left_action[r, m]`` is the module index of ``r . m`` for a ring index
+    ``r``; ``right_action[m, s]`` is ``m . s``.  No implicit coercions:
+    every action is a full table.  The constructors here give read-only
+    ``int32`` arrays; ``check_bimodule`` also accepts nested integer
+    sequences, so that a hand-written spec can be validated before use.
     """
 
     order: int
-    add_table: tuple[tuple[int, ...], ...]
-    left_action: tuple[tuple[int, ...], ...]
-    right_action: tuple[tuple[int, ...], ...]
+    add_table: np.ndarray
+    left_action: np.ndarray
+    right_action: np.ndarray
     zero: int
     labels: tuple[str, ...]
     description: str | None = None
@@ -647,10 +690,8 @@ def check_bimodule(left_ring: FiniteRing, M: BimoduleSpec, right_ring: FiniteRin
     if w3 is not None:
         return AxiomCheck(False, "module_add_associative", w3)
 
-    radd = _np(left_ring.add_table)
-    rmul = _np(left_ring.mul_table)
-    sadd = _np(right_ring.add_table)
-    smul = _np(right_ring.mul_table)
+    radd, rmul = left_ring.add_table, left_ring.mul_table
+    sadd, smul = right_ring.add_table, right_ring.mul_table
 
     checks: list[tuple[str, np.ndarray, np.ndarray]] = []
     # r.(m1+m2) vs r.m1 + r.m2, axes [r, m1, m2]
@@ -694,9 +735,16 @@ def regular_bimodule(R: FiniteRing) -> BimoduleSpec:
 
 def zero_bimodule(R: FiniteRing) -> BimoduleSpec:
     """The one-element bimodule over ``R``."""
-    row = tuple([0] * R.order)
-    return BimoduleSpec(1, ((0,),), tuple([(0,)] * R.order), (row,),
+    zeros = _frozen(np.zeros((R.order, 1)))
+    return BimoduleSpec(1, _frozen([[0]]), zeros, zeros.T,
                         0, (R.labels[R.zero],), "ideal(0)")
+
+
+def _positions(R: FiniteRing, members: np.ndarray) -> np.ndarray:
+    """Map sending each entry of the sorted index array ``members`` to its position."""
+    pos = np.zeros(R.order, dtype=np.int32)
+    pos[members] = np.arange(members.size)
+    return pos
 
 
 def ideal_bimodule(R: FiniteRing, d: int) -> BimoduleSpec:
@@ -708,19 +756,16 @@ def ideal_bimodule(R: FiniteRing, d: int) -> BimoduleSpec:
     if not 0 <= d < R.order:
         raise ValueError(f"element index {d} out of range [0, {R.order})")
     mul = R.mul_table
-    for a in range(R.order):
-        row = mul[a]
-        for b in range(a + 1, R.order):
-            if row[b] != mul[b][a]:
-                raise ValueError("ideal bimodules require a commutative base ring")
-    members = sorted({mul[x][d] for x in range(R.order)})
-    pos = {v: i for i, v in enumerate(members)}
-    m = len(members)
-    add = tuple(tuple(pos[R.add_table[a][b]] for b in members) for a in members)
-    lact = tuple(tuple(pos[mul[r][v]] for v in members) for r in range(R.order))
-    ract = tuple(tuple(pos[mul[v][r]] for r in range(R.order)) for v in members)
-    labels = tuple(R.labels[v] for v in members)
-    return BimoduleSpec(m, add, lact, ract, pos[R.zero], labels, f"ideal({d})")
+    if not np.array_equal(mul, mul.T):
+        raise ValueError("ideal bimodules require a commutative base ring")
+    members = np.unique(mul[:, d])
+    pos = _positions(R, members)
+    add = pos[R.add_table[np.ix_(members, members)]]
+    lact = pos[mul[:, members]]
+    ract = pos[mul[members, :]]
+    labels = tuple(R.labels[v] for v in members.tolist())
+    return BimoduleSpec(members.size, _frozen(add), _frozen(lact), _frozen(ract),
+                        int(pos[R.zero]), labels, f"ideal({d})")
 
 
 def trivial_extension(R: FiniteRing, M: BimoduleSpec) -> FiniteRing:
@@ -733,7 +778,7 @@ def trivial_extension(R: FiniteRing, M: BimoduleSpec) -> FiniteRing:
     _require_order(n, f"trivial extension of order {nr} by module of order {nm}")
     idx = np.arange(n)
     ra, mm = idx // nm, idx % nm
-    radd, rmul = _np(R.add_table), _np(R.mul_table)
+    radd, rmul = R.add_table, R.mul_table
     madd = np.asarray(M.add_table, dtype=np.int32)
     lact = np.asarray(M.left_action, dtype=np.int32)
     ract = np.asarray(M.right_action, dtype=np.int32)
@@ -749,7 +794,7 @@ def trivial_extension(R: FiniteRing, M: BimoduleSpec) -> FiniteRing:
         f"trivext({R.construction},{M.description})"
         if R.construction and M.description else None
     )
-    return FiniteRing(n, _tuples(add), _tuples(mul), int(zero), int(one), labels, construction)
+    return FiniteRing(n, _frozen(add), _frozen(mul), int(zero), int(one), labels, construction)
 
 
 def formal_triangular(R: FiniteRing, S: FiniteRing, V: BimoduleSpec) -> FiniteRing:
@@ -767,8 +812,8 @@ def formal_triangular(R: FiniteRing, S: FiniteRing, V: BimoduleSpec) -> FiniteRi
     sa = idx % ns
     va = (idx // ns) % nv
     ra = idx // (ns * nv)
-    radd, rmul = _np(R.add_table), _np(R.mul_table)
-    sadd, smul = _np(S.add_table), _np(S.mul_table)
+    radd, rmul = R.add_table, R.mul_table
+    sadd, smul = S.add_table, S.mul_table
     vadd = np.asarray(V.add_table, dtype=np.int32)
     lact = np.asarray(V.left_action, dtype=np.int32)
     ract = np.asarray(V.right_action, dtype=np.int32)
@@ -789,35 +834,37 @@ def formal_triangular(R: FiniteRing, S: FiniteRing, V: BimoduleSpec) -> FiniteRi
         f"[[{R.labels[i // (ns * nv)]},{V.labels[(i // ns) % nv]}],[0,{S.labels[i % ns]}]]"
         for i in range(n)
     )
-    return FiniteRing(n, _tuples(add), _tuples(mul), int(zero), int(one), labels, None)
+    return FiniteRing(n, _frozen(add), _frozen(mul), int(zero), int(one), labels, None)
 
 
 def pierce_corner(R: FiniteRing, e: int) -> FiniteRing:
     """The corner ring ``eRe`` for an idempotent ``e``, with identity ``e``."""
     if not 0 <= e < R.order:
         raise ValueError(f"element index {e} out of range [0, {R.order})")
-    if R.mul(e, e) != e:
+    mul = R.mul_table
+    if mul[e, e] != e:
         raise ValueError(f"element {e} is not idempotent")
-    members = sorted({R.mul(R.mul(e, x), e) for x in range(R.order)})
-    pos = {v: i for i, v in enumerate(members)}
-    add = tuple(tuple(pos[R.add(a, b)] for b in members) for a in members)
-    mul = tuple(tuple(pos[R.mul(a, b)] for b in members) for a in members)
-    labels = tuple(R.labels[v] for v in members)
-    return FiniteRing(len(members), add, mul, pos[R.zero], pos[e], labels, None)
+    members = np.unique(mul[mul[e], e])
+    pos = _positions(R, members)
+    corner = np.ix_(members, members)
+    labels = tuple(R.labels[v] for v in members.tolist())
+    return FiniteRing(members.size, _frozen(pos[R.add_table[corner]]),
+                      _frozen(pos[mul[corner]]), int(pos[R.zero]), int(pos[e]), labels, None)
 
 
 def opposite(R: FiniteRing) -> FiniteRing:
     """The opposite ring: same elements, reversed multiplication.
 
-    The result is cached on both rings so that ``opposite(opposite(R))``
-    returns ``R`` itself.
+    Its ``mul_table`` is the transposed view of ``R.mul_table`` and its
+    ``add_table`` is the same array, so no table is copied.  The result is
+    cached on both rings so that ``opposite(opposite(R))`` returns ``R``
+    itself.
     """
     cached = R._cache.get("opposite")
     if cached is not None:
         return cached
-    mul = tuple(zip(*R.mul_table))
     construction = f"opp({R.construction})" if R.construction else None
-    opp = FiniteRing(R.order, R.add_table, mul, R.zero, R.one, R.labels, construction)
+    opp = FiniteRing(R.order, R.add_table, R.mul_table.T, R.zero, R.one, R.labels, construction)
     R._cache["opposite"] = opp
     opp._cache["opposite"] = R
     return opp

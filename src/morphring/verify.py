@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 from .classify import (
     _is_commutative,
@@ -100,14 +100,14 @@ def _report(theorem: str, R: FiniteRing, status: str, details: dict, start: floa
 
 def _is_left_pseudo(R: FiniteRing, side: Side = Side.LEFT) -> bool:
     ring, tables = _resolve(R, side)
-    ann_first = tables["ann_first"]
-    return all(m in ann_first for m in tables["pri"])
+    ann_first = tables.ann_first
+    return all(m in ann_first for m in tables.pri)
 
 
 def _fg_masks(R: FiniteRing, side: Side) -> list[int]:
     """Distinct ideals generated by at most two elements."""
     ring, tables = _resolve(R, side)
-    distinct = tables["pri_distinct"]
+    distinct = tables.pri_distinct
     out = set(distinct)
     for i, m1 in enumerate(distinct):
         for m2 in distinct[i + 1 :]:
@@ -125,9 +125,9 @@ def verify_lemma_equivalences(R: FiniteRing) -> VerificationReport:
     """
     start = time.perf_counter()
     _, tables = _resolve(R, Side.LEFT)
-    pri, ann = tables["pri"], tables["ann"]
-    ann_members = tables["ann_members"]
-    ann_set = set(tables["ann_first"])
+    pri, ann = tables.pri, tables.ann
+    ann_members = tables.ann_members
+    ann_set = set(tables.ann_first)
     both_true = 0
     for a in range(R.order):
         candidates = ann_members.get(pri[a], ())
@@ -161,9 +161,9 @@ def verify_witness_identities(R: FiniteRing) -> VerificationReport:
     """
     start = time.perf_counter()
     ring, tables = _resolve(R, Side.LEFT)
-    pri, ann = tables["pri"], tables["ann"]
-    ann_first, pri_first = tables["ann_first"], tables["pri_first"]
-    mul = R.mul_table
+    pri, ann = tables.pri, tables.ann
+    ann_first, pri_first = tables.ann_first, tables.pri_first
+    mul = R.mul_rows
     checked_sum = skipped_sum = checked_meet = skipped_meet = 0
     for a1 in range(R.order):
         for a2 in range(R.order):
@@ -233,7 +233,7 @@ def verify_pseudo_consequences(R: FiniteRing) -> VerificationReport:
     _, left = _resolve(R, Side.LEFT)
     _, right = _resolve(R, Side.RIGHT)
     for a in range(R.order):
-        if annihilator(R, Side.LEFT, right["ann"][a]) != left["pri"][a]:
+        if annihilator(R, Side.LEFT, right.ann[a]) != left.pri[a]:
             return fail("lr(a)=Ra", {"element": a})
     fg = _fg_masks(R, Side.LEFT)
     for ideal in fg:
@@ -249,12 +249,12 @@ def verify_pseudo_consequences(R: FiniteRing) -> VerificationReport:
     zero_bit = 1 << R.zero
     minimal_transfer = 0
     for a in range(R.order):
-        ar = right["pri"][a]
+        ar = right.pri[a]
         if ar == zero_bit:
             continue
-        if all(right["pri"][b] == ar for b in mask_members(ar & ~zero_bit)):
-            ra = left["pri"][a]
-            if not all(left["pri"][b] == ra for b in mask_members(ra & ~zero_bit)):
+        if all(right.pri[b] == ar for b in mask_members(ar & ~zero_bit)):
+            ra = left.pri[a]
+            if not all(left.pri[b] == ra for b in mask_members(ra & ~zero_bit)):
                 return fail("simple_aR_implies_simple_Ra", {"element": a})
             minimal_transfer += 1
     return _report(
@@ -335,8 +335,8 @@ def verify_finite_qf(R: FiniteRing) -> VerificationReport:
 
     for side, other in ((Side.LEFT, Side.RIGHT), (Side.RIGHT, Side.LEFT)):
         _, tables = _resolve(R, side)
-        principal = set(tables["pri"])
-        ann_masks = set(tables["ann_first"])
+        principal = set(tables.pri)
+        ann_masks = set(tables.ann_first)
         for ideal in lattice[side]:
             back = annihilator(R, side, annihilator(R, other, ideal))
             if back != ideal:
@@ -376,9 +376,9 @@ def verify_regular_criteria(R: FiniteRing) -> VerificationReport:
 
     def pp(side: Side) -> bool:
         ring, tables = _resolve(R, side)
-        idem_masks = {tables["pri"][e]
+        idem_masks = {tables.pri[e]
                       for e in mask_members(element_census(ring).idempotents)}
-        return all(m in idem_masks for m in tables["ann"])
+        return all(m in idem_masks for m in tables.ann)
 
     for side_pp, side_pseudo, label in (
         (Side.LEFT, pseudo_r, "left_pp_right_pseudo"),
@@ -480,8 +480,8 @@ class CornerCase:
 
 def _left_generalized(R: FiniteRing) -> bool:
     _, tables = _resolve(R, Side.LEFT)
-    pri_first = tables["pri_first"]
-    return all(m in pri_first for m in tables["ann"])
+    pri_first = tables.pri_first
+    return all(m in pri_first for m in tables.ann)
 
 
 def verify_extension_heredity(
@@ -582,7 +582,7 @@ def verify_extension_heredity(
 def _raw_left_flags(R: FiniteRing) -> tuple[bool, bool]:
     """(pseudo, generalized) by raw set scans, bypassing all cached tables."""
     n = R.order
-    mul = R.mul_table
+    mul = R.mul_table.tolist()
     pri = [frozenset(mul[x][a] for x in range(n)) for a in range(n)]
     ann = [
         frozenset(x for x in range(n) if mul[x][a] == R.zero)
@@ -615,20 +615,27 @@ def _search_hit(R: FiniteRing) -> dict | None:
     }
 
 
-def search_counterexample(rings: Sequence[FiniteRing]) -> VerificationReport:
+def search_counterexample(rings: Iterable[FiniteRing]) -> VerificationReport:
     """Search for a left pseudo-morphic ring that is not left quasi-morphic.
 
-    This is the open-question falsifier.  A clean run reports the corpus
-    size and a fingerprint of the sorted expression list.
+    This is the open-question falsifier.  ``rings`` is consumed in one
+    pass, so a generator keeps a single ring alive at a time.  A clean run
+    reports the corpus size and a fingerprint of the sorted expression list.
     """
     start = time.perf_counter()
-    expressions = sorted(_expr(R) for R in rings)
+    expressions: list[str] = []
+    hits: list[dict] = []
+    for R in rings:
+        expressions.append(_expr(R))
+        hit = _search_hit(R)
+        if hit:
+            hits.append(hit)
+    expressions.sort()
     fingerprint = hashlib.sha256("\n".join(expressions).encode()).hexdigest()
-    hits = [hit for hit in (_search_hit(R) for R in rings) if hit]
     status = "refuted" if any(h["confirmed"] for h in hits) else "verified"
-    details = {"rings": len(rings), "fingerprint": fingerprint, "hits": hits}
+    details = {"rings": len(expressions), "fingerprint": fingerprint, "hits": hits}
     return VerificationReport("pseudo_not_quasi_search",
-                              f"corpus[{len(rings)}]", status, details,
+                              f"corpus[{len(expressions)}]", status, details,
                               time.perf_counter() - start)
 
 
@@ -649,17 +656,17 @@ def verify_triangular_example_identity() -> VerificationReport:
     E22, E21, E11 = 1, 2, 4
     _, tables = _resolve(T, Side.LEFT)
     headline = (
-        tables["ann"][E21] == tables["pri"][E11 + E21]
-        and bin(tables["ann"][E21]).count("1") == 4
-        and all(tables["ann"][b] != tables["pri"][E21] for b in T.elements)
+        tables.ann[E21] == tables.pri[E11 + E21]
+        and bin(tables.ann[E21]).count("1") == 4
+        and all(tables.ann[b] != tables.pri[E21] for b in T.elements)
         and _left_generalized(T)
         and not _is_left_pseudo(T)
     )
     diverges = {}
     for tag, ring in (("row", T), ("transpose", opposite(T))):
         _, t = _resolve(ring, Side.LEFT)
-        displayed = t["ann"][E11 + E21] & t["ann"][E22]
-        diverges[tag] = displayed != t["pri"][E21]
+        displayed = t.ann[E11 + E21] & t.ann[E22]
+        diverges[tag] = displayed != t.pri[E21]
     ok = headline and diverges["row"] and diverges["transpose"]
     details = {"headline_claims": headline, "identity_diverges": diverges}
     return VerificationReport(

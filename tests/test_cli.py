@@ -1,5 +1,6 @@
 """Expression grammar, command exit codes, and report determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -283,3 +284,42 @@ class TestTablesLoader:
     def test_missing_file_exits_2(self, capsys):
         assert run_command(["classify", "trivext(z2,tables(/nonexistent))"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+# SHA-256 of the concatenated ``classify --json`` stdout over
+# ``default_corpus(128)``, recorded with the earlier tuple-of-tuples table
+# core; a change to any record of any of the 155 rings changes it.
+CLASSIFY_CORPUS_128_SHA256 = "cc789e75f5c6e4cb38a9a0ae09fe14cb3e103369fb6e65bfc56ef888496f9514"
+
+
+def test_classify_records_golden_over_corpus_128(capsys):
+    digest = hashlib.sha256()
+    for text in default_corpus(128):
+        assert run_command(["classify", text, "--json"]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == CLASSIFY_CORPUS_128_SHA256
+
+
+@pytest.mark.parametrize("argv", [["qz", "--bound", "4"],
+                                  ["search", "--max-order", "4"],
+                                  ["classify", "z2"]])
+def test_malformed_order_cap_env_exits_2(monkeypatch, capsys, argv):
+    monkeypatch.setenv("RING_ORDER_CAP", "abc")
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: RING_ORDER_CAP must be a positive integer")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_trivext_base_and_bimodule_built_once(monkeypatch, capsys, command):
+    import morphring.cli as cli
+
+    built = []
+    for name in ("make_zmod", "ideal_bimodule"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, real=real, name=name:
+                            built.append(name) or real(*a))
+    run_command([command, "trivext(z4,ideal(2))", "--json"])
+    assert len(_records(capsys)) > 1
+    assert built == ["make_zmod", "ideal_bimodule"]

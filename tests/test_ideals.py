@@ -253,3 +253,65 @@ def test_triple_annihilator_identity():
             assert annihilator(R, Side.LEFT, annihilator(R, Side.RIGHT, left)) == left
             right = annihilator(R, Side.RIGHT, [a])
             assert annihilator(R, Side.RIGHT, annihilator(R, Side.LEFT, right)) == right
+
+
+def test_side_tables_match_set_computations_on_corpus():
+    from morphring.cli import build_ring, default_corpus, parse_ring_expr
+    from morphring.ideals import _resolve
+
+    for text in default_corpus(64):
+        R = build_ring(parse_ring_expr(text))
+        rows = R.mul_table.tolist()
+        elements = range(R.order)
+        expected = {
+            # l(b) = {x : xb = 0} and Ra = {xa}
+            Side.LEFT: ([{x for x in elements if rows[x][b] == R.zero} for b in elements],
+                        [{rows[x][a] for x in elements} for a in elements]),
+            # r(b) = {x : bx = 0} and aR = {ax}
+            Side.RIGHT: ([{x for x in elements if rows[b][x] == R.zero} for b in elements],
+                         [{rows[a][x] for x in elements} for a in elements]),
+        }
+        for side, (ann_sets, pri_sets) in expected.items():
+            _, tables = _resolve(R, side)
+            assert [set(mask_members(m)) for m in tables.ann] == ann_sets, (text, side)
+            assert [set(mask_members(m)) for m in tables.pri] == pri_sets, (text, side)
+            for m in tables.ann:
+                assert tables.ann_first[m] == min(c for c in elements if tables.ann[c] == m)
+                assert tables.ann_members[m] == [c for c in elements if tables.ann[c] == m]
+            for m in tables.pri:
+                assert tables.pri_first[m] == min(c for c in elements if tables.pri[c] == m)
+            assert tables.pri_distinct == sorted(set(tables.pri))
+            assert set(tables.ann_first) == set(tables.ann_members) == set(tables.ann)
+
+
+def test_census_radical_and_clean_match_element_scans_on_corpus():
+    from morphring.classify import _strongly_clean
+    from morphring.cli import build_ring, default_corpus, parse_ring_expr
+
+    for text in default_corpus(64):
+        R = build_ring(parse_ring_expr(text))
+        add, mul = R.add_table.tolist(), R.mul_table.tolist()
+        elements = range(R.order)
+        units = [a for a in elements
+                 if any(mul[a][b] == R.one == mul[b][a] for b in elements)]
+        idempotents = [a for a in elements if mul[a][a] == a]
+        nilpotents = []
+        for a in elements:
+            p = a
+            for _ in elements:
+                if p == R.zero:
+                    nilpotents.append(a)
+                    break
+                p = mul[p][a]
+        neg = [add[x].index(R.zero) for x in elements]
+        radical = [a for a in elements
+                   if all(add[R.one][neg[mul[x][a]]] in units for x in elements)]
+        clean = all(any(add[a][neg[e]] in units
+                        and mul[e][add[a][neg[e]]] == mul[add[a][neg[e]]][e]
+                        for e in idempotents) for a in elements)
+        census = element_census(R)
+        assert mask_members(census.units) == units, text
+        assert mask_members(census.idempotents) == idempotents, text
+        assert mask_members(census.nilpotents) == nilpotents, text
+        assert mask_members(jacobson_radical(R)) == radical, text
+        assert _strongly_clean(R).status is clean, text

@@ -121,8 +121,8 @@ def test_gf9_is_a_field():
 def test_gf_prime_degree_one_matches_zmod():
     F = make_gf(5, 1)
     Z = make_zmod(5)
-    assert F.add_table == Z.add_table
-    assert F.mul_table == Z.mul_table
+    assert np.array_equal(F.add_table, Z.add_table)
+    assert np.array_equal(F.mul_table, Z.mul_table)
 
 
 def test_gf_rejects_composite_characteristic():
@@ -208,8 +208,8 @@ def test_truncated_poly_z2_square_zero():
 def test_truncated_poly_degree_one_is_base():
     R = make_zmod(6)
     P = truncated_poly(R, 1)
-    assert P.add_table == R.add_table
-    assert P.mul_table == R.mul_table
+    assert np.array_equal(P.add_table, R.add_table)
+    assert np.array_equal(P.mul_table, R.mul_table)
 
 
 def test_truncated_poly_z4_nilpotent_arithmetic():
@@ -227,8 +227,8 @@ def test_trivial_extension_zero_module_is_base():
     R = make_zmod(4)
     T = trivial_extension(R, zero_bimodule(R))
     assert T.order == 4
-    assert T.add_table == R.add_table
-    assert T.mul_table == R.mul_table
+    assert np.array_equal(T.add_table, R.add_table)
+    assert np.array_equal(T.mul_table, R.mul_table)
 
 
 def test_trivial_extension_self_module():
@@ -288,8 +288,8 @@ def test_formal_triangular_is_transpose_of_lower_triangular_matrices():
     # the formal triple (r, v, s) is the upper matrix [[r,v],[0,s]]; under the
     # index identification with lower entries ((0,0),(1,0),(1,1)) the two
     # rings share addition and are opposite in multiplication
-    assert F.add_table == T.add_table
-    assert F.mul_table == opposite(T).mul_table
+    assert np.array_equal(F.add_table, T.add_table)
+    assert np.array_equal(F.mul_table, opposite(T).mul_table)
     assert F.one == T.one and F.zero == T.zero
 
 
@@ -314,14 +314,14 @@ def test_pierce_corner_rejects_non_idempotent():
 def test_pierce_corner_identity_is_whole_ring():
     R = make_zmod(6)
     C = pierce_corner(R, R.one)
-    assert C.add_table == R.add_table
-    assert C.mul_table == R.mul_table
+    assert np.array_equal(C.add_table, R.add_table)
+    assert np.array_equal(C.mul_table, R.mul_table)
 
 
 def test_opposite_transposes_multiplication():
     T = matrix_ring(make_zmod(2), 2, shape="lower_triangular")
     O = opposite(T)
-    assert O.add_table == T.add_table
+    assert np.array_equal(O.add_table, T.add_table)
     for a in T.elements:
         for b in T.elements:
             assert O.mul(a, b) == T.mul(b, a)
@@ -331,13 +331,13 @@ def test_opposite_transposes_multiplication():
 
 def test_opposite_of_commutative_is_equal():
     R = make_zmod(6)
-    assert opposite(R).mul_table == R.mul_table
+    assert np.array_equal(opposite(R).mul_table, R.mul_table)
 
 
 def test_ring_from_tables_roundtrip_and_validation():
     R = make_zmod(3)
     S = ring_from_tables(R.add_table, R.mul_table, 0, 1, construction="z3")
-    assert S.add_table == R.add_table
+    assert np.array_equal(S.add_table, R.add_table)
     bad_mul = [[0, 0, 0], [0, 2, 2], [0, 2, 2]]
     with pytest.raises(ValueError):
         ring_from_tables(R.add_table, bad_mul, 0, 1)
@@ -362,3 +362,60 @@ def test_constructions_are_deterministic():
     a = matrix_ring(make_zmod(3), 2, shape="lower_triangular")
     b = matrix_ring(make_zmod(3), 2, shape="lower_triangular")
     assert a == b
+
+
+def test_tables_are_readonly_int32_and_opposite_shares_storage():
+    R = matrix_ring(make_zmod(2), 2, shape="lower_triangular")
+    B = ideal_bimodule(make_zmod(4), 2)
+    tables = (R.add_table, R.mul_table, B.add_table, B.left_action, B.right_action)
+    for table in tables:
+        assert table.dtype == np.int32
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+    O = opposite(R)
+    assert O.add_table is R.add_table
+    assert np.shares_memory(O.mul_table, R.mul_table)
+    assert np.array_equal(O.mul_table, R.mul_table.T)
+    assert O.add_rows is R.add_rows
+    assert O.mul_rows == R.mul_table.T.tolist()
+
+
+def test_ring_equality_compares_table_contents():
+    a = truncated_poly(make_zmod(2), 3)
+    b = truncated_poly(make_zmod(2), 3)
+    assert a is not b and a.mul_table is not b.mul_table
+    assert a == b and hash(a) == hash(b)
+    assert a != make_zmod(8)
+    assert opposite(a) != a  # same tables, different construction text
+    T = matrix_ring(make_zmod(2), 2, shape="lower_triangular")
+    U = FiniteRing(T.order, T.add_table, T.mul_table.T, T.zero, T.one, T.labels,
+                   T.construction)
+    assert U != T
+
+
+def test_vectorised_helpers_match_element_scans():
+    for R in (make_zmod(12), matrix_ring(make_zmod(2), 2), truncated_poly(make_zmod(3), 2)):
+        for a in R.elements:
+            assert R.add(a, R.neg(a)) == R.zero
+            assert R.neg(a) == min(b for b in R.elements if R.add(a, b) == R.zero)
+            assert isinstance(R.mul(a, a), int) and isinstance(R.sub(a, a), int)
+    R = make_zmod(12)
+    M = ideal_bimodule(R, 3)
+    members = sorted({R.mul(x, 3) for x in R.elements})
+    assert M.labels == tuple(str(v) for v in members)
+    for i, v in enumerate(members):
+        for r in R.elements:
+            assert members[M.left_action[r, i]] == R.mul(r, v)
+            assert members[M.right_action[i, r]] == R.mul(v, r)
+        for j, w in enumerate(members):
+            assert members[M.add_table[i, j]] == R.add(v, w)
+    assert check_bimodule(R, M, R).ok
+    R, e = matrix_ring(make_zmod(2), 2), 8  # e = E11
+    C = pierce_corner(R, e)
+    members = sorted({R.mul(R.mul(e, x), e) for x in R.elements})
+    assert C.order == len(members) and members[C.one] == e
+    for i, v in enumerate(members):
+        for j, w in enumerate(members):
+            assert members[C.add(i, j)] == R.add(v, w)
+            assert members[C.mul(i, j)] == R.mul(v, w)

@@ -299,6 +299,20 @@ def test_search_no_counterexample():
     assert again.to_record() == report.to_record()
 
 
+def test_search_consumes_a_generator_in_one_pass():
+    corpus = [Z4, Z6, Z12, T2, M2, P2, TE]
+    seen = []
+
+    def stream():
+        for ring in corpus:
+            seen.append(ring)
+            yield ring
+
+    report = search_counterexample(stream())
+    assert seen == corpus
+    assert report.to_record() == search_counterexample(corpus).to_record()
+
+
 def test_triangular_example_identity():
     report = verify_triangular_example_identity()
     assert report.status == "verified"
