@@ -10,7 +10,8 @@ opposite ring.  All witnesses are least-index, so profiles are canonical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -146,6 +147,14 @@ class ClassProfile:
     structural: StructuralProfile
 
 
+def _for_all(items: Iterable, holds: Callable[..., bool]) -> Flag:
+    """True when ``holds(x)`` for every item; else the first failing ``x``."""
+    for x in items:
+        if not holds(x):
+            return Flag(False, counterexample=x)
+    return Flag(True)
+
+
 def element_class(R: FiniteRing, side: Side, a: int) -> ElementClass:
     """Classify one element; witnesses are the least satisfying indices."""
     ring, tables = _resolve(R, side)
@@ -179,40 +188,18 @@ def element_class(R: FiniteRing, side: Side, a: int) -> ElementClass:
 
 
 def _side_hierarchy(R: FiniteRing, side: Side) -> SideHierarchy:
+    """Each flag is its element predicate checked over the whole ring."""
     ring, tables = _resolve(R, side)
     pri, ann = tables.pri, tables.ann
-    ann_first, pri_first = tables.ann_first, tables.pri_first
-    ann_members = tables.ann_members
-    first_fail: dict[str, int] = {}
-    for a in range(ring.order):
-        ra, la = pri[a], ann[a]
-        pseudo = ra in ann_first
-        generalized = la in pri_first
-        if not pseudo and "pseudo" not in first_fail:
-            first_fail["pseudo"] = a
-        if not generalized and "generalized" not in first_fail:
-            first_fail["generalized"] = a
-        if not (pseudo and generalized):
-            if "quasi" not in first_fail:
-                first_fail["quasi"] = a
-            if "morphic" not in first_fail:
-                first_fail["morphic"] = a
-            continue
-        if "morphic" not in first_fail:
-            if not any(pri[b] == la for b in ann_members[ra]):
-                first_fail["morphic"] = a
-
-    def flag(name: str) -> Flag:
-        if name in first_fail:
-            return Flag(False, counterexample=first_fail[name])
-        return Flag(True)
-
+    ann_first, pri_first, ann_members = tables.ann_first, tables.pri_first, tables.ann_members
+    elements = range(ring.order)
     return SideHierarchy(
         side=side,
-        pseudo=flag("pseudo"),
-        generalized=flag("generalized"),
-        quasi=flag("quasi"),
-        morphic=flag("morphic"),
+        pseudo=_for_all(elements, lambda a: pri[a] in ann_first),
+        generalized=_for_all(elements, lambda a: ann[a] in pri_first),
+        quasi=_for_all(elements, lambda a: pri[a] in ann_first and ann[a] in pri_first),
+        morphic=_for_all(elements, lambda a: any(pri[b] == ann[a]
+                                                 for b in ann_members.get(pri[a], ()))),
     )
 
 
@@ -226,27 +213,13 @@ def ring_morphic_profile(R: FiniteRing) -> MorphicProfile:
 
 def regularity_profile(R: FiniteRing) -> RegularityProfile:
     """Von Neumann regularity and its unit and strong refinements."""
-    n = R.order
     mul = R.mul_table
-    units = element_census(R).units
-    unit_idx = np.asarray(mask_members(units), dtype=np.int32)
-
-    regular = Flag(True)
-    for a in range(n):
-        if not (mul[mul[a], a] == a).any():
-            regular = Flag(False, counterexample=a)
-            break
-    unit_regular = Flag(True)
-    for a in range(n):
-        if not (mul[mul[a, unit_idx], a] == a).any():
-            unit_regular = Flag(False, counterexample=a)
-            break
-    strongly_regular = Flag(True)
-    for a in range(n):
-        if not (mul[mul[a, a]] == a).any():
-            strongly_regular = Flag(False, counterexample=a)
-            break
-    return RegularityProfile(regular, unit_regular, strongly_regular)
+    unit_idx = np.asarray(mask_members(element_census(R).units), dtype=np.int32)
+    return RegularityProfile(
+        regular=_for_all(range(R.order), lambda a: (mul[mul[a], a] == a).any()),
+        unit_regular=_for_all(range(R.order), lambda a: (mul[mul[a, unit_idx], a] == a).any()),
+        strongly_regular=_for_all(range(R.order), lambda a: (mul[mul[a, a]] == a).any()),
+    )
 
 
 def _is_commutative(R: FiniteRing) -> bool:
@@ -299,11 +272,7 @@ def commutation_profile(R: FiniteRing) -> CommutationProfile:
                 )
                 break
 
-    semiprime = Flag(True)
-    for a in range(n):
-        if a != zero and (mul[mul[a], a] == zero).all():
-            semiprime = Flag(False, counterexample=a)
-            break
+    semiprime = _for_all(range(n), lambda a: a == zero or not (mul[mul[a], a] == zero).all())
 
     directly_finite = Flag(True)
     for b, a in np.argwhere(mul == one):
@@ -338,10 +307,7 @@ def _p_injective(R: FiniteRing, side: Side) -> Flag:
     _, mirrored = _resolve(R, other)
     ann = own.ann          # side annihilator of a, e.g. l(a) for Left
     pri = mirrored.pri     # other-side principal ideal, e.g. aR for Left
-    for a in range(R.order):
-        if annihilator(R, other, ann[a]) != pri[a]:
-            return Flag(False, counterexample=a)
-    return Flag(True)
+    return _for_all(range(R.order), lambda a: annihilator(R, other, ann[a]) == pri[a])
 
 
 def _dual_ring(R: FiniteRing) -> Flag:
@@ -366,23 +332,15 @@ def _lear(R: FiniteRing, side: Side) -> Flag:
     except LatticeOverflow as exc:
         return Flag(None, note=str(exc))
     _, tables = _resolve(R, side)
-    ann_first = tables.ann_first
-    for ideal in ideals:
-        if ideal not in ann_first:
-            return Flag(False, counterexample=ideal)
-    return Flag(True)
+    return _for_all(ideals, lambda ideal: ideal in tables.ann_first)
 
 
 def _pp(R: FiniteRing, side: Side) -> Flag:
     """Every element annihilator is generated by an idempotent."""
     ring, tables = _resolve(R, side)
     pri, ann = tables.pri, tables.ann
-    idem = mask_members(element_census(ring).idempotents)
-    idem_masks = {pri[e] for e in idem}
-    for a in range(ring.order):
-        if ann[a] not in idem_masks:
-            return Flag(False, counterexample=a)
-    return Flag(True)
+    idem_masks = {pri[e] for e in mask_members(element_census(ring).idempotents)}
+    return _for_all(range(ring.order), lambda a: ann[a] in idem_masks)
 
 
 def _strongly_clean(R: FiniteRing) -> Flag:
@@ -399,31 +357,42 @@ def _strongly_clean(R: FiniteRing) -> Flag:
     return Flag(True)
 
 
-def _ikeda_nakayama(R: FiniteRing, side: Side) -> Flag:
-    """For side ideals: ann(I1 ∩ I2) = ann(I1) + ann(I2) on the other side."""
-    other = Side.RIGHT if side is Side.LEFT else Side.LEFT
-    try:
-        ideals = all_ideals(R, side)
-    except LatticeOverflow as exc:
-        return Flag(None, note=str(exc))
+def _exchange_failure(R: FiniteRing, side: Side,
+                      ideals: list[int]) -> tuple[int, int, int, int] | None:
+    """First pair of side ideals breaking ann(I1 ∩ I2) = ann(I1) + ann(I2).
+
+    Annihilators are taken on the other side.  Returns ``(I1, I2, lhs,
+    rhs)``, or None when every pair holds; raises ``LatticeOverflow`` when
+    the pairs exceed the pair budget.
+    """
     if len(ideals) * (len(ideals) + 1) // 2 > _PAIR_BUDGET:
-        return Flag(None, note=f"{len(ideals)} ideals exceed the pair budget")
+        raise LatticeOverflow(f"{len(ideals)} ideals exceed the pair budget")
+    other = Side.RIGHT if side is Side.LEFT else Side.LEFT
     for i, m1 in enumerate(ideals):
         a1 = annihilator(R, other, m1)
         for m2 in ideals[i:]:
-            a2 = annihilator(R, other, m2)
             lhs = annihilator(R, other, m1 & m2)
-            rhs = subgroup_sum(R, a1, a2)
+            rhs = subgroup_sum(R, a1, annihilator(R, other, m2))
             if lhs != rhs:
-                return Flag(False, counterexample=(m1, m2))
+                return m1, m2, lhs, rhs
+    return None
+
+
+def _ikeda_nakayama(R: FiniteRing, side: Side) -> Flag:
+    """For side ideals: ann(I1 ∩ I2) = ann(I1) + ann(I2) on the other side."""
+    try:
+        failure = _exchange_failure(R, side, all_ideals(R, side))
+    except LatticeOverflow as exc:
+        return Flag(None, note=str(exc))
+    if failure:
+        return Flag(False, counterexample=failure[:2])
     return Flag(True)
 
 
 def structural_profile(R: FiniteRing) -> StructuralProfile:
     """Bezout, P-injectivity, duality, annihilator, p.p., and clean flags."""
     dual = _dual_ring(R)
-    qf = Flag(dual.status, witness=dual.witness, counterexample=dual.counterexample,
-              note="finite ring: dual annihilator conditions model quasi-Frobenius")
+    qf = replace(dual, note="finite ring: dual annihilator conditions model quasi-Frobenius")
     return StructuralProfile(
         bezout_left=_bezout(R, Side.LEFT),
         bezout_right=_bezout(R, Side.RIGHT),

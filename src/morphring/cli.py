@@ -16,9 +16,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from functools import reduce
+from typing import Callable, Iterable, Sequence
 
 from .classify import ClassProfile, Flag, classify_ring, ring_morphic_profile
 from .qz import verify_qz_suite
@@ -26,6 +30,7 @@ from .rings import (
     BimoduleSpec,
     FiniteRing,
     OrderCapExceeded,
+    _is_prime,
     check_bimodule,
     direct_product,
     ideal_bimodule,
@@ -41,7 +46,8 @@ from .rings import (
 from .verify import (
     TrivialExtensionCase,
     VerificationReport,
-    search_counterexample,
+    _search_hit,
+    _search_report,
     verify_extension_heredity,
     verify_finite_qf,
     verify_lemma_equivalences,
@@ -65,6 +71,10 @@ __all__ = [
 
 RingExpr = tuple
 
+# Deepest constructor nesting the parser accepts: far below the interpreter's
+# recursion limit, far above any expression a capped ring needs.
+_MAX_DEPTH = 100
+
 
 class ExprSyntaxError(ValueError):
     """Raised with a position when an expression fails to parse."""
@@ -74,113 +84,146 @@ class ExprSyntaxError(ValueError):
         self.position = position
 
 
+@dataclass(frozen=True)
+class _Form:
+    """One head of the grammar: argument kinds, builder and order rule.
+
+    Kinds: ``int``, ``path``, ``ring`` (a sub-ring, projected by the order
+    walk), ``base`` (a sub-ring built by every walk, for the ``mod``
+    bimodule after it).  ``order(limit, *values)`` is exact up to
+    ``limit`` and saturates past it; a bimodule form builds from its base
+    ring and its values.  A ``variadic`` form repeats its one kind; a
+    ``bare`` one takes no parentheses.
+    """
+
+    args: tuple[str, ...]
+    build: Callable
+    order: Callable[..., int] | None = None
+    variadic: bool = False
+    bare: bool = False
+
+
+def _power(base: int, exp: int, limit: int) -> int:
+    """``base ** exp``, saturating at ``limit + 1`` without forming large powers."""
+    if base > 1 and exp * (base.bit_length() - 1) >= limit.bit_length():
+        return limit + 1  # base ** exp >= 2 ** limit.bit_length() > limit
+    return min(base ** exp, limit + 1)
+
+
+# The builders look the constructors up in this module's globals at call time.
+_RINGS: dict[str, _Form] = {
+    "z": _Form(("int",), lambda n: make_zmod(n), lambda limit, n: n, bare=True),
+    "gf": _Form(("int", "int"), lambda p, k: make_gf(p, k),
+                lambda limit, p, k: _power(p, k, limit)),
+    "prod": _Form(("ring",), lambda *rings: direct_product(rings),
+                  lambda limit, *orders: reduce(lambda p, o: min(p * o, limit + 1), orders, 1),
+                  variadic=True),
+    "mat": _Form(("ring", "int"), lambda base, k: matrix_ring(base, k),
+                 lambda limit, order, k: _power(order, k * k, limit)),
+    "tri": _Form(("ring", "int"),
+                 lambda base, k: matrix_ring(base, k, shape="lower_triangular"),
+                 lambda limit, order, k: _power(order, k * (k + 1) // 2, limit)),
+    "poly": _Form(("ring", "int"), lambda base, k: truncated_poly(base, k),
+                  lambda limit, order, k: _power(order, k, limit)),
+    "trivext": _Form(("base", "mod"), lambda base, mod: trivial_extension(base, mod),
+                     lambda limit, base, mod: base.order * mod.order),
+    "opp": _Form(("ring",), lambda inner: opposite(inner), lambda limit, order: order),
+}
+_MODULES: dict[str, _Form] = {
+    "self": _Form((), lambda base: regular_bimodule(base), bare=True),
+    "ideal": _Form(("int",), lambda base, d: ideal_bimodule(base, d)),
+    "tables": _Form(("path",), lambda base, path: _load_bimodule_tables(path, base)),
+}
+_SUBTREES = {"ring": _RINGS, "base": _RINGS, "mod": _MODULES}
+
+
+def _form(table: dict[str, _Form], expr: tuple) -> _Form:
+    try:
+        return table[expr[0]]
+    except KeyError:
+        raise ValueError(f"unknown expression head {expr[0]!r}") from None
+
+
+def _kinds(form: _Form, expr: tuple) -> tuple[str, ...]:
+    return form.args * (len(expr) - 1) if form.variadic else form.args
+
+
 class _Parser:
     def __init__(self, text: str) -> None:
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def _skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def _expect(self, ch: str) -> None:
+    def _next_is(self, ch: str) -> bool:
         self._skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
+        return self.text.startswith(ch, self.pos)
+
+    def _expect(self, ch: str) -> None:
+        if not self._next_is(ch):
             raise ExprSyntaxError(f"expected '{ch}'", self.pos)
         self.pos += 1
 
-    def _integer(self) -> int:
+    def _scan(self, accept: Callable[[str], bool], what: str) -> str:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and accept(self.text[self.pos]):
             self.pos += 1
         if self.pos == start:
-            raise ExprSyntaxError("expected an integer", start)
-        return int(self.text[start:self.pos])
-
-    def _identifier(self) -> str:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalpha()
-                                             or self.text[self.pos] == "_"):
-            self.pos += 1
-        if self.pos == start:
-            raise ExprSyntaxError("expected a constructor name", start)
+            raise ExprSyntaxError(f"expected {what}", start)
         return self.text[start:self.pos]
 
+    def _path(self) -> str:
+        end = self.text.find(")", self.pos)
+        if end < 0:
+            raise ExprSyntaxError("unterminated tables path", self.pos)
+        path = self.text[self.pos:end].strip()
+        if not path:
+            raise ExprSyntaxError("empty tables path", self.pos)
+        self.pos = end
+        return path
+
     def parse(self) -> RingExpr:
-        expr = self._expr()
+        expr = self._node(_RINGS)
         self._skip_ws()
         if self.pos != len(self.text):
             raise ExprSyntaxError("unexpected trailing input", self.pos)
         return expr
 
-    def _expr(self) -> RingExpr:
-        start = self.pos
-        name = self._identifier()
-        if name == "z":
-            return ("z", self._integer())
-        if name == "gf":
-            self._expect("(")
-            p = self._integer()
-            self._expect(",")
-            k = self._integer()
-            self._expect(")")
-            return ("gf", p, k)
-        if name == "prod":
-            self._expect("(")
-            factors = [self._expr()]
-            while True:
-                self._skip_ws()
-                if self.pos < len(self.text) and self.text[self.pos] == ",":
-                    self.pos += 1
-                    factors.append(self._expr())
-                else:
-                    break
-            self._expect(")")
-            return ("prod", *factors)
-        if name in ("mat", "tri", "poly"):
-            self._expect("(")
-            base = self._expr()
-            self._expect(",")
-            size = self._integer()
-            self._expect(")")
-            return (name, base, size)
-        if name == "trivext":
-            self._expect("(")
-            base = self._expr()
-            self._expect(",")
-            mod = self._mod()
-            self._expect(")")
-            return ("trivext", base, mod)
-        if name == "opp":
-            self._expect("(")
-            inner = self._expr()
-            self._expect(")")
-            return ("opp", inner)
-        raise ExprSyntaxError(f"unknown constructor {name!r}", start)
+    def _argument(self, kind: str):
+        if kind in _SUBTREES:
+            return self._node(_SUBTREES[kind])
+        if kind == "path":
+            return self._path()
+        return int(self._scan(str.isdigit, "an integer"))
 
-    def _mod(self) -> tuple:
+    def _node(self, table: dict[str, _Form]) -> tuple:
         start = self.pos
-        name = self._identifier()
-        if name == "self":
-            return ("self",)
-        if name == "ideal":
-            self._expect("(")
-            d = self._integer()
-            self._expect(")")
-            return ("ideal", d)
-        if name == "tables":
-            self._expect("(")
-            end = self.text.find(")", self.pos)
-            if end < 0:
-                raise ExprSyntaxError("unterminated tables path", self.pos)
-            path = self.text[self.pos:end].strip()
-            if not path:
-                raise ExprSyntaxError("empty tables path", self.pos)
-            self.pos = end + 1
-            return ("tables", path)
-        raise ExprSyntaxError(f"unknown bimodule form {name!r}", start)
+        name = self._scan(lambda ch: ch.isalpha() or ch == "_", "a constructor name")
+        if name not in table:
+            noun = "constructor" if table is _RINGS else "bimodule form"
+            raise ExprSyntaxError(f"unknown {noun} {name!r}", start)
+        form = table[name]
+        if form.bare:
+            return (name, *(self._argument(kind) for kind in form.args))
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests deeper than {_MAX_DEPTH} levels", start)
+        self._expect("(")
+        args = []
+        for i, kind in enumerate(form.args):
+            if i:
+                self._expect(",")
+            args.append(self._argument(kind))
+        while form.variadic and self._next_is(","):
+            self.pos += 1
+            args.append(self._argument(form.args[-1]))
+        self._expect(")")
+        self.depth -= 1
+        return (name, *args)
 
 
 def parse_ring_expr(text: str) -> RingExpr:
@@ -188,29 +231,16 @@ def parse_ring_expr(text: str) -> RingExpr:
     return _Parser(text).parse()
 
 
+def _serialize(expr: tuple, table: dict[str, _Form]) -> str:
+    form = _form(table, expr)
+    parts = [_serialize(arg, _SUBTREES[kind]) if kind in _SUBTREES else str(arg)
+             for kind, arg in zip(_kinds(form, expr), expr[1:])]
+    return expr[0] + ("".join(parts) if form.bare else f"({','.join(parts)})")
+
+
 def serialize_ring_expr(expr: RingExpr) -> str:
     """Canonical text form; ``parse_ring_expr`` inverts it exactly."""
-    head = expr[0]
-    if head == "z":
-        return f"z{expr[1]}"
-    if head == "gf":
-        return f"gf({expr[1]},{expr[2]})"
-    if head == "prod":
-        return "prod(" + ",".join(serialize_ring_expr(e) for e in expr[1:]) + ")"
-    if head in ("mat", "tri", "poly"):
-        return f"{head}({serialize_ring_expr(expr[1])},{expr[2]})"
-    if head == "trivext":
-        mod = expr[2]
-        if mod[0] == "self":
-            mod_text = "self"
-        elif mod[0] == "ideal":
-            mod_text = f"ideal({mod[1]})"
-        else:
-            mod_text = f"tables({mod[1]})"
-        return f"trivext({serialize_ring_expr(expr[1])},{mod_text})"
-    if head == "opp":
-        return f"opp({serialize_ring_expr(expr[1])})"
-    raise ValueError(f"unknown expression head {head!r}")
+    return _serialize(expr, _RINGS)
 
 
 def _load_bimodule_tables(path: str, base: FiniteRing) -> BimoduleSpec:
@@ -241,7 +271,9 @@ def _load_bimodule_tables(path: str, base: FiniteRing) -> BimoduleSpec:
     offset += base.order * m
     right = tuple(tuple(body[offset + i * base.order:offset + (i + 1) * base.order])
                   for i in range(m))
-    zero = next(e for e in range(m) if all(add[e][x] == x for x in range(m)))
+    zero = next((e for e in range(m) if all(add[e][x] == x for x in range(m))), None)
+    if zero is None:
+        raise ValueError(f"table file {path!r} has no additive identity")
     spec = BimoduleSpec(
         order=m, add_table=add, left_action=left, right_action=right,
         zero=zero, labels=tuple(f"m{i}" for i in range(m)),
@@ -252,21 +284,29 @@ def _load_bimodule_tables(path: str, base: FiniteRing) -> BimoduleSpec:
     return spec
 
 
-def _build_bimodule(mod: tuple, base: FiniteRing) -> BimoduleSpec:
-    if mod[0] == "self":
-        return regular_bimodule(base)
-    if mod[0] == "ideal":
-        return ideal_bimodule(base, mod[1])
-    return _load_bimodule_tables(mod[1], base)
+def _arguments(expr: RingExpr, built: dict, walk: Callable) -> tuple:
+    """A node's argument values, with ``walk(sub, built)`` for each sub-ring.
 
-
-def _trivext_parts(expr: RingExpr, built: dict) -> tuple[FiniteRing, BimoduleSpec]:
-    """Base ring and bimodule of a ``trivext`` node, built once per ``built`` memo."""
-    parts = built.get(expr)
-    if parts is None:
-        base = build_ring(expr[1], built)
-        parts = built[expr] = (base, _build_bimodule(expr[2], base))
-    return parts
+    A node with a bimodule builds its ``base`` and the bimodule over it in
+    every walk, once per ``built`` memo: the pair is kept under the node.
+    """
+    values = built.get(expr)
+    if values is None:
+        form = _form(_RINGS, expr)
+        values = []
+        for kind, arg in zip(_kinds(form, expr), expr[1:]):
+            if kind == "ring":
+                values.append(walk(arg, built))
+            elif kind == "base":
+                values.append(build_ring(arg, built))
+            elif kind == "mod":
+                values.append(_form(_MODULES, arg).build(values[-1], *arg[1:]))
+            else:
+                values.append(arg)
+        values = tuple(values)
+        if "base" in form.args:
+            built[expr] = values
+    return values
 
 
 def build_ring(expr: RingExpr, built: dict | None = None) -> FiniteRing:
@@ -277,73 +317,42 @@ def build_ring(expr: RingExpr, built: dict | None = None) -> FiniteRing:
     does not build them again.
     """
     built = {} if built is None else built
-    head = expr[0]
-    if head == "z":
-        return make_zmod(expr[1])
-    if head == "gf":
-        return make_gf(expr[1], expr[2])
-    if head == "prod":
-        return direct_product([build_ring(e, built) for e in expr[1:]])
-    if head == "mat":
-        return matrix_ring(build_ring(expr[1], built), expr[2])
-    if head == "tri":
-        return matrix_ring(build_ring(expr[1], built), expr[2], shape="lower_triangular")
-    if head == "poly":
-        return truncated_poly(build_ring(expr[1], built), expr[2])
-    if head == "trivext":
-        return trivial_extension(*_trivext_parts(expr, built))
-    if head == "opp":
-        return opposite(build_ring(expr[1], built))
-    raise ValueError(f"unknown expression head {head!r}")
+    return _form(_RINGS, expr).build(*_arguments(expr, built, build_ring))
+
+
+def _order(expr: RingExpr, built: dict, limit: int) -> int:
+    form = _form(_RINGS, expr)
+    bases = [arg for kind, arg in zip(_kinds(form, expr), expr[1:]) if kind == "base"]
+    if any(_order(base, built, limit) > limit for base in bases):
+        return limit + 1  # a ring is at least as large as its base: build nothing
+    values = _arguments(expr, built, lambda sub, memo: _order(sub, memo, limit))
+    return min(form.order(limit, *values), limit + 1)
 
 
 def projected_order(expr: RingExpr, built: dict | None = None) -> int:
     """Order of the resulting ring, computed before building it.
 
-    Only a ``trivext`` node builds anything: its base ring and bimodule,
-    which are kept in ``built`` when given.
+    Exact up to ``order_cap()``; past the cap the rules stop multiplying
+    and the result is ``order_cap() + 1``.  Only a ``trivext`` node inside
+    the cap builds anything: its base ring and bimodule, which are kept in
+    ``built`` when given.
     """
-    built = {} if built is None else built
-    head = expr[0]
-    if head == "z":
-        return expr[1]
-    if head == "gf":
-        return expr[1] ** expr[2]
-    if head == "prod":
-        total = 1
-        for e in expr[1:]:
-            total *= projected_order(e, built)
-        return total
-    if head == "mat":
-        return projected_order(expr[1], built) ** (expr[2] * expr[2])
-    if head == "tri":
-        k = expr[2]
-        return projected_order(expr[1], built) ** (k * (k + 1) // 2)
-    if head == "poly":
-        return projected_order(expr[1], built) ** expr[2]
-    if head == "trivext":
-        base, bimodule = _trivext_parts(expr, built)
-        return base.order * bimodule.order
-    if head == "opp":
-        return projected_order(expr[1], built)
-    raise ValueError(f"unknown expression head {head!r}")
+    return _order(expr, {} if built is None else built, order_cap())
 
 
 def _build_checked(expr: RingExpr, built: dict | None = None) -> FiniteRing:
     built = {} if built is None else built
-    order = projected_order(expr, built)
     cap = order_cap()
-    if order > cap:
+    if projected_order(expr, built) > cap:
         raise OrderCapExceeded(
-            f"projected order {order} exceeds the cap {cap}; "
+            f"projected order exceeds the cap {cap}; "
             f"raise RING_ORDER_CAP to allow it")
     return build_ring(expr, built)
 
 
 def default_corpus(max_order: int) -> list[str]:
     """The built-in expression corpus, capped at the given ring order."""
-    primes = [p for p in range(2, 65)
-              if p > 1 and all(p % q for q in range(2, p)) and p * p <= 4096]
+    primes = [p for p in range(2, 65) if _is_prime(p)]
     exprs: list[str] = []
     for n in range(2, 65):
         if n <= max_order:
@@ -429,7 +438,7 @@ def _verify_suite(expr: RingExpr, ring: FiniteRing, only: str | None,
         name: (lambda fn=fn: fn(ring)) for name, fn in _RING_THEOREMS.items()
     }
     if expr[0] == "trivext":
-        case = TrivialExtensionCase(*_trivext_parts(expr, built))
+        case = TrivialExtensionCase(*built[expr], extension=ring)
         available["extension_heredity"] = lambda: verify_extension_heredity(case)
     if serialize_ring_expr(expr) == "tri(z2,2)":
         available["triangular_example_identity"] = verify_triangular_example_identity
@@ -441,19 +450,15 @@ def _verify_suite(expr: RingExpr, ring: FiniteRing, only: str | None,
     return [available[name]() for name in available]
 
 
-def _emit(records: list[dict], as_json: bool,
-          human: Callable[[], str], out=None) -> None:
-    stream = out or sys.stdout
+def _emit(records: list[dict], as_json: bool, human: Callable[[], str]) -> None:
     if as_json:
         for record in records:
-            print(json.dumps(record, ensure_ascii=False), file=stream)
+            print(json.dumps(record, ensure_ascii=False))
     else:
-        print(human(), file=stream)
+        print(human())
 
 
 def _human_table(rows: list[Sequence[str]]) -> str:
-    if not rows:
-        return "(no rows)"
     widths = [max(len(str(row[col])) for row in rows)
               for col in range(len(rows[0]))]
     return "\n".join(
@@ -467,19 +472,19 @@ def _fmt_witness(witness: dict | None) -> str:
     return json.dumps(witness, ensure_ascii=False)
 
 
+def _ring_table(expression: str, header: tuple[str, str, str], records: list[dict]) -> str:
+    rows = [header] + [(r["predicate"], r["status"], _fmt_witness(r["witness"]))
+                       for r in records]
+    return f"ring {expression}\n" + _human_table(rows)
+
+
 def _cmd_classify(args: argparse.Namespace) -> int:
     expr = parse_ring_expr(args.expression)
     ring = _build_checked(expr)
     expression = serialize_ring_expr(expr)
     records = profile_records(expression, classify_ring(ring))
-
-    def human() -> str:
-        rows = [("predicate", "status", "witness")]
-        rows += [(r["predicate"], r["status"], _fmt_witness(r["witness"]))
-                 for r in records]
-        return f"ring {expression}\n" + _human_table(rows)
-
-    _emit(records, args.json, human)
+    _emit(records, args.json,
+          lambda: _ring_table(expression, ("predicate", "status", "witness"), records))
     return 0
 
 
@@ -490,14 +495,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     expression = serialize_ring_expr(expr)
     reports = _verify_suite(expr, ring, args.theorem, built)
     records = [_report_record(expression, report) for report in reports]
-
-    def human() -> str:
-        rows = [("theorem", "status", "details")]
-        rows += [(r["predicate"], r["status"], _fmt_witness(r["witness"]))
-                 for r in records]
-        return f"ring {expression}\n" + _human_table(rows)
-
-    _emit(records, args.json, human)
+    _emit(records, args.json,
+          lambda: _ring_table(expression, ("theorem", "status", "details"), records))
     return 1 if any(r["status"] == "refuted" for r in records) else 0
 
 
@@ -518,6 +517,23 @@ _EXAMPLE_TABLE: list[tuple[str, str, str]] = [
 ]
 
 
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map(fn: Callable, items: Sequence, jobs: int) -> Iterable:
+    """``fn`` over ``items`` in order: lazily in process, or with ``jobs > 1``
+    in a pool of at most ``jobs`` workers, one per item and per usable CPU."""
+    workers = min(jobs, len(items), _available_cpus())
+    if workers <= 1:
+        return map(fn, items)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def _worker_classify(expression: str) -> tuple[str, list[dict]]:
     ring = _build_checked(parse_ring_expr(expression))
     return expression, profile_records(expression, classify_ring(ring))
@@ -527,11 +543,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     rows = [(e, p, s) for e, p, s in _EXAMPLE_TABLE
             if projected_order(parse_ring_expr(e)) <= args.max_order]
     expressions = sorted({e for e, _, _ in rows})
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            computed = dict(pool.map(_worker_classify, expressions))
-    else:
-        computed = dict(_worker_classify(e) for e in expressions)
+    computed = dict(_map(_worker_classify, expressions, args.jobs))
     by_key = {(expr, r["predicate"]): r
               for expr, records in computed.items() for r in records}
     records = []
@@ -555,29 +567,15 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def _worker_search(expression: str) -> dict | None:
-    from .verify import _search_hit
-
     return _search_hit(_build_checked(parse_ring_expr(expression)))
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    start = time.perf_counter()
     expressions = default_corpus(args.max_order)
-    if args.jobs > 1:
-        import hashlib
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            hits = [h for h in pool.map(_worker_search, expressions) if h]
-        fingerprint = hashlib.sha256(
-            "\n".join(sorted(expressions)).encode()).hexdigest()
-        status = "refuted" if any(h["confirmed"] for h in hits) else "verified"
-        report = VerificationReport(
-            "pseudo_not_quasi_search", f"corpus[{len(expressions)}]", status,
-            {"rings": len(expressions), "fingerprint": fingerprint, "hits": hits},
-            0.0)
-    else:
-        # one ring alive at a time: each is built as the search reaches it
-        report = search_counterexample(
-            _build_checked(parse_ring_expr(e)) for e in expressions)
+    # serially, one ring is alive at a time: each is built as the map reaches it
+    hits = _map(_worker_search, expressions, args.jobs)
+    report = _search_report(expressions, hits, start)
     records = [_report_record(report.expression, report)]
 
     def human() -> str:
@@ -612,38 +610,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
     classify = sub.add_parser("classify", help="full predicate profile of one ring")
     classify.add_argument("expression", help="ring expression, e.g. 'tri(z2,2)'")
-    classify.add_argument("--json", action="store_true",
-                          help="line-delimited machine-readable records")
     classify.set_defaults(handler=_cmd_classify)
 
     verify = sub.add_parser("verify", help="run theorem checks on one ring")
     verify.add_argument("expression")
     verify.add_argument("--theorem", default=None,
                         help="run only the named theorem check")
-    verify.add_argument("--json", action="store_true")
     verify.set_defaults(handler=_cmd_verify)
 
     corpus = sub.add_parser("corpus",
                             help="diff the built-in example table against "
                                  "computed classifications")
-    corpus.add_argument("--max-order", type=int, default=order_cap())
-    corpus.add_argument("--jobs", type=int, default=1)
-    corpus.add_argument("--json", action="store_true")
     corpus.set_defaults(handler=_cmd_corpus)
 
     search = sub.add_parser("search",
                             help="scan the default corpus for a left "
                                  "pseudo-morphic ring that is not quasi-morphic")
-    search.add_argument("--max-order", type=int, default=order_cap())
-    search.add_argument("--jobs", type=int, default=1)
-    search.add_argument("--json", action="store_true")
     search.set_defaults(handler=_cmd_search)
 
     qz = sub.add_parser("qz", help="exact Q/Z submodule-lattice suite")
     qz.add_argument("--bound", type=int, required=True)
-    qz.add_argument("--json", action="store_true")
     qz.set_defaults(handler=_cmd_qz)
 
+    for command in (corpus, search):
+        command.add_argument("--max-order", type=int, default=order_cap())
+        command.add_argument("--jobs", type=int, default=1)
+    for command in (classify, verify, corpus, search, qz):
+        command.add_argument("--json", action="store_true",
+                             help="line-delimited machine-readable records")
     return parser
 
 

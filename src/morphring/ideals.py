@@ -8,14 +8,13 @@ Right-sided computations are left-sided computations on the opposite ring.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rings import FiniteRing, opposite
+from .rings import FiniteRing, _env_cap, opposite
 
 __all__ = [
     "ElementCensus",
@@ -46,13 +45,7 @@ class LatticeOverflow(Exception):
 
 def lattice_cap() -> int:
     """Maximum number of ideals ``all_ideals`` will enumerate."""
-    raw = os.environ.get("IDEAL_LATTICE_CAP")
-    if raw is None:
-        return _DEFAULT_LATTICE_CAP
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError(f"IDEAL_LATTICE_CAP must be positive, got {cap}")
-    return cap
+    return _env_cap("IDEAL_LATTICE_CAP", _DEFAULT_LATTICE_CAP)
 
 
 class Side(Enum):
@@ -72,14 +65,7 @@ def mask_of(elements: Iterable[int]) -> int:
 
 def mask_members(mask: int) -> list[int]:
     """Element indices of a mask, ascending."""
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+    return [i for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
 
 
 def _mask_from_bool(col: np.ndarray) -> int:
@@ -337,29 +323,20 @@ def is_essential(R: FiniteRing, side: Side, mask: int) -> bool:
     """
     if not is_ideal(R, side, mask):
         raise ValueError(f"mask {mask:#x} is not a {side.value} ideal")
-    ring, tables = _resolve(R, side)
-    pri = tables.pri
+    return _meets_every_principal(*_resolve(R, side), mask)
+
+
+def _meets_every_principal(ring: FiniteRing, tables: SideTables, mask: int) -> bool:
+    """Whether ``mask`` meets every nonzero principal ideal beyond zero."""
     zero_bit = 1 << ring.zero
-    for a in range(ring.order):
-        if a == ring.zero:
-            continue
-        if pri[a] & mask & ~zero_bit == 0:
-            return False
-    return True
+    return all(m & mask & ~zero_bit for m in tables.pri_distinct if m != zero_bit)
 
 
 def singular_ideal(R: FiniteRing, side: Side) -> int:
     """Mask of the side singular ideal: elements whose side annihilator is essential."""
     ring, tables = _resolve(R, side)
-    ann, pri = tables.ann, tables.pri
-    zero_bit = 1 << ring.zero
-    nonzero = [a for a in range(ring.order) if a != ring.zero]
-    out = 0
-    for a in range(ring.order):
-        la = ann[a]
-        if all(pri[b] & la & ~zero_bit for b in nonzero):
-            out |= 1 << a
-    return out
+    return mask_of(a for a in range(ring.order)
+                   if _meets_every_principal(ring, tables, tables.ann[a]))
 
 
 def _minimal_principal_masks(ring: FiniteRing, tables: SideTables) -> list[int]:

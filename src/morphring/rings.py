@@ -48,18 +48,23 @@ class OrderCapExceeded(ValueError):
     """A construction would exceed the configured order cap."""
 
 
-def order_cap() -> int:
-    """Largest ring order accepted for full classification profiles."""
-    raw = os.environ.get("RING_ORDER_CAP")
+def _env_cap(name: str, default: int) -> int:
+    """The positive integer in environment variable ``name``, else ``default``."""
+    raw = os.environ.get(name)
     if raw is None:
-        return _DEFAULT_ORDER_CAP
+        return default
     try:
         cap = int(raw)
     except ValueError:
-        raise ValueError(f"RING_ORDER_CAP must be a positive integer, got {raw!r}") from None
+        raise ValueError(f"{name} must be a positive integer, got {raw!r}") from None
     if cap < 1:
-        raise ValueError(f"RING_ORDER_CAP must be positive, got {cap}")
+        raise ValueError(f"{name} must be positive, got {cap}")
     return cap
+
+
+def order_cap() -> int:
+    """Largest ring order accepted for full classification profiles."""
+    return _env_cap("RING_ORDER_CAP", _DEFAULT_ORDER_CAP)
 
 
 def build_cap() -> int:
@@ -228,6 +233,23 @@ def _check_assoc(t: np.ndarray, n: int) -> tuple[int, int, int] | None:
     return None
 
 
+def _check_abelian_group(add: np.ndarray, zero: int, prefix: str) -> AxiomCheck | None:
+    """First failing abelian-group axiom of ``add`` with identity ``zero``, or None."""
+    bad = np.nonzero(add[zero] != np.arange(len(add)))[0]
+    if bad.size:
+        return AxiomCheck(False, f"{prefix}add_identity", (int(bad[0]),))
+    no_inverse = np.nonzero(~np.any(add == zero, axis=1))[0]
+    if no_inverse.size:
+        return AxiomCheck(False, f"{prefix}add_inverse", (int(no_inverse[0]),))
+    if not np.array_equal(add, add.T):
+        where = np.argwhere(add != add.T)[0]
+        return AxiomCheck(False, f"{prefix}add_commutative", (int(where[0]), int(where[1])))
+    witness = _check_assoc(add.astype(np.int32, copy=False), len(add))
+    if witness is not None:
+        return AxiomCheck(False, f"{prefix}add_associative", witness)
+    return None
+
+
 def check_ring_axioms(add_table, mul_table, zero: int, one: int) -> AxiomCheck:
     """Validate that the tables define a ring with the given 0 and 1.
 
@@ -239,21 +261,10 @@ def check_ring_axioms(add_table, mul_table, zero: int, one: int) -> AxiomCheck:
     as such rather than as an associativity fallout.
     """
     add, mul, n = _validate_tables(add_table, mul_table, zero, one)
+    group = _check_abelian_group(add, zero, "")
+    if group is not None:
+        return group
     idx = np.arange(n, dtype=np.int32)
-
-    bad = np.nonzero(add[zero] != idx)[0]
-    if bad.size:
-        return AxiomCheck(False, "add_identity", (int(bad[0]),))
-    no_inverse = np.nonzero(~np.any(add == zero, axis=1))[0]
-    if no_inverse.size:
-        return AxiomCheck(False, "add_inverse", (int(no_inverse[0]),))
-    if not np.array_equal(add, add.T):
-        where = np.argwhere(add != add.T)[0]
-        return AxiomCheck(False, "add_commutative", (int(where[0]), int(where[1])))
-    witness = _check_assoc(add, n)
-    if witness is not None:
-        return AxiomCheck(False, "add_associative", witness)
-
     if not (np.array_equal(mul[one], idx) and np.array_equal(mul[:, one], idx)):
         bad_row = np.nonzero(mul[one] != idx)[0]
         bad = bad_row if bad_row.size else np.nonzero(mul[:, one] != idx)[0]
@@ -676,19 +687,10 @@ def check_bimodule(left_ring: FiniteRing, M: BimoduleSpec, right_ring: FiniteRin
         if t.size and (t.min() < 0 or t.max() >= m):
             raise ValueError(f"{name} entries must lie in [0, {m})")
 
+    group = _check_abelian_group(add, M.zero, "module_")
+    if group is not None:
+        return group
     idx = np.arange(m)
-    if not np.array_equal(add[M.zero], idx):
-        bad = np.nonzero(add[M.zero] != idx)[0]
-        return AxiomCheck(False, "module_add_identity", (int(bad[0]),))
-    no_inv = np.nonzero(~np.any(add == M.zero, axis=1))[0]
-    if no_inv.size:
-        return AxiomCheck(False, "module_add_inverse", (int(no_inv[0]),))
-    if not np.array_equal(add, add.T):
-        w = np.argwhere(add != add.T)[0]
-        return AxiomCheck(False, "module_add_commutative", (int(w[0]), int(w[1])))
-    w3 = _check_assoc(add.astype(np.int32), m)
-    if w3 is not None:
-        return AxiomCheck(False, "module_add_associative", w3)
 
     radd, rmul = left_ring.add_table, left_ring.mul_table
     sadd, smul = right_ring.add_table, right_ring.mul_table

@@ -17,7 +17,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .classify import (
+    _exchange_failure,
     _is_commutative,
+    _p_injective,
+    _pp,
+    _side_hierarchy,
     _strongly_clean,
     commutation_profile,
     regularity_profile,
@@ -28,18 +32,16 @@ from .ideals import (
     Side,
     all_ideals,
     annihilator,
-    element_census,
     jacobson_radical,
-    mask_members,
     singular_ideal,
     socle,
     subgroup_sum,
+    _minimal_principal_masks,
     _resolve,
 )
 from .rings import (
     BimoduleSpec,
     FiniteRing,
-    OrderCapExceeded,
     formal_triangular,
     make_zmod,
     matrix_ring,
@@ -67,9 +69,6 @@ __all__ = [
     "verify_witness_identities",
 ]
 
-_PAIR_BUDGET = 4_000_000
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of one theorem check on one ring."""
@@ -96,12 +95,6 @@ def _expr(R: FiniteRing) -> str:
 
 def _report(theorem: str, R: FiniteRing, status: str, details: dict, start: float) -> VerificationReport:
     return VerificationReport(theorem, _expr(R), status, details, time.perf_counter() - start)
-
-
-def _is_left_pseudo(R: FiniteRing, side: Side = Side.LEFT) -> bool:
-    ring, tables = _resolve(R, side)
-    ann_first = tables.ann_first
-    return all(m in ann_first for m in tables.pri)
 
 
 def _fg_masks(R: FiniteRing, side: Side) -> list[int]:
@@ -222,7 +215,7 @@ def verify_pseudo_consequences(R: FiniteRing) -> VerificationReport:
     and minimality transfer from ``aR`` to ``Ra``.
     """
     start = time.perf_counter()
-    if not _is_left_pseudo(R):
+    if not _side_hierarchy(R, Side.LEFT).pseudo.status:
         return _report("pseudo_morphic_consequences", R, "vacuous",
                        {"note": "ring is not left pseudo-morphic"}, start)
 
@@ -230,11 +223,9 @@ def verify_pseudo_consequences(R: FiniteRing) -> VerificationReport:
         payload = {"check": check, **payload}
         return _report("pseudo_morphic_consequences", R, "refuted", payload, start)
 
-    _, left = _resolve(R, Side.LEFT)
-    _, right = _resolve(R, Side.RIGHT)
-    for a in range(R.order):
-        if annihilator(R, Side.LEFT, right.ann[a]) != left.pri[a]:
-            return fail("lr(a)=Ra", {"element": a})
+    p_injective = _p_injective(R, Side.RIGHT)
+    if not p_injective.status:
+        return fail("lr(a)=Ra", {"element": p_injective.counterexample})
     fg = _fg_masks(R, Side.LEFT)
     for ideal in fg:
         if annihilator(R, Side.LEFT, annihilator(R, Side.RIGHT, ideal)) != ideal:
@@ -246,15 +237,14 @@ def verify_pseudo_consequences(R: FiniteRing) -> VerificationReport:
     s_r, s_l = socle(R, Side.RIGHT), socle(R, Side.LEFT)
     if s_r & ~s_l:
         return fail("right_socle_in_left_socle", {"right": s_r, "left": s_l})
-    zero_bit = 1 << R.zero
+    left_ring, left = _resolve(R, Side.LEFT)
+    right_ring, right = _resolve(R, Side.RIGHT)
+    simple_left = set(_minimal_principal_masks(left_ring, left))
+    simple_right = set(_minimal_principal_masks(right_ring, right))
     minimal_transfer = 0
     for a in range(R.order):
-        ar = right.pri[a]
-        if ar == zero_bit:
-            continue
-        if all(right.pri[b] == ar for b in mask_members(ar & ~zero_bit)):
-            ra = left.pri[a]
-            if not all(left.pri[b] == ra for b in mask_members(ra & ~zero_bit)):
+        if right.pri[a] in simple_right:
+            if left.pri[a] not in simple_left:
                 return fail("simple_aR_implies_simple_Ra", {"element": a})
             minimal_transfer += 1
     return _report(
@@ -290,22 +280,18 @@ def verify_quasi_equivalence(R: FiniteRing) -> VerificationReport:
             return _report("pseudo_quasi_equivalence", R, "refuted", details, start)
         details["commutative_morphic"] = True
     if quasi_both:
-        for side, other in ((Side.LEFT, Side.RIGHT), (Side.RIGHT, Side.LEFT)):
+        for side in (Side.LEFT, Side.RIGHT):
             masks = _fg_masks(R, side)
-            if len(masks) * (len(masks) + 1) // 2 > _PAIR_BUDGET:
-                details["note"] = f"{len(masks)} ideals exceed the pair budget"
+            try:
+                failure = _exchange_failure(R, side, masks)
+            except LatticeOverflow as exc:
+                details["note"] = str(exc)
                 return _report("pseudo_quasi_equivalence", R, "indeterminate", details, start)
-            for i, m1 in enumerate(masks):
-                a1 = annihilator(R, other, m1)
-                for m2 in masks[i:]:
-                    lhs = annihilator(R, other, m1 & m2)
-                    rhs = subgroup_sum(R, a1, annihilator(R, other, m2))
-                    if lhs != rhs:
-                        details["check"] = f"exchange_law_{side.value}"
-                        details["counterexample"] = {"ideals": [m1, m2],
-                                                     "lhs": lhs, "rhs": rhs}
-                        return _report("pseudo_quasi_equivalence", R, "refuted",
-                                       details, start)
+            if failure:
+                m1, m2, lhs, rhs = failure
+                details["check"] = f"exchange_law_{side.value}"
+                details["counterexample"] = {"ideals": [m1, m2], "lhs": lhs, "rhs": rhs}
+                return _report("pseudo_quasi_equivalence", R, "refuted", details, start)
             details[f"exchange_pairs_{side.value}"] = len(masks) * (len(masks) + 1) // 2
     return _report("pseudo_quasi_equivalence", R, "verified", details, start)
 
@@ -319,7 +305,8 @@ def verify_finite_qf(R: FiniteRing) -> VerificationReport:
     zero radical.
     """
     start = time.perf_counter()
-    if not (_is_left_pseudo(R) and _is_left_pseudo(R, Side.RIGHT)):
+    profile = ring_morphic_profile(R)
+    if not (profile.left.pseudo.status and profile.right.pseudo.status):
         return _report("finite_dual_ring_battery", R, "vacuous",
                        {"note": "ring is not pseudo-morphic on both sides"}, start)
 
@@ -335,15 +322,13 @@ def verify_finite_qf(R: FiniteRing) -> VerificationReport:
 
     for side, other in ((Side.LEFT, Side.RIGHT), (Side.RIGHT, Side.LEFT)):
         _, tables = _resolve(R, side)
-        principal = set(tables.pri)
-        ann_masks = set(tables.ann_first)
         for ideal in lattice[side]:
             back = annihilator(R, side, annihilator(R, other, ideal))
             if back != ideal:
                 return fail("dual_ring", {"side": side.value, "ideal": ideal, "double_annihilator": back})
-            if ideal not in principal:
+            if ideal not in tables.pri_first:
                 return fail("all_ideals_principal", {"side": side.value, "ideal": ideal})
-            if ideal not in ann_masks:
+            if ideal not in tables.ann_first:
                 return fail("all_ideals_are_annihilators", {"side": side.value, "ideal": ideal})
     clean = _strongly_clean(R)
     if clean.status is not True:
@@ -365,8 +350,8 @@ def verify_regular_criteria(R: FiniteRing) -> VerificationReport:
     """
     start = time.perf_counter()
     semiprime = bool(commutation_profile(R).semiprime.status)
-    pseudo_l = _is_left_pseudo(R)
-    pseudo_r = _is_left_pseudo(R, Side.RIGHT)
+    profile = ring_morphic_profile(R)
+    pseudo_l, pseudo_r = profile.left.pseudo.status, profile.right.pseudo.status
     regular = bool(regularity_profile(R).regular.status)
     rad_zero = jacobson_radical(R) == 1 << R.zero
     a = semiprime and pseudo_l and pseudo_r
@@ -374,17 +359,11 @@ def verify_regular_criteria(R: FiniteRing) -> VerificationReport:
     if not (a == regular == rad_zero):
         return _report("regular_criteria", R, "refuted", details, start)
 
-    def pp(side: Side) -> bool:
-        ring, tables = _resolve(R, side)
-        idem_masks = {tables.pri[e]
-                      for e in mask_members(element_census(ring).idempotents)}
-        return all(m in idem_masks for m in tables.ann)
-
     for side_pp, side_pseudo, label in (
         (Side.LEFT, pseudo_r, "left_pp_right_pseudo"),
         (Side.RIGHT, pseudo_l, "right_pp_left_pseudo"),
     ):
-        antecedent = pp(side_pp) and side_pseudo
+        antecedent = _pp(R, side_pp).status and side_pseudo
         details[label] = antecedent
         if antecedent and not regular:
             details["check"] = label
@@ -427,15 +406,10 @@ def verify_reduced_equivalences(R: FiniteRing, nmax: int = 2) -> VerificationRep
         details["nine_way"] = bool(reg.strongly_regular.status)
     checked_n, capped_n = [], []
     for n in range(2, nmax + 1):
-        if R.order**n > order_cap():
+        if R.order**n > order_cap():  # the constructors' cap is never lower
             capped_n.append(n)
             continue
-        try:
-            P = truncated_poly(R, n)
-        except OrderCapExceeded:
-            capped_n.append(n)
-            continue
-        p_profile = ring_morphic_profile(P)
+        p_profile = ring_morphic_profile(truncated_poly(R, n))
         if reduced and reg.strongly_regular.status:
             if not (p_profile.left.morphic.status and p_profile.right.morphic.status):
                 details["check"] = "strongly_regular_truncation_morphic"
@@ -468,6 +442,7 @@ class TrivialExtensionCase:
 
     base: FiniteRing
     bimodule: BimoduleSpec
+    extension: FiniteRing | None = None  # the ring R ⋉ M, when already built
 
 
 @dataclass(frozen=True)
@@ -476,12 +451,6 @@ class CornerCase:
 
     ring: FiniteRing
     idempotent: int
-
-
-def _left_generalized(R: FiniteRing) -> bool:
-    _, tables = _resolve(R, Side.LEFT)
-    pri_first = tables.pri_first
-    return all(m in pri_first for m in tables.ann)
 
 
 def verify_extension_heredity(
@@ -516,25 +485,28 @@ def verify_extension_heredity(
         implication(
             "generalized_to_corners",
             bool(profile.left.generalized.status),
-            lambda: _left_generalized(case.corner_left) and _left_generalized(case.corner_right),
+            lambda: all(_side_hierarchy(corner, Side.LEFT).generalized.status
+                        for corner in (case.corner_left, case.corner_right)),
         )
         implication(
             "left_pseudo_to_right_corner",
             bool(profile.left.pseudo.status),
-            lambda: _is_left_pseudo(case.corner_right),
+            lambda: _side_hierarchy(case.corner_right, Side.LEFT).pseudo.status,
         )
         implication(
             "right_pseudo_to_left_corner",
             bool(profile.right.pseudo.status),
-            lambda: _is_left_pseudo(case.corner_left, Side.RIGHT),
+            lambda: _side_hierarchy(case.corner_left, Side.RIGHT).pseudo.status,
         )
     elif isinstance(case, TrivialExtensionCase):
-        big = trivial_extension(case.base, case.bimodule)
+        big = case.extension
+        if big is None:
+            big = trivial_extension(case.base, case.bimodule)
         expression = _expr(big)
         implication(
             "generalized_to_base",
-            _left_generalized(big),
-            lambda: _left_generalized(case.base),
+            _side_hierarchy(big, Side.LEFT).generalized.status,
+            lambda: _side_hierarchy(case.base, Side.LEFT).generalized.status,
         )
     else:
         R, e = case.ring, case.idempotent
@@ -551,20 +523,22 @@ def verify_extension_heredity(
             )
         eRe = pierce_corner(R, e)
         fRf = pierce_corner(R, f)
+        profile = ring_morphic_profile(R)
         implication(
             "generalized_to_both_corners",
-            _left_generalized(R),
-            lambda: _left_generalized(eRe) and _left_generalized(fRf),
+            profile.left.generalized.status,
+            lambda: all(_side_hierarchy(corner, Side.LEFT).generalized.status
+                        for corner in (eRe, fRf)),
         )
         implication(
             "left_pseudo_to_complement_corner",
-            _is_left_pseudo(R),
-            lambda: _is_left_pseudo(fRf),
+            profile.left.pseudo.status,
+            lambda: _side_hierarchy(fRf, Side.LEFT).pseudo.status,
         )
         implication(
             "right_pseudo_to_corner",
-            _is_left_pseudo(R, Side.RIGHT),
-            lambda: _is_left_pseudo(eRe, Side.RIGHT),
+            profile.right.pseudo.status,
+            lambda: _side_hierarchy(eRe, Side.RIGHT).pseudo.status,
         )
 
     details = {"checked": sorted(checked), "vacuous": sorted(vacuous)}
@@ -615,6 +589,22 @@ def _search_hit(R: FiniteRing) -> dict | None:
     }
 
 
+def _search_report(expressions: list[str], hits: Iterable[dict | None],
+                   start: float) -> VerificationReport:
+    """The search report over ``expressions``, given each ring's hit or None.
+
+    ``hits`` is consumed before ``expressions`` is read, so it may fill
+    that list as it goes.
+    """
+    hits = [hit for hit in hits if hit]
+    fingerprint = hashlib.sha256("\n".join(sorted(expressions)).encode()).hexdigest()
+    status = "refuted" if any(h["confirmed"] for h in hits) else "verified"
+    details = {"rings": len(expressions), "fingerprint": fingerprint, "hits": hits}
+    return VerificationReport("pseudo_not_quasi_search",
+                              f"corpus[{len(expressions)}]", status, details,
+                              time.perf_counter() - start)
+
+
 def search_counterexample(rings: Iterable[FiniteRing]) -> VerificationReport:
     """Search for a left pseudo-morphic ring that is not left quasi-morphic.
 
@@ -624,19 +614,12 @@ def search_counterexample(rings: Iterable[FiniteRing]) -> VerificationReport:
     """
     start = time.perf_counter()
     expressions: list[str] = []
-    hits: list[dict] = []
-    for R in rings:
+
+    def hit(R: FiniteRing) -> dict | None:
         expressions.append(_expr(R))
-        hit = _search_hit(R)
-        if hit:
-            hits.append(hit)
-    expressions.sort()
-    fingerprint = hashlib.sha256("\n".join(expressions).encode()).hexdigest()
-    status = "refuted" if any(h["confirmed"] for h in hits) else "verified"
-    details = {"rings": len(expressions), "fingerprint": fingerprint, "hits": hits}
-    return VerificationReport("pseudo_not_quasi_search",
-                              f"corpus[{len(expressions)}]", status, details,
-                              time.perf_counter() - start)
+        return _search_hit(R)
+
+    return _search_report(expressions, map(hit, rings), start)
 
 
 def verify_triangular_example_identity() -> VerificationReport:
@@ -655,12 +638,13 @@ def verify_triangular_example_identity() -> VerificationReport:
     T = matrix_ring(make_zmod(2), 2, shape="lower_triangular")
     E22, E21, E11 = 1, 2, 4
     _, tables = _resolve(T, Side.LEFT)
+    left = _side_hierarchy(T, Side.LEFT)
     headline = (
         tables.ann[E21] == tables.pri[E11 + E21]
         and bin(tables.ann[E21]).count("1") == 4
         and all(tables.ann[b] != tables.pri[E21] for b in T.elements)
-        and _left_generalized(T)
-        and not _is_left_pseudo(T)
+        and left.generalized.status
+        and not left.pseudo.status
     )
     diverges = {}
     for tag, ring in (("row", T), ("transpose", opposite(T))):

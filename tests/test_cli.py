@@ -2,14 +2,17 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphring.cli import (
+    _MAX_DEPTH,
     ExprSyntaxError,
     _build_checked,
+    _power,
     build_ring,
     default_corpus,
     parse_ring_expr,
@@ -17,7 +20,7 @@ from morphring.cli import (
     run_command,
     serialize_ring_expr,
 )
-from morphring.rings import OrderCapExceeded
+from morphring.rings import OrderCapExceeded, order_cap
 
 RECORD_KEYS = ["expression", "predicate", "status", "witness"]
 
@@ -101,6 +104,52 @@ class TestGrammar:
     def test_order_cap_enforced_before_building(self):
         with pytest.raises(OrderCapExceeded, match="projected order"):
             _build_checked(parse_ring_expr("mat(z7,3)"))
+
+    def test_saturating_rules_are_exact_below_the_limit(self, monkeypatch):
+        for limit in (1, 7, 64, 512, 10**40):
+            for base in (*range(7), 255, 256, 257, 513, 10**40):
+                for exp in range(14):
+                    assert _power(base, exp, limit) == min(base**exp, limit + 1)
+        for limit in (7, 64, 512, 10**40):
+            monkeypatch.setenv("RING_ORDER_CAP", str(limit))
+            for text, exact in (("prod(z3,z1,z5)", 15), ("prod(z9,z9,z9)", 729),
+                                ("prod(mat(z2,3),z1)", 512), ("opp(poly(z2,9))", 512),
+                                ("prod(gf(2,100),z2)", 2**101), ("tri(z5,4)", 5**10)):
+                expected = min(exact, limit + 1)
+                assert projected_order(parse_ring_expr(text)) == expected
+
+    @pytest.mark.parametrize("text", ["mat(z3,8000)", "gf(2,100000000)",
+                                      "trivext(mat(z3,8000),self)"])
+    def test_huge_order_rejected_through_the_bound(self, monkeypatch, capsys, text):
+        import morphring.cli as cli
+
+        def refuse(*args, **kwargs):
+            pytest.fail("built a ring past the order cap")
+
+        for name in ("make_zmod", "make_gf", "matrix_ring", "regular_bimodule",
+                     "trivial_extension"):
+            monkeypatch.setattr(cli, name, refuse)
+        start = time.perf_counter()
+        assert projected_order(parse_ring_expr(text)) == order_cap() + 1
+        assert run_command(["classify", text]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: projected order exceeds the cap")
+        assert "Traceback" not in err
+
+    def test_nesting_depth_is_bounded(self, capsys):
+        deep = "opp(" * 3000 + "z2" + ")" * 3000
+        with pytest.raises(ExprSyntaxError, match="nests deeper") as err:
+            parse_ring_expr(deep)
+        assert err.value.position == 4 * _MAX_DEPTH
+        assert run_command(["classify", deep, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: expression nests deeper")
+        assert "Traceback" not in captured.err
+        limit = "opp(" * _MAX_DEPTH + "z2" + ")" * _MAX_DEPTH
+        assert serialize_ring_expr(parse_ring_expr(limit)) == limit
+        assert build_ring(parse_ring_expr(limit)).order == 2
 
 
 class TestDefaultCorpus:
@@ -281,6 +330,16 @@ class TestTablesLoader:
         with pytest.raises(ValueError, match="fails"):
             build_ring(parse_ring_expr(f"trivext(z2,tables({path}))"))
 
+    def test_no_additive_identity(self, tmp_path, capsys):
+        path = self._write(tmp_path, "2 2\n1 1\n1 1\n0 0\n0 1\n0 0\n0 1\n")
+        text = f"trivext(z2,tables({path}))"
+        with pytest.raises(ValueError, match="no additive identity"):
+            build_ring(parse_ring_expr(text))
+        assert run_command(["classify", text]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path in err
+        assert "Traceback" not in err
+
     def test_missing_file_exits_2(self, capsys):
         assert run_command(["classify", "trivext(z2,tables(/nonexistent))"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -323,3 +382,59 @@ def test_trivext_base_and_bimodule_built_once(monkeypatch, capsys, command):
     run_command([command, "trivext(z4,ideal(2))", "--json"])
     assert len(_records(capsys)) > 1
     assert built == ["make_zmod", "ideal_bimodule"]
+
+
+def test_verify_trivext_builds_the_extension_once(monkeypatch, capsys):
+    import morphring.cli as cli
+    import morphring.verify as verify
+
+    calls = []
+    real = cli.trivial_extension
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "trivial_extension", counted)
+    monkeypatch.setattr(verify, "trivial_extension", counted)
+    assert run_command(["verify", "trivext(z8,ideal(2))", "--json"]) == 0
+    names = [r["predicate"] for r in _records(capsys)]
+    assert "extension_heredity" in names
+    assert len(calls) == 1
+
+
+def test_map_bounds_the_worker_count(monkeypatch, capsys):
+    import morphring.cli as cli
+
+    pools = []
+
+    class FakePool:
+        """Records its size and maps in process; starts no process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    reports = []
+    real_report = cli._search_report
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 4)
+    monkeypatch.setattr(cli, "_search_report",
+                        lambda *a: reports.append(real_report(*a)) or reports[-1])
+    assert list(cli._map(str, [1, 2, 3], 1)) == ["1", "2", "3"]
+    assert pools == []
+    assert list(cli._map(str, [1, 2, 3], 100000)) == ["1", "2", "3"]
+    assert run_command(["search", "--max-order", "16", "--jobs", "100000",
+                        "--json"]) == 0
+    assert pools == [3, 4]
+    (record,) = _records(capsys)
+    assert record["witness"]["rings"] == len(default_corpus(16))
+    assert reports[0].elapsed > 0.0
