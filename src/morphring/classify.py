@@ -18,6 +18,7 @@ import numpy as np
 from .ideals import (
     LatticeOverflow,
     Side,
+    SideTables,
     all_ideals,
     annihilator,
     element_census,
@@ -155,24 +156,23 @@ def _for_all(items: Iterable, holds: Callable[..., bool]) -> Flag:
     return Flag(True)
 
 
+def _morphic_witness(tables: SideTables, a: int) -> int | None:
+    """Least ``b`` with ``Ra = l(b)`` and ``l(a) = Rb``, or None."""
+    pri, la = tables.pri, tables.ann[a]
+    return next((b for b in tables.ann_members.get(pri[a], ()) if pri[b] == la), None)
+
+
 def element_class(R: FiniteRing, side: Side, a: int) -> ElementClass:
     """Classify one element; witnesses are the least satisfying indices."""
     ring, tables = _resolve(R, side)
     if not 0 <= a < ring.order:
         raise ValueError(f"element index {a} out of range [0, {ring.order})")
-    pri, ann = tables.pri, tables.ann
-    ra, la = pri[a], ann[a]
-    pseudo_witness = tables.ann_first.get(ra)
-    generalized_witness = tables.pri_first.get(la)
+    pseudo_witness = tables.ann_first.get(tables.pri[a])
+    generalized_witness = tables.pri_first.get(tables.ann[a])
     pseudo = pseudo_witness is not None
     generalized = generalized_witness is not None
     quasi = pseudo and generalized
-    morphic_witness = None
-    if quasi:
-        for b in tables.ann_members.get(ra, ()):
-            if pri[b] == la:
-                morphic_witness = b
-                break
+    morphic_witness = _morphic_witness(tables, a)
     return ElementClass(
         element=a,
         side=side,
@@ -191,15 +191,14 @@ def _side_hierarchy(R: FiniteRing, side: Side) -> SideHierarchy:
     """Each flag is its element predicate checked over the whole ring."""
     ring, tables = _resolve(R, side)
     pri, ann = tables.pri, tables.ann
-    ann_first, pri_first, ann_members = tables.ann_first, tables.pri_first, tables.ann_members
+    ann_first, pri_first = tables.ann_first, tables.pri_first
     elements = range(ring.order)
     return SideHierarchy(
         side=side,
         pseudo=_for_all(elements, lambda a: pri[a] in ann_first),
         generalized=_for_all(elements, lambda a: ann[a] in pri_first),
         quasi=_for_all(elements, lambda a: pri[a] in ann_first and ann[a] in pri_first),
-        morphic=_for_all(elements, lambda a: any(pri[b] == ann[a]
-                                                 for b in ann_members.get(pri[a], ()))),
+        morphic=_for_all(elements, lambda a: _morphic_witness(tables, a) is not None),
     )
 
 

@@ -31,6 +31,7 @@ from .rings import (
     FiniteRing,
     OrderCapExceeded,
     _is_prime,
+    _power,
     check_bimodule,
     direct_product,
     ideal_bimodule,
@@ -101,13 +102,6 @@ class _Form:
     order: Callable[..., int] | None = None
     variadic: bool = False
     bare: bool = False
-
-
-def _power(base: int, exp: int, limit: int) -> int:
-    """``base ** exp``, saturating at ``limit + 1`` without forming large powers."""
-    if base > 1 and exp * (base.bit_length() - 1) >= limit.bit_length():
-        return limit + 1  # base ** exp >= 2 ** limit.bit_length() > limit
-    return min(base ** exp, limit + 1)
 
 
 # The builders look the constructors up in this module's globals at call time.

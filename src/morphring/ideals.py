@@ -245,11 +245,19 @@ def all_ideals(R: FiniteRing, side: Side, cap: int | None = None) -> list[int]:
 
     Breadth-first closure from ``{0}`` by single principal-ideal
     extensions.  Raises ``LatticeOverflow`` if more than ``cap`` ideals
-    appear (default: ``lattice_cap()``); never silently truncates.
+    appear (default: ``lattice_cap()``); never silently truncates.  A
+    complete lattice is cached on the ring and checked against the cap of
+    every call; each call gets a fresh list.
     """
     ring, tables = _resolve(R, side)
     if cap is None:
         cap = lattice_cap()
+    overflow = f"more than {cap} {side.value} ideals; raise IDEAL_LATTICE_CAP"
+    cached = ring._cache.get("ideals")
+    if cached is not None:
+        if len(cached) > cap:
+            raise LatticeOverflow(overflow)
+        return list(cached)
     zero_mask = 1 << ring.zero
     generators = [m for m in tables.pri_distinct if m != zero_mask]
     found = {zero_mask}
@@ -264,12 +272,11 @@ def all_ideals(R: FiniteRing, side: Side, cap: int | None = None) -> list[int]:
                 if bigger not in found:
                     found.add(bigger)
                     if len(found) > cap:
-                        raise LatticeOverflow(
-                            f"more than {cap} {side.value} ideals; raise IDEAL_LATTICE_CAP"
-                        )
+                        raise LatticeOverflow(overflow)
                     next_frontier.append(bigger)
         frontier = next_frontier
-    return sorted(found)
+    ring._cache["ideals"] = tuple(sorted(found))
+    return list(ring._cache["ideals"])
 
 
 @dataclass(frozen=True)

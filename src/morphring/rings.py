@@ -2,17 +2,21 @@
 
 A ring of order ``n`` is stored as two ``n x n`` tables of element indices
 (addition and multiplication), read-only ``int32`` arrays, together with
-the indices of 0 and 1.  All
-constructors produce canonical element orderings (mixed-radix or row-major
-encodings of component indices) so that reports built from them are
-reproducible bit for bit.
+the indices of 0 and 1.  Every constructor produces a canonical element
+ordering, so that reports built from them are reproducible bit for bit.
+The composite constructors (products, matrix and triangular rings,
+truncated polynomials, trivial extensions) state their components and
+bilinear product rules; one structure-constant builder, ``_structure_ring``,
+fixes their element encoding and builds their tables.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -312,10 +316,21 @@ def ring_from_tables(
     return FiniteRing(n, _frozen(add), _frozen(mul), zero, one, labels, construction)
 
 
-def _require_order(n: int, what: str) -> None:
+def _power(base: int, exp: int, limit: int) -> int:
+    """``base ** exp``, saturating at ``limit + 1`` without forming large powers."""
+    if base > 1 and exp * (base.bit_length() - 1) >= limit.bit_length():
+        return limit + 1  # base ** exp >= 2 ** limit.bit_length() > limit
+    return min(base ** exp, limit + 1)
+
+
+def _require_order(order: int, what: str) -> None:
+    """Refuse a ring of ``order`` past ``build_cap()``; ``order`` may be saturated by ``_power``.
+
+    The message leaves the order out: it may be too large to print.
+    """
     cap = build_cap()
-    if n > cap:
-        raise OrderCapExceeded(f"{what} has order {n}, above the cap {cap}")
+    if order > cap:
+        raise OrderCapExceeded(f"{what} would have order above the cap {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +341,7 @@ def make_zmod(n: int) -> FiniteRing:
     """The ring of integers modulo ``n`` with elements ``0..n-1``."""
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
-    _require_order(n, f"z{n}")
+    _require_order(n, "the integers modulo n")
     idx = np.arange(n, dtype=np.int32)
     add = (idx[:, None] + idx[None, :]) % n
     mul = (idx[:, None] * idx[None, :]) % n
@@ -344,19 +359,6 @@ def _is_prime(p: int) -> bool:
             return False
         d += 1
     return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
@@ -410,19 +412,30 @@ def _least_irreducible(p: int, k: int) -> list[int]:
     raise AssertionError(f"no irreducible polynomial of degree {k} over Z_{p}")
 
 
-def _poly_label(coeffs: Sequence[int], var: str = "x") -> str:
+def _poly_label(coeffs: Sequence[int], labels: Sequence[str], zero: int, one: int,
+                var: str, simple: bool) -> str:
+    """``sum c_i var^i`` for little-endian coefficient indices, named by ``labels``.
+
+    A coefficient ``one`` is left out, and a coefficient label is
+    parenthesised unless ``simple`` (every label numeric).
+    """
     terms = []
     for i in range(len(coeffs) - 1, -1, -1):
         c = coeffs[i]
-        if c == 0:
+        if c == zero:
             continue
+        cl = labels[c]
         if i == 0:
-            terms.append(str(c))
+            terms.append(cl)
+            continue
+        power = var if i == 1 else f"{var}^{i}"
+        if c == one:
+            terms.append(power)
+        elif simple:
+            terms.append(cl + power)
         else:
-            head = "" if c == 1 else str(c)
-            power = var if i == 1 else f"{var}^{i}"
-            terms.append(head + power)
-    return "+".join(terms) if terms else "0"
+            terms.append(f"({cl}){power}")
+    return "+".join(terms) if terms else labels[zero]
 
 
 def make_gf(p: int, k: int) -> FiniteRing:
@@ -432,12 +445,12 @@ def make_gf(p: int, k: int) -> FiniteRing:
     coefficients, constant term least significant.  Multiplication tables
     are assembled from discrete logarithms of a primitive element.
     """
+    _require_order(_power(p, k, build_cap()), "the field gf(p,k)")
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError(f"degree must be positive, got {k}")
     n = p**k
-    _require_order(n, f"gf({p},{k})")
     f = _least_irreducible(p, k)
 
     def mul_poly(a: int, b: int) -> int:
@@ -451,37 +464,20 @@ def make_gf(p: int, k: int) -> FiniteRing:
         return sum(c * p**i for i, c in enumerate(rem))
 
     # additive table: componentwise digits mod p
-    digits = np.zeros((n, k), dtype=np.int64)
-    rest = np.arange(n)
-    for i in range(k):
-        digits[:, i] = rest % p
-        rest = rest // p
-    weights = p ** np.arange(k)
-    add = ((digits[:, None, :] + digits[None, :, :]) % p) @ weights
+    left, right = _digit_axes([p] * k)
+    add = _frozen(_mixed_radix([p] * k, [(x + y) % p for x, y in zip(left, right)]).reshape(n, n))
 
     # multiplicative table from a primitive element
     mul = np.zeros((n, n), dtype=np.int64)
     if n > 2:
-        factors = _prime_factors(n - 1)
-
-        def power(a: int, e: int) -> int:
-            out = 1
-            while e:
-                if e & 1:
-                    out = mul_poly(out, a)
-                a = mul_poly(a, a)
-                e >>= 1
-            return out
-
-        g = next(
-            a for a in range(2, n)
-            if all(power(a, (n - 1) // q) != 1 for q in factors)
-        )
-        exp = np.empty(n - 1, dtype=np.int64)
-        acc = 1
-        for t in range(n - 1):
-            exp[t] = acc
-            acc = mul_poly(acc, g)
+        # exp lists the powers of the least primitive element: the first g with n - 1 of them
+        for g in range(2, n):
+            exp = [1]
+            while (acc := mul_poly(exp[-1], g)) != 1:
+                exp.append(acc)
+            if len(exp) == n - 1:
+                break
+        exp = np.array(exp)
         log = np.zeros(n, dtype=np.int64)
         log[exp] = np.arange(n - 1)
         nz = np.arange(1, n)
@@ -489,19 +485,79 @@ def make_gf(p: int, k: int) -> FiniteRing:
     elif n == 2:
         mul[1][1] = 1
 
-    labels = tuple(_poly_label(_digits(i, p, k)) for i in range(n))
-    return FiniteRing(n, _frozen(add), _frozen(mul), 0, 1, labels, f"gf({p},{k})")
+    digit_labels = [str(c) for c in range(p)]
+    labels = tuple(_poly_label(_digits(i, p, k), digit_labels, 0, 1, "x", True) for i in range(n))
+    return FiniteRing(n, add, _frozen(mul), 0, 1, labels, f"gf({p},{k})")
 
 
 # ---------------------------------------------------------------------------
 # composite constructors
 
 
-def _components_construction(rings: Sequence[FiniteRing]) -> str | None:
-    parts = [r.construction for r in rings]
-    if any(c is None for c in parts):
-        return None
-    return "prod(" + ",".join(parts) + ")"  # type: ignore[arg-type]
+def _digit_axes(orders: Sequence[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Open-mesh ``arange`` arrays of each digit of the left and of the right factor.
+
+    They index a tensor with two axes per part, one for each factor.  A
+    part of order one has the constant digit 0 and no axis, so the tensor
+    has at most ``2 log2(n)`` axes.
+    """
+    axes = [m > 1 for m in orders]
+
+    def digit(p: int, first_axis: int) -> np.ndarray:
+        if not axes[p]:
+            return np.zeros((), dtype=np.int32)
+        shape = [1] * (2 * sum(axes))
+        shape[first_axis + sum(axes[:p])] = orders[p]
+        return np.arange(orders[p], dtype=np.int32).reshape(shape)
+
+    return ([digit(p, 0) for p in range(len(orders))],
+            [digit(p, sum(axes)) for p in range(len(orders))])
+
+
+def _mixed_radix(orders: Sequence[int], digits: Sequence) -> int | np.ndarray:
+    """Index of a digit tuple, first digit most significant.
+
+    The digits are ints, or arrays on the axes of ``_digit_axes``; the
+    index tensor of those, reshaped to ``(n, n)``, is a table.
+    """
+    index = 0
+    for m, d in zip(orders, digits):
+        index = index * m + d
+    return index
+
+
+def _structure_ring(parts: Sequence, rules: Sequence[tuple[int, int, int, object]],
+                    zero: Sequence[int], one: Sequence[int], label: Callable[[tuple], str],
+                    construction: str | None, what: str) -> FiniteRing:
+    """The ring on a direct sum of abelian groups with a bilinear product.
+
+    ``parts`` are the additive tables of the components.  An element is a
+    digit tuple ``(x_0, ..., x_{P-1})``, digit ``p`` an index into part
+    ``p``, and its index is the mixed-radix number with the first digit
+    most significant; this is the one element encoding of every composite
+    constructor.  Addition is digitwise.  A rule ``(i, j, t, table)``
+    says that digit ``i`` of the left factor times digit ``j`` of the
+    right factor adds ``table[x_i, y_j]`` into digit ``t`` of the
+    product; the rules of one digit are summed in the order given, with
+    that part's addition, each on just the digit axes it reads.  ``zero``
+    and ``one`` are digit tuples, and ``label`` names an element from its
+    digit tuple.  ``what`` names the ring when its order is past the cap.
+    """
+    orders = [len(part) for part in parts]
+    n = math.prod(orders)
+    _require_order(n, what)
+    parts = [np.asarray(part, dtype=np.int32) for part in parts]
+    left, right = _digit_axes(orders)
+    products: list = [None] * len(parts)
+    for i, j, t, table in rules:
+        term = np.asarray(table, dtype=np.int32)[left[i], right[j]]
+        products[t] = term if products[t] is None else parts[t][products[t], term]
+    sums = [part[x, y] for part, x, y in zip(parts, left, right)]
+    add = _frozen(_mixed_radix(orders, sums).reshape(n, n))
+    mul = _frozen(_mixed_radix(orders, products).reshape(n, n))
+    labels = tuple(map(label, itertools.product(*map(range, orders))))
+    return FiniteRing(n, add, mul, int(_mixed_radix(orders, zero)), int(_mixed_radix(orders, one)),
+                      labels, construction)
 
 
 def direct_product(rings: Sequence[FiniteRing]) -> FiniteRing:
@@ -509,32 +565,13 @@ def direct_product(rings: Sequence[FiniteRing]) -> FiniteRing:
     rings = list(rings)
     if not rings:
         raise ValueError("direct product needs at least one factor")
-    n = 1
-    for r in rings:
-        n *= r.order
-    _require_order(n, "direct product")
-    strides = []
-    s = n
-    for r in rings:
-        s //= r.order
-        strides.append(s)
-    idx = np.arange(n)
-    add = np.zeros((n, n), dtype=np.int64)
-    mul = np.zeros((n, n), dtype=np.int64)
-    for r, stride in zip(rings, strides):
-        comp = (idx // stride) % r.order
-        add += r.add_table[comp[:, None], comp[None, :]].astype(np.int64) * stride
-        mul += r.mul_table[comp[:, None], comp[None, :]].astype(np.int64) * stride
-    zero = sum(r.zero * s for r, s in zip(rings, strides))
-    one = sum(r.one * s for r, s in zip(rings, strides))
-
-    def lab(i: int) -> str:
-        parts = [r.labels[(i // s) % r.order] for r, s in zip(rings, strides)]
-        return "(" + ",".join(parts) + ")"
-
-    labels = tuple(lab(i) for i in range(n))
-    return FiniteRing(n, _frozen(add), _frozen(mul), zero, one, labels,
-                      _components_construction(rings))
+    names = [r.construction for r in rings]
+    return _structure_ring(
+        [r.add_table for r in rings],
+        [(t, t, t, r.mul_table) for t, r in enumerate(rings)],
+        [r.zero for r in rings], [r.one for r in rings],
+        lambda d: "(" + ",".join(r.labels[x] for r, x in zip(rings, d)) + ")",
+        None if None in names else "prod(" + ",".join(names) + ")", "direct product")
 
 
 def matrix_ring(R: FiniteRing, k: int, shape: str = "full") -> FiniteRing:
@@ -547,104 +584,43 @@ def matrix_ring(R: FiniteRing, k: int, shape: str = "full") -> FiniteRing:
         raise ValueError(f"matrix size must be positive, got {k}")
     if shape not in ("full", "lower_triangular"):
         raise ValueError(f"unknown shape {shape!r}")
-    if shape == "full":
-        pos = [(i, j) for i in range(k) for j in range(k)]
-    else:
-        pos = [(i, j) for i in range(k) for j in range(i + 1)]
-    e = len(pos)
-    m = R.order
-    n = m**e
-    _require_order(n, f"{shape} {k}x{k} matrices over order {m}")
-    strides = [m ** (e - 1 - t) for t in range(e)]
+    what = f"{shape} matrices over order {R.order}"
+    entries = k * k if shape == "full" else k * (k + 1) // 2
+    _require_order(_power(R.order, entries, build_cap()), what)
+    pos = [(i, j) for i in range(k) for j in range(k if shape == "full" else i + 1)]
     where = {ij: t for t, ij in enumerate(pos)}
-    idx = np.arange(n)
-    comp = [(idx // strides[t]) % m for t in range(e)]
-    radd, rmul = R.add_table, R.mul_table
-
-    add = np.zeros((n, n), dtype=np.int64)
-    for t in range(e):
-        add += radd[comp[t][:, None], comp[t][None, :]].astype(np.int64) * strides[t]
-
-    mul = np.zeros((n, n), dtype=np.int64)
-    for (i, j), t in where.items():
-        acc = None
-        for l in range(k):
-            if (i, l) not in where or (l, j) not in where:
-                continue
-            term = rmul[comp[where[(i, l)]][:, None], comp[where[(l, j)]][None, :]]
-            acc = term if acc is None else radd[acc, term]
-        assert acc is not None
-        mul += acc.astype(np.int64) * strides[t]
-
-    zero = sum(R.zero * s for s in strides)
-    one = sum(R.one * strides[where[(i, i)]] for i in range(k)) + sum(
-        R.zero * strides[t] for (i, j), t in where.items() if i != j
-    )
-
+    rules = [(where[(i, l)], where[(l, j)], t, R.mul_table)
+             for t, (i, j) in enumerate(pos) for l in range(k)
+             if (i, l) in where and (l, j) in where]
     zl = R.labels[R.zero]
 
-    def lab(x: int) -> str:
-        entries = {ij: R.labels[(x // strides[t]) % m] for ij, t in where.items()}
-        rows = []
-        for i in range(k):
-            rows.append("[" + ",".join(entries.get((i, j), zl) for j in range(k)) + "]")
+    def lab(digits: tuple[int, ...]) -> str:
+        entry = {ij: R.labels[d] for ij, d in zip(pos, digits)}
+        rows = ("[" + ",".join(entry.get((i, j), zl) for j in range(k)) + "]" for i in range(k))
         return "[" + ",".join(rows) + "]"
 
-    labels = tuple(lab(x) for x in range(n))
     tag = "mat" if shape == "full" else "tri"
     construction = f"{tag}({R.construction},{k})" if R.construction else None
-    return FiniteRing(n, _frozen(add), _frozen(mul), zero, one, labels, construction)
+    return _structure_ring(
+        [R.add_table] * len(pos), rules, [R.zero] * len(pos),
+        [R.one if i == j else R.zero for i, j in pos], lab, construction, what)
 
 
 def truncated_poly(R: FiniteRing, n: int) -> FiniteRing:
     """``R[x]`` with ``x**n = 0``; coefficient ``i`` has stride ``|R|**i``."""
     if n < 1:
         raise ValueError(f"truncation degree must be positive, got {n}")
-    m = R.order
-    order = m**n
-    _require_order(order, f"degree-{n} truncated polynomials over order {m}")
-    idx = np.arange(order)
-    comp = [(idx // m**i) % m for i in range(n)]
-    radd, rmul = R.add_table, R.mul_table
-
-    add = np.zeros((order, order), dtype=np.int64)
-    for i in range(n):
-        add += radd[comp[i][:, None], comp[i][None, :]].astype(np.int64) * (m**i)
-
-    mul = np.zeros((order, order), dtype=np.int64)
-    for d in range(n):
-        acc = None
-        for i in range(d + 1):
-            term = rmul[comp[i][:, None], comp[d - i][None, :]]
-            acc = term if acc is None else radd[acc, term]
-        mul += acc.astype(np.int64) * (m**d)
-
-    zero, one = R.zero, R.one
+    what = f"truncated polynomials over order {R.order}"
+    _require_order(_power(R.order, n, build_cap()), what)
+    # digit n-1-i holds coefficient i, so the constant term is least significant
+    rules = [(n - 1 - i, n - 1 - (d - i), n - 1 - d, R.mul_table)
+             for d in range(n) for i in range(d + 1)]
     var = "x" if not any("x" in lbl for lbl in R.labels) else "y"
     simple = all(lbl.isdigit() for lbl in R.labels)
-
-    def lab(x: int) -> str:
-        terms = []
-        for i in range(n - 1, -1, -1):
-            c = (x // m**i) % m
-            if c == R.zero:
-                continue
-            cl = R.labels[c]
-            if i == 0:
-                terms.append(cl)
-                continue
-            power = var if i == 1 else f"{var}^{i}"
-            if c == R.one:
-                terms.append(power)
-            elif simple:
-                terms.append(cl + power)
-            else:
-                terms.append(f"({cl}){power}")
-        return "+".join(terms) if terms else R.labels[R.zero]
-
-    labels = tuple(lab(x) for x in range(order))
     construction = f"poly({R.construction},{n})" if R.construction else None
-    return FiniteRing(order, _frozen(add), _frozen(mul), zero, one, labels, construction)
+    return _structure_ring(
+        [R.add_table] * n, rules, [R.zero] * n, [R.zero] * (n - 1) + [R.one],
+        lambda d: _poly_label(d[::-1], R.labels, R.zero, R.one, var, simple), construction, what)
 
 
 # ---------------------------------------------------------------------------
@@ -772,31 +748,20 @@ def ideal_bimodule(R: FiniteRing, d: int) -> BimoduleSpec:
 
 def trivial_extension(R: FiniteRing, M: BimoduleSpec) -> FiniteRing:
     """The ring on pairs ``(r, m)`` with ``(r1,m1)(r2,m2) = (r1 r2, r1 m2 + m1 r2)``."""
+    what = f"trivial extension of order {R.order} by module of order {M.order}"
+    _require_order(R.order * M.order, what)  # before the bimodule check's cubic arrays
     result = check_bimodule(R, M, R)
     if not result.ok:
         raise ValueError(f"invalid bimodule: {result.axiom} fails at {result.witness}")
-    nr, nm = R.order, M.order
-    n = nr * nm
-    _require_order(n, f"trivial extension of order {nr} by module of order {nm}")
-    idx = np.arange(n)
-    ra, mm = idx // nm, idx % nm
-    radd, rmul = R.add_table, R.mul_table
-    madd = np.asarray(M.add_table, dtype=np.int32)
-    lact = np.asarray(M.left_action, dtype=np.int32)
-    ract = np.asarray(M.right_action, dtype=np.int32)
-
-    add = radd[ra[:, None], ra[None, :]].astype(np.int64) * nm + madd[mm[:, None], mm[None, :]]
-    mul = rmul[ra[:, None], ra[None, :]].astype(np.int64) * nm + madd[
-        lact[ra[:, None], mm[None, :]], ract[mm[:, None], ra[None, :]]
-    ]
-    zero = R.zero * nm + M.zero
-    one = R.one * nm + M.zero
-    labels = tuple(f"({R.labels[i // nm]},{M.labels[i % nm]})" for i in range(n))
     construction = (
         f"trivext({R.construction},{M.description})"
         if R.construction and M.description else None
     )
-    return FiniteRing(n, _frozen(add), _frozen(mul), int(zero), int(one), labels, construction)
+    return _structure_ring(
+        [R.add_table, M.add_table],
+        [(0, 0, 0, R.mul_table), (0, 1, 1, M.left_action), (1, 0, 1, M.right_action)],
+        (R.zero, M.zero), (R.one, M.zero),
+        lambda d: f"({R.labels[d[0]]},{M.labels[d[1]]})", construction, what)
 
 
 def formal_triangular(R: FiniteRing, S: FiniteRing, V: BimoduleSpec) -> FiniteRing:
@@ -804,39 +769,17 @@ def formal_triangular(R: FiniteRing, S: FiniteRing, V: BimoduleSpec) -> FiniteRi
 
     Multiplication is ``(r1,v1,s1)(r2,v2,s2) = (r1 r2, r1 v2 + v1 s2, s1 s2)``.
     """
+    what = f"triangular ring of order {R.order}*{V.order}*{S.order}"
+    _require_order(R.order * V.order * S.order, what)
     result = check_bimodule(R, V, S)
     if not result.ok:
         raise ValueError(f"invalid bimodule: {result.axiom} fails at {result.witness}")
-    nr, nv, ns = R.order, V.order, S.order
-    n = nr * nv * ns
-    _require_order(n, f"triangular ring of order {nr}*{nv}*{ns}")
-    idx = np.arange(n)
-    sa = idx % ns
-    va = (idx // ns) % nv
-    ra = idx // (ns * nv)
-    radd, rmul = R.add_table, R.mul_table
-    sadd, smul = S.add_table, S.mul_table
-    vadd = np.asarray(V.add_table, dtype=np.int32)
-    lact = np.asarray(V.left_action, dtype=np.int32)
-    ract = np.asarray(V.right_action, dtype=np.int32)
-
-    add = (
-        radd[ra[:, None], ra[None, :]].astype(np.int64) * (nv * ns)
-        + vadd[va[:, None], va[None, :]].astype(np.int64) * ns
-        + sadd[sa[:, None], sa[None, :]]
-    )
-    mul = (
-        rmul[ra[:, None], ra[None, :]].astype(np.int64) * (nv * ns)
-        + vadd[lact[ra[:, None], va[None, :]], ract[va[:, None], sa[None, :]]].astype(np.int64) * ns
-        + smul[sa[:, None], sa[None, :]]
-    )
-    zero = (R.zero * nv + V.zero) * ns + S.zero
-    one = (R.one * nv + V.zero) * ns + S.one
-    labels = tuple(
-        f"[[{R.labels[i // (ns * nv)]},{V.labels[(i // ns) % nv]}],[0,{S.labels[i % ns]}]]"
-        for i in range(n)
-    )
-    return FiniteRing(n, _frozen(add), _frozen(mul), int(zero), int(one), labels, None)
+    return _structure_ring(
+        [R.add_table, V.add_table, S.add_table],
+        [(0, 0, 0, R.mul_table), (0, 1, 1, V.left_action), (1, 2, 1, V.right_action),
+         (2, 2, 2, S.mul_table)],
+        (R.zero, V.zero, S.zero), (R.one, V.zero, S.one),
+        lambda d: f"[[{R.labels[d[0]]},{V.labels[d[1]]}],[0,{S.labels[d[2]]}]]", None, what)
 
 
 def pierce_corner(R: FiniteRing, e: int) -> FiniteRing:

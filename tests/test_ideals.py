@@ -2,6 +2,7 @@
 
 import pytest
 
+import morphring.ideals as ideals_module
 from morphring import (
     LatticeOverflow,
     Side,
@@ -150,9 +151,18 @@ def test_all_ideals_matrix_ring():
     assert len(two_sided) == 2  # simple ring
 
 
-def test_all_ideals_overflow_is_loud():
+def test_all_ideals_overflow_is_loud(monkeypatch):
     with pytest.raises(LatticeOverflow):
         all_ideals(make_zmod(4), Side.LEFT, cap=2)
+    # a cached lattice is checked against the cap of every later call
+    R = make_zmod(12)
+    lattice = all_ideals(R, Side.LEFT)
+    assert len(lattice) == 6
+    lattice.clear()
+    monkeypatch.setattr(ideals_module, "subgroup_sum", None)  # no second enumeration
+    with pytest.raises(LatticeOverflow, match="^more than 5 left ideals; raise IDEAL_LATTICE_CAP$"):
+        all_ideals(R, Side.LEFT, cap=5)
+    assert len(all_ideals(R, Side.LEFT, cap=6)) == 6
 
 
 def test_element_census_zmod4():

@@ -1,5 +1,8 @@
 """Tests for ring construction and axiom checking."""
 
+import time
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -350,6 +353,23 @@ def test_order_cap_blocks_large_constructions(monkeypatch):
     monkeypatch.setenv("RING_ORDER_CAP", "-3")
     with pytest.raises(ValueError):
         make_zmod(4)
+    monkeypatch.delenv("RING_ORDER_CAP")
+    Z2, Z256 = make_zmod(2), make_zmod(256)
+    # orders too large to print, too many entries to list, a product that
+    # wraps to 0 in int64, and a pair whose bimodule check alone is cubic
+    for build in (lambda: matrix_ring(Z2, 300),
+                  lambda: matrix_ring(Z2, 2000),
+                  lambda: matrix_ring(Z2, 2000, shape="lower_triangular"),
+                  lambda: truncated_poly(Z2, 20000),
+                  lambda: direct_product([Z2] * 20000),
+                  lambda: direct_product([Z2] * 64),
+                  lambda: make_gf(2, 100000000),
+                  lambda: trivial_extension(Z256, regular_bimodule(Z256)),
+                  lambda: formal_triangular(Z256, Z256, regular_bimodule(Z256))):
+        start = time.perf_counter()
+        with pytest.raises(OrderCapExceeded, match="above the cap 4096"):
+            build()
+        assert time.perf_counter() - start < 0.25
 
 
 def test_matrix_ring_over_gf4():
@@ -419,3 +439,118 @@ def test_vectorised_helpers_match_element_scans():
         for j, w in enumerate(members):
             assert members[C.add(i, j)] == R.add(v, w)
             assert members[C.mul(i, j)] == R.mul(v, w)
+
+
+# ---------------------------------------------------------------------------
+# every composite constructor against its definition, on digit tuples
+
+
+def _column_module():
+    """``Z2^2`` as a left ``tri(z2,2)``, right ``Z2`` bimodule: ``r.v`` is ``[[a,0],[b,c]] v``."""
+    add = [[u ^ v for v in range(4)] for u in range(4)]
+    left = []
+    for r in range(8):
+        a, b, c = r >> 2, (r >> 1) & 1, r & 1
+        left.append([((a * (v >> 1)) << 1) | ((b * (v >> 1)) ^ (c * (v & 1))) for v in range(4)])
+    right = [[v * s for s in range(2)] for v in range(4)]
+    return BimoduleSpec(4, add, left, right, 0, ("0", "e2", "e1", "e1+e2"), None)
+
+
+def _tables(A):
+    """(add, mul or left action, right action or None) of a ring or bimodule as lists."""
+    if isinstance(A, FiniteRing):
+        return A.add_rows, A.mul_rows, None
+    return [np.asarray(t).tolist() for t in (A.add_table, A.left_action, A.right_action)]
+
+
+def _convolution(B, terms):
+    """Product whose digit ``t`` sums ``x[u] * y[v]`` over the pairs ``(u, v)`` in ``terms[t]``."""
+    add, mul_b, _ = _tables(B)
+
+    def mul(x, y):
+        out = []
+        for pairs in terms:
+            total = B.zero
+            for u, v in pairs:
+                total = add[total][mul_b[x[u]][y[v]]]
+            out.append(total)
+        return out
+    return mul
+
+
+def _poly_case(B, k):
+    # digit k-1-i holds coefficient i
+    terms = [[(k - 1 - i, k - 1 - (d - i)) for i in range(d + 1)] for d in range(k)][::-1]
+    return truncated_poly(B, k), [B] * k, _convolution(B, terms)
+
+
+def _matrix_case(B, k, shape):
+    pos = [(i, j) for i in range(k) for j in range(k) if shape == "full" or j <= i]
+    terms = [[(pos.index((i, l)), pos.index((l, j))) for l in range(k)
+              if (i, l) in pos and (l, j) in pos] for i, j in pos]
+    return matrix_ring(B, k, shape=shape), [B] * len(pos), _convolution(B, terms)
+
+
+def _product_case(factors):
+    muls = [_tables(F)[1] for F in factors]
+
+    def mul(x, y):
+        return tuple(m[u][v] for m, u, v in zip(muls, x, y))
+    return direct_product(factors), list(factors), mul
+
+
+def _trivext_case(B, M):
+    mul_b = _tables(B)[1]
+    madd, left, right = _tables(M)
+
+    def mul(x, y):
+        (r1, m1), (r2, m2) = x, y
+        return mul_b[r1][r2], madd[left[r1][m2]][right[m1][r2]]
+    return trivial_extension(B, M), [B, M], mul
+
+
+def _formal_case(R, S, V):
+    mul_r, mul_s = _tables(R)[1], _tables(S)[1]
+    vadd, left, right = _tables(V)
+
+    def mul(x, y):
+        (r1, v1, s1), (r2, v2, s2) = x, y
+        return mul_r[r1][r2], vadd[left[r1][v2]][right[v1][s2]], mul_s[s1][s2]
+    return formal_triangular(R, S, V), [R, V, S], mul
+
+
+def _reference_cases():
+    Z2, Z4, G4 = make_zmod(2), make_zmod(4), make_gf(2, 2)
+    T2 = matrix_ring(Z2, 2, shape="lower_triangular")
+    return {
+        "poly(tri(z2,2),2)": lambda: _poly_case(T2, 2),
+        "poly(gf(2,2),3)": lambda: _poly_case(G4, 3),
+        "poly(z4,4)": lambda: _poly_case(Z4, 4),
+        "mat(gf(2,2),2)": lambda: _matrix_case(G4, 2, "full"),
+        "mat(z4,2)": lambda: _matrix_case(Z4, 2, "full"),
+        "tri(tri(z2,2),2)": lambda: _matrix_case(T2, 2, "lower_triangular"),
+        "tri(gf(2,2),2)": lambda: _matrix_case(G4, 2, "lower_triangular"),
+        "prod(tri(z2,2),z4,gf(2,2))": lambda: _product_case([T2, Z4, G4]),
+        "trivext(tri(z2,2),self)": lambda: _trivext_case(T2, regular_bimodule(T2)),
+        "trivext(z4,ideal(2))": lambda: _trivext_case(Z4, ideal_bimodule(Z4, 2)),
+        "formal(tri(z2,2),z2,column)": lambda: _formal_case(T2, Z2, _column_module()),
+        "formal(gf(2,2),gf(2,2),self)": lambda: _formal_case(G4, G4, regular_bimodule(G4)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_reference_cases()))
+def test_constructors_match_their_definition_on_digit_tuples(name):
+    ring, parts, mul = _reference_cases()[name]()
+    adds = [_tables(P)[0] for P in parts]
+    # mixed-radix digit tuples, first part most significant
+    elements = list(product(*(range(P.order) for P in parts)))
+    index = {digits: x for x, digits in enumerate(elements)}
+    expected_add = [[index[tuple(t[u][v] for t, u, v in zip(adds, a, b))] for b in elements]
+                    for a in elements]
+    expected_mul = [[index[tuple(mul(a, b))] for b in elements] for a in elements]
+    for table, expected in ((ring.add_table, expected_add), (ring.mul_table, expected_mul)):
+        wrong = np.argwhere(table != np.asarray(expected))
+        assert not wrong.size, [(elements[x], elements[y]) for x, y in wrong[:3]]
+    assert elements[ring.zero] == tuple(P.zero for P in parts)
+    assert all(mul_rows_one == x for x, mul_rows_one in enumerate(ring.mul_rows[ring.one]))
+    assert all(row[ring.one] == x for x, row in enumerate(ring.mul_rows))
