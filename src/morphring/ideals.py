@@ -168,42 +168,32 @@ def principal_ideal(R: FiniteRing, side: Side, a: int) -> int:
     return tables.pri[a]
 
 
-def _translate(add: list[list[int]], mask: int, t: int) -> int:
-    out = 0
-    for x in mask_members(mask):
-        out |= 1 << add[x][t]
-    return out
-
-
-def _extend_subgroup(R: FiniteRing, sub: int, g: int) -> int:
-    """Subgroup generated by the subgroup ``sub`` and the element ``g``."""
-    if (sub >> g) & 1:
-        return sub
-    add = R.add_rows
-    res = sub
-    shift = g
-    while not (res >> shift) & 1:
-        res |= _translate(add, sub, shift)
-        shift = add[shift][g]
-    return res
-
-
 def subgroup_sum(R: FiniteRing, m1: int, m2: int) -> int:
-    """Additive closure of the union of two additive subgroups."""
-    if m1 == m2 or m2 == 0:
+    """Additive closure of the union of two additive subgroups.
+
+    Each member ``g`` of ``m2`` outside the running sum ``H`` extends it to
+    ``H + <g>`` by coset doubling: translating ``H + {0, ..., k-1}g`` by
+    ``kg`` gives ``H + {0, ..., 2k-1}g``, until ``kg`` already lies in it.
+    """
+    if m2 & ~m1 == 0:
         return m1
-    if m1 == 0:
+    if m1 & ~m2 == 0:
         return m2
     key = (m1, m2) if m1 <= m2 else (m2, m1)
     memo = R._cache.setdefault("subgroup_sums", {})
     cached = memo.get(key)
     if cached is not None:
         return cached
-    res = m1
-    for g in mask_members(m2):
-        res = _extend_subgroup(R, res, g)
-    memo[key] = res
-    return res
+    add = R.add_table
+    res = _bool_from_mask(m1, R.order)
+    todo = _bool_from_mask(m2, R.order)
+    while (rest := todo & ~res).any():
+        shift = int(rest.argmax())
+        while not res[shift]:
+            res[add[np.flatnonzero(res), shift]] = True
+            shift = int(add[shift, shift])
+    result = memo[key] = _mask_from_bool(res)
+    return result
 
 
 def fg_ideal(R: FiniteRing, side: Side, generators: Sequence[int]) -> int:
@@ -223,31 +213,26 @@ def is_ideal(R: FiniteRing, side: Side, mask: int) -> bool:
     ring, _ = _resolve(R, side)
     if not (mask >> ring.zero) & 1:
         return False
-    members = mask_members(mask)
-    if members and members[-1] >= ring.order:
+    if mask >> ring.order:
         raise ValueError(f"mask has bits beyond ring order {ring.order}")
-    add, mul = ring.add_rows, ring.mul_rows
-    for x in members:
-        row = add[x]
-        for y in members:
-            if not (mask >> row[y]) & 1:
-                return False
-    for r in range(ring.order):
-        row = mul[r]
-        for x in members:
-            if not (mask >> row[x]) & 1:
-                return False
-    return True
+    inside = _bool_from_mask(mask, ring.order)
+    members = np.flatnonzero(inside)
+    return bool(inside[ring.add_table[np.ix_(members, members)]].all()
+                and inside[ring.mul_table[:, members]].all())
 
 
 def all_ideals(R: FiniteRing, side: Side, cap: int | None = None) -> list[int]:
     """All side ideals, sorted as masks.
 
-    Breadth-first closure from ``{0}`` by single principal-ideal
-    extensions.  Raises ``LatticeOverflow`` if more than ``cap`` ideals
-    appear (default: ``lattice_cap()``); never silently truncates.  A
-    complete lattice is cached on the ring and checked against the cap of
-    every call; each call gets a fresh list.
+    Every side ideal of a finite ring is a sum of principal ones, so the
+    lattice is the join closure of the nonzero principal ideals.  Starting
+    from ``{0}``, each principal ideal ``P`` in order of size adds ``I + P``
+    for every ideal ``I`` found so far, and is skipped when it is already
+    one of them, since the set found so far is closed under sums.  Raises
+    ``LatticeOverflow`` if more than ``cap`` ideals appear (default:
+    ``lattice_cap()``); never silently truncates.  A complete lattice is
+    cached on the ring and checked against the cap of every call; each call
+    gets a fresh list.
     """
     ring, tables = _resolve(R, side)
     if cap is None:
@@ -259,22 +244,16 @@ def all_ideals(R: FiniteRing, side: Side, cap: int | None = None) -> list[int]:
             raise LatticeOverflow(overflow)
         return list(cached)
     zero_mask = 1 << ring.zero
-    generators = [m for m in tables.pri_distinct if m != zero_mask]
+    generators = sorted((m for m in tables.pri_distinct if m != zero_mask),
+                        key=lambda m: (m.bit_count(), m))
     found = {zero_mask}
-    frontier = [zero_mask]
-    while frontier:
-        next_frontier = []
-        for ideal in frontier:
-            for gen in generators:
-                if gen & ~ideal == 0:
-                    continue
-                bigger = subgroup_sum(ring, ideal, gen)
-                if bigger not in found:
-                    found.add(bigger)
-                    if len(found) > cap:
-                        raise LatticeOverflow(overflow)
-                    next_frontier.append(bigger)
-        frontier = next_frontier
+    for gen in generators:
+        if gen in found:
+            continue
+        for ideal in list(found):
+            found.add(subgroup_sum(ring, ideal, gen))
+            if len(found) > cap:
+                raise LatticeOverflow(overflow)
     ring._cache["ideals"] = tuple(sorted(found))
     return list(ring._cache["ideals"])
 

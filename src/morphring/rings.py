@@ -97,10 +97,10 @@ class FiniteRing:
     ``[0, order)``, held as read-only ``int32`` arrays of shape
     ``(order, order)``; they are the only stored form of the tables.  The
     opposite ring's ``mul_table`` is the transposed view of this one's.
-    ``add_rows`` and ``mul_rows`` are the same tables as nested lists of
-    Python ints, built on first use, for loops that index one entry at a
-    time.  ``construction`` is the canonical expression text that built
-    the ring, when one exists.  Two rings are equal when their tables,
+    ``mul_rows`` is the same multiplication table as nested lists of Python
+    ints, built on first use, for loops that index one entry at a time.
+    ``construction`` is the canonical expression text that built the ring,
+    when one exists.  Two rings are equal when their tables,
     distinguished elements, labels and construction agree.  ``_cache``
     holds derived tables (annihilator masks, the opposite ring) built
     lazily by other modules.
@@ -127,18 +127,6 @@ class FiniteRing:
 
     def __hash__(self) -> int:
         return hash((self.order, self.zero, self.one, self.construction))
-
-    @property
-    def add_rows(self) -> list[list[int]]:
-        """``add_table`` as nested lists; shared with the opposite ring."""
-        rows = self._cache.get("add_rows")
-        if rows is None:
-            twin = self._cache.get("opposite")
-            rows = twin._cache.get("add_rows") if twin is not None else None
-            if rows is None:
-                rows = self.add_table.tolist()
-            self._cache["add_rows"] = rows
-        return rows
 
     @property
     def mul_rows(self) -> list[list[int]]:
@@ -468,7 +456,7 @@ def make_gf(p: int, k: int) -> FiniteRing:
     add = _frozen(_mixed_radix([p] * k, [(x + y) % p for x, y in zip(left, right)]).reshape(n, n))
 
     # multiplicative table from a primitive element
-    mul = np.zeros((n, n), dtype=np.int64)
+    mul = np.zeros((n, n), dtype=np.int32)
     if n > 2:
         # exp lists the powers of the least primitive element: the first g with n - 1 of them
         for g in range(2, n):
@@ -477,11 +465,11 @@ def make_gf(p: int, k: int) -> FiniteRing:
                 exp.append(acc)
             if len(exp) == n - 1:
                 break
-        exp = np.array(exp)
-        log = np.zeros(n, dtype=np.int64)
-        log[exp] = np.arange(n - 1)
-        nz = np.arange(1, n)
-        mul[np.ix_(nz, nz)] = exp[(log[nz][:, None] + log[nz][None, :]) % (n - 1)]
+        log = np.zeros(n, dtype=np.int32)
+        log[exp] = np.arange(n - 1, dtype=np.int32)
+        exp = np.array(exp * 2, dtype=np.int32)  # two periods: log sums need no reduction
+        for a in range(1, n):
+            mul[a, 1:] = exp[log[a] + log[1:]]
     elif n == 2:
         mul[1][1] = 1
 

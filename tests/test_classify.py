@@ -281,6 +281,20 @@ def test_classify_ring_assembles_and_caps(monkeypatch):
         classify_ring(make_zmod(4))
 
 
+def test_classify_lattice_heavy_ring_in_seconds(monkeypatch):
+    import time
+
+    monkeypatch.setenv("RING_ORDER_CAP", "1024")
+    T = matrix_ring(make_zmod(2), 4, shape="lower_triangular")
+    assert T.order == 1024
+    start = time.perf_counter()
+    profile = classify_ring(T)
+    elapsed = time.perf_counter() - start
+    assert profile.structural.bezout_left.status is False
+    assert profile.structural.dual_ring.status is False
+    assert elapsed < 5.0, f"classify tri(z2,4) took {elapsed:.1f} s"
+
+
 def test_flag_text():
     from morphring import Flag
 

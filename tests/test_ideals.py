@@ -325,3 +325,120 @@ def test_census_radical_and_clean_match_element_scans_on_corpus():
         assert mask_members(census.nilpotents) == nilpotents, text
         assert mask_members(jacobson_radical(R)) == radical, text
         assert _strongly_clean(R).status is clean, text
+
+
+# Reference lattice engine in plain Python: cyclic extension of subgroups
+# over add rows, breadth-first lattice closure, and pair loops that form
+# every sum for the Bezout and exchange-law checks.
+
+
+def _ref_subgroup_sum(add, m1, m2):
+    res = m1
+    for g in mask_members(m2):
+        if (res >> g) & 1:
+            continue
+        sub, shift = res, g
+        while not (res >> shift) & 1:
+            for x in mask_members(sub):
+                res |= 1 << add[x][shift]
+            shift = add[shift][g]
+    return res
+
+
+def _ref_all_ideals(ring, tables):
+    """Breadth-first closure from {0} by single principal-ideal extensions."""
+    add = ring.add_table.tolist()
+    zero_mask = 1 << ring.zero
+    generators = [m for m in tables.pri_distinct if m != zero_mask]
+    found = {zero_mask}
+    frontier = [zero_mask]
+    while frontier:
+        next_frontier = []
+        for ideal in frontier:
+            for gen in generators:
+                if gen & ~ideal == 0:
+                    continue
+                bigger = _ref_subgroup_sum(add, ideal, gen)
+                if bigger not in found:
+                    found.add(bigger)
+                    next_frontier.append(bigger)
+        frontier = next_frontier
+    return sorted(found)
+
+
+def _ref_bezout(ring, tables):
+    add = ring.add_table.tolist()
+    masks = tables.pri_distinct
+    for i, m1 in enumerate(masks):
+        for m2 in masks[i + 1 :]:
+            if _ref_subgroup_sum(add, m1, m2) not in tables.pri_first:
+                return False, (tables.pri_first[m1], tables.pri_first[m2])
+    return True, None
+
+
+def _ref_exchange_failure(R, side, ideals):
+    other = Side.RIGHT if side is Side.LEFT else Side.LEFT
+    add = R.add_table.tolist()
+    for i, m1 in enumerate(ideals):
+        a1 = annihilator(R, other, m1)
+        for m2 in ideals[i:]:
+            lhs = annihilator(R, other, m1 & m2)
+            rhs = _ref_subgroup_sum(add, a1, annihilator(R, other, m2))
+            if lhs != rhs:
+                return m1, m2, lhs, rhs
+    return None
+
+
+def _corpus(max_order):
+    from morphring.cli import build_ring, default_corpus, parse_ring_expr
+
+    return [(text, build_ring(parse_ring_expr(text))) for text in default_corpus(max_order)]
+
+
+def test_subgroup_sum_matches_cyclic_extension_on_corpus():
+    from morphring.ideals import _resolve
+
+    for text, R in _corpus(64):
+        add = R.add_table.tolist()
+        for side in (Side.LEFT, Side.RIGHT):
+            ring, tables = _resolve(R, side)
+            masks = sorted(set(tables.pri_distinct) | set(tables.ann_first))
+            for m1 in masks:
+                for m2 in masks:
+                    assert subgroup_sum(ring, m1, m2) == _ref_subgroup_sum(add, m1, m2), text
+
+
+def test_lattice_engine_matches_pair_loops_on_corpus():
+    from morphring.classify import _bezout, _exchange_failure
+    from morphring.ideals import _resolve
+
+    for text, R in _corpus(256):
+        for side in (Side.LEFT, Side.RIGHT):
+            ring, tables = _resolve(R, side)
+            lattice = all_ideals(R, side)
+            assert lattice == _ref_all_ideals(ring, tables), (text, side)
+            flag = _bezout(R, side)
+            assert (flag.status, flag.counterexample) == _ref_bezout(ring, tables), (text, side)
+            assert _exchange_failure(R, side, lattice) == _ref_exchange_failure(R, side, lattice), (text, side)
+
+
+def test_lattice_overflow_text_and_bezout_fallback(monkeypatch):
+    from morphring.classify import _bezout
+    from morphring.cli import build_ring, parse_ring_expr
+    from morphring.ideals import _resolve
+
+    # z12 is Bezout on both sides, the others on neither
+    for text in ("poly(z4,2)", "tri(z2,3)", "z12", "trivext(z8,ideal(2))"):
+        for side in (Side.LEFT, Side.RIGHT):
+            size = len(all_ideals(build_ring(parse_ring_expr(text)), side))
+            for cap in (1, size // 2, size - 1):
+                R = build_ring(parse_ring_expr(text))
+                with pytest.raises(LatticeOverflow) as info:
+                    all_ideals(R, side, cap=cap)
+                assert str(info.value) == f"more than {cap} {side.value} ideals; raise IDEAL_LATTICE_CAP"
+                monkeypatch.setenv("IDEAL_LATTICE_CAP", str(cap))
+                fresh = build_ring(parse_ring_expr(text))
+                flag = _bezout(fresh, side)
+                assert (flag.status, flag.counterexample) == _ref_bezout(*_resolve(fresh, side)), (text, side, cap)
+                monkeypatch.delenv("IDEAL_LATTICE_CAP")
+                assert len(all_ideals(R, side, cap=size)) == size

@@ -128,6 +128,49 @@ def test_gf_prime_degree_one_matches_zmod():
     assert np.array_equal(F.mul_table, Z.mul_table)
 
 
+def _reference_gf_mul(p, k):
+    """The ``gf(p,k)`` multiplication table built in ``int64`` from full-size log sums."""
+    from morphring.rings import _digits, _least_irreducible, _poly_mod
+
+    n = p**k
+    f = _least_irreducible(p, k)
+
+    def mul_poly(a, b):
+        ca, cb = _digits(a, p, k), _digits(b, p, k)
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(ca):
+            for j, y in enumerate(cb):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        return sum(c * p**i for i, c in enumerate(_poly_mod(prod, f, p)))
+
+    mul = np.zeros((n, n), dtype=np.int64)
+    if n > 2:
+        for g in range(2, n):
+            exp = [1]
+            while (acc := mul_poly(exp[-1], g)) != 1:
+                exp.append(acc)
+            if len(exp) == n - 1:
+                break
+        exp = np.array(exp)
+        log = np.zeros(n, dtype=np.int64)
+        log[exp] = np.arange(n - 1)
+        nz = np.arange(1, n)
+        mul[np.ix_(nz, nz)] = exp[(log[nz][:, None] + log[nz][None, :]) % (n - 1)]
+    elif n == 2:
+        mul[1][1] = 1
+    return mul
+
+
+def test_gf_tables_match_reference_construction():
+    fields = [(p, k) for p in range(2, 257) if all(p % d for d in range(2, p))
+              for k in range(1, 9) if p**k <= 256]
+    assert len(fields) == 70
+    for p, k in fields:
+        F = make_gf(p, k)
+        assert F.mul_table.dtype == np.int32, (p, k)
+        assert np.array_equal(F.mul_table, _reference_gf_mul(p, k)), (p, k)
+
+
 def test_gf_rejects_composite_characteristic():
     with pytest.raises(ValueError):
         make_gf(4, 1)
@@ -397,7 +440,6 @@ def test_tables_are_readonly_int32_and_opposite_shares_storage():
     assert O.add_table is R.add_table
     assert np.shares_memory(O.mul_table, R.mul_table)
     assert np.array_equal(O.mul_table, R.mul_table.T)
-    assert O.add_rows is R.add_rows
     assert O.mul_rows == R.mul_table.T.tolist()
 
 
@@ -459,7 +501,7 @@ def _column_module():
 def _tables(A):
     """(add, mul or left action, right action or None) of a ring or bimodule as lists."""
     if isinstance(A, FiniteRing):
-        return A.add_rows, A.mul_rows, None
+        return A.add_table.tolist(), A.mul_rows, None
     return [np.asarray(t).tolist() for t in (A.add_table, A.left_action, A.right_action)]
 
 
