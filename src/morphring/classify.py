@@ -18,13 +18,13 @@ import numpy as np
 from .ideals import (
     LatticeOverflow,
     Side,
-    SideTables,
     all_ideals,
     annihilator,
     element_census,
     mask_members,
     subgroup_sum,
     _bool_from_mask,
+    _principal_pair_sums,
     _resolve,
 )
 from .rings import FiniteRing, OrderCapExceeded, opposite, order_cap
@@ -156,10 +156,11 @@ def _for_all(items: Iterable, holds: Callable[..., bool]) -> Flag:
     return Flag(True)
 
 
-def _morphic_witness(tables: SideTables, a: int) -> int | None:
-    """Least ``b`` with ``Ra = l(b)`` and ``l(a) = Rb``, or None."""
-    pri, la = tables.pri, tables.ann[a]
-    return next((b for b in tables.ann_members.get(pri[a], ()) if pri[b] == la), None)
+def _all_true(ok: np.ndarray) -> Flag:
+    """True when every entry of ``ok`` holds; else the first failing index."""
+    if ok.all():
+        return Flag(True)
+    return Flag(False, counterexample=int(np.argmin(ok)))
 
 
 def element_class(R: FiniteRing, side: Side, a: int) -> ElementClass:
@@ -167,12 +168,14 @@ def element_class(R: FiniteRing, side: Side, a: int) -> ElementClass:
     ring, tables = _resolve(R, side)
     if not 0 <= a < ring.order:
         raise ValueError(f"element index {a} out of range [0, {ring.order})")
-    pseudo_witness = tables.ann_first.get(tables.pri[a])
-    generalized_witness = tables.pri_first.get(tables.ann[a])
+    pri, ann = tables.pri_id[a], tables.ann_id[a]
+    pseudo_witness = tables.ann_witness(tables.masks[pri])
+    generalized_witness = tables.pri_witness(tables.masks[ann])
     pseudo = pseudo_witness is not None
     generalized = generalized_witness is not None
     quasi = pseudo and generalized
-    morphic_witness = _morphic_witness(tables, a)
+    morphic = np.flatnonzero((tables.ann_id == pri) & (tables.pri_id == ann))
+    morphic_witness = int(morphic[0]) if morphic.size else None
     return ElementClass(
         element=a,
         side=side,
@@ -188,17 +191,21 @@ def element_class(R: FiniteRing, side: Side, a: int) -> ElementClass:
 
 
 def _side_hierarchy(R: FiniteRing, side: Side) -> SideHierarchy:
-    """Each flag is its element predicate checked over the whole ring."""
-    ring, tables = _resolve(R, side)
-    pri, ann = tables.pri, tables.ann
-    ann_first, pri_first = tables.ann_first, tables.pri_first
-    elements = range(ring.order)
+    """Each flag is its element predicate checked over the whole ring.
+
+    ``a`` is morphic when its class pair ``(Ra, l(a))`` is some ``(l(b), Rb)``.
+    """
+    _, tables = _resolve(R, side)
+    pseudo = tables.ann_least[tables.pri_id] >= 0
+    generalized = tables.pri_least[tables.ann_id] >= 0
+    count = len(tables.masks)
+    ann, pri = tables.ann_id.astype(np.int64), tables.pri_id.astype(np.int64)
     return SideHierarchy(
         side=side,
-        pseudo=_for_all(elements, lambda a: pri[a] in ann_first),
-        generalized=_for_all(elements, lambda a: ann[a] in pri_first),
-        quasi=_for_all(elements, lambda a: pri[a] in ann_first and ann[a] in pri_first),
-        morphic=_for_all(elements, lambda a: _morphic_witness(tables, a) is not None),
+        pseudo=_all_true(pseudo),
+        generalized=_all_true(generalized),
+        quasi=_all_true(pseudo & generalized),
+        morphic=_all_true(np.isin(pri * count + ann, ann * count + pri)),
     )
 
 
@@ -292,29 +299,26 @@ def _bezout(R: FiniteRing, side: Side) -> Flag:
     generators at a time, each partial sum staying principal.
     """
     ring, tables = _resolve(R, side)
-    pri_first = tables.pri_first
     try:
-        if all(ideal in pri_first for ideal in all_ideals(R, side)):
+        if all(tables.pri_witness(ideal) is not None for ideal in all_ideals(R, side)):
             return Flag(True)
     except LatticeOverflow:
         pass
-    masks = tables.pri_distinct
-    for i, m1 in enumerate(masks):
-        for m2 in masks[i + 1 :]:
-            total = subgroup_sum(ring, m1, m2)
-            if total not in pri_first:
-                return Flag(False, counterexample=(pri_first[m1], pri_first[m2]))
+    for m1, m2, total in _principal_pair_sums(ring, tables):
+        if tables.pri_witness(total) is None:
+            return Flag(False, counterexample=(tables.pri_witness(m1), tables.pri_witness(m2)))
     return Flag(True)
 
 
 def _p_injective(R: FiniteRing, side: Side) -> Flag:
     """Left flag: ``rl(a) = aR`` for all ``a``; right flag: ``lr(a) = Ra``."""
     other = Side.RIGHT if side is Side.LEFT else Side.LEFT
-    _, own = _resolve(R, side)
-    _, mirrored = _resolve(R, other)
-    ann = own.ann          # side annihilator of a, e.g. l(a) for Left
-    pri = mirrored.pri     # other-side principal ideal, e.g. aR for Left
-    return _for_all(range(R.order), lambda a: annihilator(R, other, ann[a]) == pri[a])
+    _, own = _resolve(R, side)           # side annihilators, e.g. l(a) for Left
+    _, mirrored = _resolve(R, other)     # other-side principal ideals, e.g. aR for Left
+    back = np.full(len(own.masks), -1)   # per annihilator id: id of its other-side annihilator
+    for i in np.flatnonzero(own.ann_least >= 0).tolist():
+        back[i] = mirrored.index.get(annihilator(R, other, own.masks[i]), -1)
+    return _all_true(back[own.ann_id] == mirrored.pri_id)
 
 
 def _dual_ring(R: FiniteRing) -> Flag:
@@ -339,15 +343,15 @@ def _lear(R: FiniteRing, side: Side) -> Flag:
     except LatticeOverflow as exc:
         return Flag(None, note=str(exc))
     _, tables = _resolve(R, side)
-    return _for_all(ideals, lambda ideal: ideal in tables.ann_first)
+    return _for_all(ideals, lambda ideal: tables.ann_witness(ideal) is not None)
 
 
 def _pp(R: FiniteRing, side: Side) -> Flag:
     """Every element annihilator is generated by an idempotent."""
     ring, tables = _resolve(R, side)
-    pri, ann = tables.pri, tables.ann
-    idem_masks = {pri[e] for e in mask_members(element_census(ring).idempotents)}
-    return _for_all(range(ring.order), lambda a: ann[a] in idem_masks)
+    idempotent = np.zeros(len(tables.masks), dtype=bool)
+    idempotent[tables.pri_id[_bool_from_mask(element_census(ring).idempotents, ring.order)]] = True
+    return _all_true(idempotent[tables.ann_id])
 
 
 def _strongly_clean(R: FiniteRing) -> Flag:
@@ -359,9 +363,7 @@ def _strongly_clean(R: FiniteRing) -> Flag:
     for e in mask_members(census.idempotents):
         u = add[:, neg[e]]                       # a - e for every a
         clean |= is_unit[u] & (mul[e, u] == mul[u, e])
-    if not clean.all():
-        return Flag(False, counterexample=int(np.argmin(clean)))
-    return Flag(True)
+    return _all_true(clean)
 
 
 def _exchange_failure(R: FiniteRing, side: Side,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -78,33 +78,45 @@ def _bool_from_mask(mask: int, n: int) -> np.ndarray:
     return np.unpackbits(data, count=n, bitorder="little").astype(bool)
 
 
-def _row_masks(bits: np.ndarray) -> list[int]:
-    """One mask per row of a 2-D boolean array."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    width = packed.shape[1]
-    data = packed.tobytes()
-    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
-
-
 @dataclass(frozen=True)
 class SideTables:
-    """Left annihilator and principal-ideal masks of one ring, with inverse indexes.
+    """Left annihilators and principal ideals of one ring, as interned class ids.
 
-    ``ann[b]`` is the mask of ``l(b)`` and ``pri[a]`` the mask of ``Ra``.
-    ``ann_first`` and ``pri_first`` map each distinct mask to its least
-    generating element, ``ann_members`` maps each annihilator mask to all
-    its ``b`` in ascending order, and ``pri_distinct`` lists the distinct
-    principal masks in ascending order.  ``ann_of_mask`` memoises
-    ``annihilator`` on this side.
+    ``masks`` lists, ascending, every distinct mask that is some ``l(b)`` or
+    some ``Ra``, and ``index`` maps each of them to its position, its id.
+    ``ann_id[b]`` is the id of ``l(b)`` and ``pri_id[a]`` the id of ``Ra``
+    (dense ``int32`` arrays over the elements).  Per id, ``ann_least`` holds
+    the least ``b`` with ``l(b)`` equal to that mask and ``pri_least`` the
+    least ``a`` with ``Ra`` equal to it, ``-1`` meaning there is none.
+    ``ann_of_mask`` memoises ``annihilator`` on this side.
     """
 
-    ann: list[int]
-    pri: list[int]
-    ann_first: dict[int, int]
-    ann_members: dict[int, list[int]]
-    pri_first: dict[int, int]
-    pri_distinct: list[int]
+    masks: list[int]
+    index: dict[int, int]
+    ann_id: np.ndarray
+    pri_id: np.ndarray
+    ann_least: np.ndarray
+    pri_least: np.ndarray
     ann_of_mask: dict[int, int] = field(default_factory=dict)
+
+    def ann_witness(self, mask: int) -> int | None:
+        """Least ``b`` with ``l(b) = mask``, or None."""
+        return _least(self.ann_least, self.index.get(mask))
+
+    def pri_witness(self, mask: int) -> int | None:
+        """Least ``a`` with ``Ra = mask``, or None."""
+        return _least(self.pri_least, self.index.get(mask))
+
+    @property
+    def principal_masks(self) -> list[int]:
+        """The distinct principal ideals, ascending."""
+        return [self.masks[i] for i in np.flatnonzero(self.pri_least >= 0).tolist()]
+
+
+def _least(least: np.ndarray, i: int | None) -> int | None:
+    if i is None or least[i] < 0:
+        return None
+    return int(least[i])
 
 
 def _side_tables(R: FiniteRing) -> SideTables:
@@ -114,19 +126,20 @@ def _side_tables(R: FiniteRing) -> SideTables:
         return tables
     n = R.order
     mul = R.mul_table
-    ann = _row_masks(mul.T == R.zero)          # row b: {x : x b = 0}
-    hit = np.zeros((n, n), dtype=bool)
-    hit[np.arange(n)[None, :], mul] = True     # row a: {x a : x in R}
-    pri = _row_masks(hit)
-    ann_first: dict[int, int] = {}
-    ann_members: dict[int, list[int]] = {}
-    for b, m in enumerate(ann):
-        ann_first.setdefault(m, b)
-        ann_members.setdefault(m, []).append(b)
-    pri_first: dict[int, int] = {}
-    for a, m in enumerate(pri):
-        pri_first.setdefault(m, a)
-    tables = SideTables(ann, pri, ann_first, ann_members, pri_first, sorted(pri_first))
+    bits = np.zeros((2 * n, n), dtype=bool)
+    bits[:n] = mul.T == R.zero                 # row b: l(b) = {x : x b = 0}
+    bits[n + np.arange(n)[None, :], mul] = True  # row n + a: Ra = {x a : x in R}
+    # big-endian rows sort as bytes in the order of the mask integers
+    packed = np.ascontiguousarray(np.packbits(bits, axis=1, bitorder="little")[:, ::-1])
+    distinct, ids = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+                              return_inverse=True)
+    masks = [int.from_bytes(row.tobytes(), "big") for row in distinct]
+    ids = ids.reshape(2, n).astype(np.int32)     # rows: ann_id, pri_id
+    least = np.full((2, len(masks)), -1, dtype=np.int32)
+    for side_ids, side_least in zip(ids, least):
+        seen, first = np.unique(side_ids, return_index=True)
+        side_least[seen] = first
+    tables = SideTables(masks, {m: i for i, m in enumerate(masks)}, *ids, *least)
     R._cache["side_tables"] = tables
     return tables
 
@@ -152,10 +165,10 @@ def annihilator(R: FiniteRing, side: Side, S: int | Iterable[int]) -> int:
     cached = memo.get(target)
     if cached is not None:
         return cached
-    ann = tables.ann
+    masks = tables.masks
     result = full
-    for s in mask_members(target):
-        result &= ann[s]
+    for i in np.unique(tables.ann_id[_bool_from_mask(target, ring.order)]).tolist():
+        result &= masks[i]
     memo[target] = result
     return result
 
@@ -165,7 +178,7 @@ def principal_ideal(R: FiniteRing, side: Side, a: int) -> int:
     ring, tables = _resolve(R, side)
     if not 0 <= a < ring.order:
         raise ValueError(f"element index {a} out of range [0, {ring.order})")
-    return tables.pri[a]
+    return tables.masks[tables.pri_id[a]]
 
 
 def subgroup_sum(R: FiniteRing, m1: int, m2: int) -> int:
@@ -196,15 +209,23 @@ def subgroup_sum(R: FiniteRing, m1: int, m2: int) -> int:
     return result
 
 
+def _principal_pair_sums(ring: FiniteRing, tables: SideTables) -> Iterator[tuple[int, int, int]]:
+    """``(m1, m2, m1 + m2)`` for each pair ``m1 < m2`` of distinct principal ideals, in order."""
+    masks = tables.principal_masks
+    for i, m1 in enumerate(masks):
+        for m2 in masks[i + 1 :]:
+            yield m1, m2, subgroup_sum(ring, m1, m2)
+
+
 def fg_ideal(R: FiniteRing, side: Side, generators: Sequence[int]) -> int:
     """Mask of the side ideal generated by the given elements."""
     if not generators:
         raise ValueError("generator list must be nonempty")
     ring, tables = _resolve(R, side)
-    pri = tables.pri
-    result = pri[generators[0]]
+    masks, pri_id = tables.masks, tables.pri_id
+    result = masks[pri_id[generators[0]]]
     for g in generators[1:]:
-        result = subgroup_sum(ring, result, pri[g])
+        result = subgroup_sum(ring, result, masks[pri_id[g]])
     return result
 
 
@@ -244,7 +265,7 @@ def all_ideals(R: FiniteRing, side: Side, cap: int | None = None) -> list[int]:
             raise LatticeOverflow(overflow)
         return list(cached)
     zero_mask = 1 << ring.zero
-    generators = sorted((m for m in tables.pri_distinct if m != zero_mask),
+    generators = sorted((m for m in tables.principal_masks if m != zero_mask),
                         key=lambda m: (m.bit_count(), m))
     found = {zero_mask}
     for gen in generators:
@@ -304,43 +325,33 @@ def jacobson_radical(R: FiniteRing) -> int:
 def is_essential(R: FiniteRing, side: Side, mask: int) -> bool:
     """True iff the side ideal meets every nonzero side ideal nontrivially.
 
-    It suffices to meet every nonzero principal ideal, since every nonzero
-    ideal contains one.
+    In a finite ring: exactly when it contains every minimal one, the socle.
     """
     if not is_ideal(R, side, mask):
         raise ValueError(f"mask {mask:#x} is not a {side.value} ideal")
-    return _meets_every_principal(*_resolve(R, side), mask)
-
-
-def _meets_every_principal(ring: FiniteRing, tables: SideTables, mask: int) -> bool:
-    """Whether ``mask`` meets every nonzero principal ideal beyond zero."""
-    zero_bit = 1 << ring.zero
-    return all(m & mask & ~zero_bit for m in tables.pri_distinct if m != zero_bit)
+    return socle(R, side) & ~mask == 0
 
 
 def singular_ideal(R: FiniteRing, side: Side) -> int:
-    """Mask of the side singular ideal: elements whose side annihilator is essential."""
-    ring, tables = _resolve(R, side)
-    return mask_of(a for a in range(ring.order)
-                   if _meets_every_principal(ring, tables, tables.ann[a]))
+    """Mask of the side singular ideal: elements whose side annihilator is essential.
+
+    By ``is_essential`` that is the other-side annihilator of the side socle.
+    """
+    other = Side.RIGHT if side is Side.LEFT else Side.LEFT
+    return annihilator(R, other, socle(R, side))
 
 
-def _minimal_principal_masks(ring: FiniteRing, tables: SideTables) -> list[int]:
-    zero_bit = 1 << ring.zero
-    pri = tables.pri
-    minimal = []
-    for m in tables.pri_distinct:
-        if m == zero_bit:
-            continue
-        if all(pri[b] == m for b in mask_members(m & ~zero_bit)):
-            minimal.append(m)
-    return minimal
+def _minimal_principals(tables: SideTables) -> np.ndarray:
+    """Per id: minimal principal ideal ``m``, i.e. all ``|m| - 1`` nonzero members generate it."""
+    generators = np.bincount(tables.pri_id, minlength=len(tables.masks))
+    sizes = np.array([m.bit_count() for m in tables.masks])
+    return generators == sizes - 1
 
 
 def socle(R: FiniteRing, side: Side) -> int:
     """Mask of the sum of all minimal side ideals ({0} if there are none)."""
     ring, tables = _resolve(R, side)
     result = 1 << ring.zero
-    for m in _minimal_principal_masks(ring, tables):
-        result = subgroup_sum(ring, result, m)
+    for i in np.flatnonzero(_minimal_principals(tables)).tolist():
+        result = subgroup_sum(ring, result, tables.masks[i])
     return result

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -97,8 +98,6 @@ class FiniteRing:
     ``[0, order)``, held as read-only ``int32`` arrays of shape
     ``(order, order)``; they are the only stored form of the tables.  The
     opposite ring's ``mul_table`` is the transposed view of this one's.
-    ``mul_rows`` is the same multiplication table as nested lists of Python
-    ints, built on first use, for loops that index one entry at a time.
     ``construction`` is the canonical expression text that built the ring,
     when one exists.  Two rings are equal when their tables,
     distinguished elements, labels and construction agree.  ``_cache``
@@ -127,14 +126,6 @@ class FiniteRing:
 
     def __hash__(self) -> int:
         return hash((self.order, self.zero, self.one, self.construction))
-
-    @property
-    def mul_rows(self) -> list[list[int]]:
-        """``mul_table`` as nested lists."""
-        rows = self._cache.get("mul_rows")
-        if rows is None:
-            rows = self._cache["mul_rows"] = self.mul_table.tolist()
-        return rows
 
     @property
     def neg_table(self) -> np.ndarray:
@@ -789,15 +780,17 @@ def opposite(R: FiniteRing) -> FiniteRing:
     """The opposite ring: same elements, reversed multiplication.
 
     Its ``mul_table`` is the transposed view of ``R.mul_table`` and its
-    ``add_table`` is the same array, so no table is copied.  The result is
-    cached on both rings so that ``opposite(opposite(R))`` returns ``R``
-    itself.
+    ``add_table`` is the same array, so no table is copied.  ``R`` caches
+    the result, which refers back to ``R`` weakly: ``opposite(opposite(R))``
+    is ``R`` while ``R`` lives, and no reference cycle outlives ``R``.
     """
     cached = R._cache.get("opposite")
+    if isinstance(cached, weakref.ref):
+        cached = cached()
     if cached is not None:
         return cached
     construction = f"opp({R.construction})" if R.construction else None
     opp = FiniteRing(R.order, R.add_table, R.mul_table.T, R.zero, R.one, R.labels, construction)
     R._cache["opposite"] = opp
-    opp._cache["opposite"] = R
+    opp._cache["opposite"] = weakref.ref(R)
     return opp

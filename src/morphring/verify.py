@@ -16,6 +16,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+import numpy as np
+
 from .classify import (
     _exchange_failure,
     _is_commutative,
@@ -30,13 +32,16 @@ from .classify import (
 from .ideals import (
     LatticeOverflow,
     Side,
+    SideTables,
     all_ideals,
     annihilator,
     jacobson_radical,
+    principal_ideal,
     singular_ideal,
     socle,
     subgroup_sum,
-    _minimal_principal_masks,
+    _minimal_principals,
+    _principal_pair_sums,
     _resolve,
 )
 from .rings import (
@@ -100,12 +105,8 @@ def _report(theorem: str, R: FiniteRing, status: str, details: dict, start: floa
 def _fg_masks(R: FiniteRing, side: Side) -> list[int]:
     """Distinct ideals generated by at most two elements."""
     ring, tables = _resolve(R, side)
-    distinct = tables.pri_distinct
-    out = set(distinct)
-    for i, m1 in enumerate(distinct):
-        for m2 in distinct[i + 1 :]:
-            out.add(subgroup_sum(ring, m1, m2))
-    return sorted(out)
+    sums = {total for _, _, total in _principal_pair_sums(ring, tables)}
+    return sorted(sums.union(tables.principal_masks))
 
 
 def verify_lemma_equivalences(R: FiniteRing) -> VerificationReport:
@@ -114,34 +115,62 @@ def verify_lemma_equivalences(R: FiniteRing) -> VerificationReport:
     For each ``a``, compares (2) "some ``c`` has ``Ra = l(c)`` and ``Rc``
     is itself an annihilator ``l(b)``" with (3) the same up to replacing
     ``Rc`` by an isomorphic cyclic ``Rd``, encoded through the generator
-    criterion ``Rc ≅ Rd`` with ``l(d) = l(c)``.
+    criterion ``Rc ≅ Rd`` with ``l(d) = l(c)``.  Both depend on ``a`` only
+    through the class of ``Ra``, so they are formed once per class id.
     """
     start = time.perf_counter()
     _, tables = _resolve(R, Side.LEFT)
-    pri, ann = tables.pri, tables.ann
-    ann_members = tables.ann_members
-    ann_set = set(tables.ann_first)
-    both_true = 0
-    for a in range(R.order):
-        candidates = ann_members.get(pri[a], ())
-        pred2 = any(pri[c] in ann_set for c in candidates)
-        pred3 = any(
-            any(pri[d] in ann_set for d in ann_members.get(ann[c], ()))
-            for c in candidates
+    ann_id, pri_id = tables.ann_id, tables.pri_id
+    direct = np.zeros(len(tables.masks), dtype=bool)  # per l(c): some such c has Rc an annihilator
+    direct[ann_id[tables.ann_least[pri_id] >= 0]] = True
+    isomorphic = np.zeros_like(direct)                # per l(c): some d with l(d) = l(c) does
+    isomorphic[ann_id[direct[ann_id]]] = True
+    pred2, pred3 = direct[pri_id], isomorphic[pri_id]
+    differ = np.flatnonzero(pred2 != pred3)
+    if differ.size:
+        a = int(differ[0])
+        return _report(
+            "annihilator_chain_equivalence", R, "refuted",
+            {"element": a, "direct_form": bool(pred2[a]), "isomorphism_form": bool(pred3[a])},
+            start,
         )
-        if pred2 != pred3:
-            return _report(
-                "annihilator_chain_equivalence", R, "refuted",
-                {"element": a, "direct_form": pred2, "isomorphism_form": pred3},
-                start,
-            )
-        if pred2:
-            both_true += 1
     return _report(
         "annihilator_chain_equivalence", R, "verified",
-        {"elements": R.order, "satisfying_both": both_true},
+        {"elements": R.order, "satisfying_both": int(pred2.sum())},
         start,
     )
+
+
+def _witness_failure(kind: str, tables: SideTables, mul: np.ndarray, own: np.ndarray,
+                     least: np.ndarray, other: np.ndarray,
+                     join: Callable[[int, int], int]) -> tuple[int, dict | None]:
+    """One kind of witness identity over all pairs ``(a1, a2)``, in row-major order.
+
+    With ``b_i = least[own[a_i]]`` and ``c = least[own[a2 b1]]``, products in
+    ``mul``, checks ``join(masks[own[a1]], masks[own[a2]]) = masks[other[b1 c]]``.
+    A row depends on ``a1`` only through ``own[a1]``, so one row per class is
+    checked, led by its least element, and one join per pair of classes formed.
+    Returns the number of pairs checked and the first failure's details, or None.
+    """
+    masks, count = tables.masks, len(tables.masks)
+    b = least[own]
+    valid = np.flatnonzero(b >= 0)
+    a1 = valid[np.sort(np.unique(own[valid], return_index=True)[1])]
+    weight = np.bincount(own[valid], minlength=count)[own[a1]]
+    c = least[own[mul[valid[None, :], b[a1][:, None]]]]
+    i, j = np.nonzero(c >= 0)
+    a1, a2, c = a1[i], valid[j], c[i, j]
+    pairs, pair_of = np.unique(own[a1].astype(np.int64) * count + own[a2], return_inverse=True)
+    joined = [join(masks[key // count], masks[key % count]) for key in pairs.tolist()]
+    rhs = other[mul[b[a1], c]]
+    bad = np.flatnonzero(np.array([tables.index.get(m, -1) for m in joined])[pair_of] != rhs)
+    checked = int(weight[i].sum())
+    if not bad.size:
+        return checked, None
+    f = bad[0]
+    return checked, {"kind": kind, "pair": [int(a1[f]), int(a2[f])],
+                     "witnesses": [int(b[a1[f]]), int(b[a2[f]]), int(c[f])],
+                     "lhs": joined[pair_of[f]], "rhs": masks[rhs[f]]}
 
 
 def verify_witness_identities(R: FiniteRing) -> VerificationReport:
@@ -150,58 +179,26 @@ def verify_witness_identities(R: FiniteRing) -> VerificationReport:
     For each pair ``(a1, a2)``: from ``Ra_i = l(b_i)`` and ``R(a2 b1) =
     l(c)`` it follows that ``Ra1 + Ra2 = l(b1 c)``; dually from ``l(a_i) =
     R b_i`` and ``l(b1 a2) = Rc`` that ``l(a1) ∩ l(a2) = R(c b1)``.  Pairs
-    lacking any witness are skipped and counted.
+    lacking any witness are skipped and counted.  The first failing pair in
+    row-major order is reported, its sum before its intersection.
     """
     start = time.perf_counter()
     ring, tables = _resolve(R, Side.LEFT)
-    pri, ann = tables.pri, tables.ann
-    ann_first, pri_first = tables.ann_first, tables.pri_first
-    mul = R.mul_rows
-    checked_sum = skipped_sum = checked_meet = skipped_meet = 0
-    for a1 in range(R.order):
-        for a2 in range(R.order):
-            b1 = ann_first.get(pri[a1])
-            b2 = ann_first.get(pri[a2])
-            if b1 is None or b2 is None:
-                skipped_sum += 1
-            else:
-                c = ann_first.get(pri[mul[a2][b1]])
-                if c is None:
-                    skipped_sum += 1
-                else:
-                    lhs = subgroup_sum(ring, pri[a1], pri[a2])
-                    rhs = ann[mul[b1][c]]
-                    if lhs != rhs:
-                        return _report(
-                            "sum_intersection_witnesses", R, "refuted",
-                            {"kind": "sum", "pair": [a1, a2],
-                             "witnesses": [b1, b2, c], "lhs": lhs, "rhs": rhs},
-                            start,
-                        )
-                    checked_sum += 1
-            b1 = pri_first.get(ann[a1])
-            b2 = pri_first.get(ann[a2])
-            if b1 is None or b2 is None:
-                skipped_meet += 1
-            else:
-                c = pri_first.get(ann[mul[b1][a2]])
-                if c is None:
-                    skipped_meet += 1
-                else:
-                    lhs = ann[a1] & ann[a2]
-                    rhs = pri[mul[c][b1]]
-                    if lhs != rhs:
-                        return _report(
-                            "sum_intersection_witnesses", R, "refuted",
-                            {"kind": "intersection", "pair": [a1, a2],
-                             "witnesses": [b1, b2, c], "lhs": lhs, "rhs": rhs},
-                            start,
-                        )
-                    checked_meet += 1
+    checked_sum, failed_sum = _witness_failure(
+        "sum", tables, R.mul_table, tables.pri_id, tables.ann_least, tables.ann_id,
+        lambda m1, m2: subgroup_sum(ring, m1, m2))
+    checked_meet, failed_meet = _witness_failure(
+        "intersection", tables, R.mul_table.T, tables.ann_id, tables.pri_least, tables.pri_id,
+        int.__and__)
+    failures = [f for f in (failed_sum, failed_meet) if f]
+    if failures:
+        return _report("sum_intersection_witnesses", R, "refuted",
+                       min(failures, key=lambda f: f["pair"]), start)
+    pairs = R.order * R.order
     return _report(
         "sum_intersection_witnesses", R, "verified",
-        {"checked_sum": checked_sum, "skipped_sum": skipped_sum,
-         "checked_intersection": checked_meet, "skipped_intersection": skipped_meet},
+        {"checked_sum": checked_sum, "skipped_sum": pairs - checked_sum,
+         "checked_intersection": checked_meet, "skipped_intersection": pairs - checked_meet},
         start,
     )
 
@@ -237,19 +234,15 @@ def verify_pseudo_consequences(R: FiniteRing) -> VerificationReport:
     s_r, s_l = socle(R, Side.RIGHT), socle(R, Side.LEFT)
     if s_r & ~s_l:
         return fail("right_socle_in_left_socle", {"right": s_r, "left": s_l})
-    left_ring, left = _resolve(R, Side.LEFT)
-    right_ring, right = _resolve(R, Side.RIGHT)
-    simple_left = set(_minimal_principal_masks(left_ring, left))
-    simple_right = set(_minimal_principal_masks(right_ring, right))
-    minimal_transfer = 0
-    for a in range(R.order):
-        if right.pri[a] in simple_right:
-            if left.pri[a] not in simple_left:
-                return fail("simple_aR_implies_simple_Ra", {"element": a})
-            minimal_transfer += 1
+    left, right = (_resolve(R, side)[1] for side in (Side.LEFT, Side.RIGHT))
+    simple_left = _minimal_principals(left)[left.pri_id]      # per a: Ra is minimal
+    simple_right = _minimal_principals(right)[right.pri_id]   # per a: aR is minimal
+    lost = np.flatnonzero(simple_right & ~simple_left)
+    if lost.size:
+        return fail("simple_aR_implies_simple_Ra", {"element": int(lost[0])})
     return _report(
         "pseudo_morphic_consequences", R, "verified",
-        {"fg_ideals": len(fg), "minimal_right_principals": minimal_transfer},
+        {"fg_ideals": len(fg), "minimal_right_principals": int(simple_right.sum())},
         start,
     )
 
@@ -326,9 +319,9 @@ def verify_finite_qf(R: FiniteRing) -> VerificationReport:
             back = annihilator(R, side, annihilator(R, other, ideal))
             if back != ideal:
                 return fail("dual_ring", {"side": side.value, "ideal": ideal, "double_annihilator": back})
-            if ideal not in tables.pri_first:
+            if tables.pri_witness(ideal) is None:
                 return fail("all_ideals_principal", {"side": side.value, "ideal": ideal})
-            if ideal not in tables.ann_first:
+            if tables.ann_witness(ideal) is None:
                 return fail("all_ideals_are_annihilators", {"side": side.value, "ideal": ideal})
     clean = _strongly_clean(R)
     if clean.status is not True:
@@ -639,18 +632,18 @@ def verify_triangular_example_identity() -> VerificationReport:
     E22, E21, E11 = 1, 2, 4
     _, tables = _resolve(T, Side.LEFT)
     left = _side_hierarchy(T, Side.LEFT)
+    l_e21 = annihilator(T, Side.LEFT, [E21])
     headline = (
-        tables.ann[E21] == tables.pri[E11 + E21]
-        and bin(tables.ann[E21]).count("1") == 4
-        and all(tables.ann[b] != tables.pri[E21] for b in T.elements)
+        l_e21 == principal_ideal(T, Side.LEFT, E11 + E21)
+        and l_e21.bit_count() == 4
+        and tables.ann_witness(principal_ideal(T, Side.LEFT, E21)) is None
         and left.generalized.status
         and not left.pseudo.status
     )
     diverges = {}
     for tag, ring in (("row", T), ("transpose", opposite(T))):
-        _, t = _resolve(ring, Side.LEFT)
-        displayed = t.ann[E11 + E21] & t.ann[E22]
-        diverges[tag] = displayed != t.pri[E21]
+        displayed = annihilator(ring, Side.LEFT, [E11 + E21]) & annihilator(ring, Side.LEFT, [E22])
+        diverges[tag] = displayed != principal_ideal(ring, Side.LEFT, E21)
     ok = headline and diverges["row"] and diverges["transpose"]
     details = {"headline_claims": headline, "identity_diverges": diverges}
     return VerificationReport(

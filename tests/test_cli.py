@@ -349,6 +349,9 @@ class TestTablesLoader:
 # ``default_corpus(128)``, recorded with the earlier tuple-of-tuples table
 # core; a change to any record of any of the 155 rings changes it.
 CLASSIFY_CORPUS_128_SHA256 = "cc789e75f5c6e4cb38a9a0ae09fe14cb3e103369fb6e65bfc56ef888496f9514"
+# The same digest of ``verify --json`` over the same rings, recorded with
+# the element-indexed side tables, before they became class ids.
+VERIFY_CORPUS_128_SHA256 = "f087075628d6656ae29e41df93b8ba4873bc184cf022d60e597f72fe7bc51b64"
 
 
 def test_classify_records_golden_over_corpus_128(capsys):
@@ -357,6 +360,14 @@ def test_classify_records_golden_over_corpus_128(capsys):
         assert run_command(["classify", text, "--json"]) == 0
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == CLASSIFY_CORPUS_128_SHA256
+
+
+def test_verify_records_golden_over_corpus_128(capsys):
+    digest = hashlib.sha256()
+    for text in default_corpus(128):
+        assert run_command(["verify", text, "--json"]) == 0, text
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == VERIFY_CORPUS_128_SHA256
 
 
 @pytest.mark.parametrize("argv", [["qz", "--bound", "4"],

@@ -1,5 +1,6 @@
 """Tests for the bit-vector ideal engine."""
 
+import numpy as np
 import pytest
 
 import morphring.ideals as ideals_module
@@ -18,6 +19,7 @@ from morphring import (
     mask_members,
     mask_of,
     matrix_ring,
+    opposite,
     principal_ideal,
     singular_ideal,
     socle,
@@ -283,15 +285,19 @@ def test_side_tables_match_set_computations_on_corpus():
         }
         for side, (ann_sets, pri_sets) in expected.items():
             _, tables = _resolve(R, side)
-            assert [set(mask_members(m)) for m in tables.ann] == ann_sets, (text, side)
-            assert [set(mask_members(m)) for m in tables.pri] == pri_sets, (text, side)
-            for m in tables.ann:
-                assert tables.ann_first[m] == min(c for c in elements if tables.ann[c] == m)
-                assert tables.ann_members[m] == [c for c in elements if tables.ann[c] == m]
-            for m in tables.pri:
-                assert tables.pri_first[m] == min(c for c in elements if tables.pri[c] == m)
-            assert tables.pri_distinct == sorted(set(tables.pri))
-            assert set(tables.ann_first) == set(tables.ann_members) == set(tables.ann)
+            masks = tables.masks
+            assert all(m1 < m2 for m1, m2 in zip(masks, masks[1:])), (text, side)
+            assert set(masks) == {mask_of(s) for s in ann_sets + pri_sets}, (text, side)
+            assert tables.index == {m: i for i, m in enumerate(masks)}, (text, side)
+            for ids in (tables.ann_id, tables.pri_id, tables.ann_least, tables.pri_least):
+                assert ids.dtype == np.int32
+            assert [set(mask_members(masks[i])) for i in tables.ann_id] == ann_sets, (text, side)
+            assert [set(mask_members(masks[i])) for i in tables.pri_id] == pri_sets, (text, side)
+            for i, m in enumerate(masks):
+                members = set(mask_members(m))
+                for sets, least in ((ann_sets, tables.ann_least), (pri_sets, tables.pri_least)):
+                    generators = [c for c in elements if sets[c] == members]
+                    assert least[i] == (min(generators) if generators else -1), (text, side, m)
 
 
 def test_census_radical_and_clean_match_element_scans_on_corpus():
@@ -345,11 +351,30 @@ def _ref_subgroup_sum(add, m1, m2):
     return res
 
 
-def _ref_all_ideals(ring, tables):
+def _side_ring(R, side):
+    return opposite(R) if side is Side.RIGHT else R
+
+
+def _ref_principals(ring):
+    """Each distinct left principal ideal ``Ra`` with its least ``a``, ascending, by set scans."""
+    rows = ring.mul_table.tolist()
+    least = {}
+    for a in ring.elements:
+        least.setdefault(mask_of(row[a] for row in rows), a)
+    return dict(sorted(least.items()))
+
+
+def _ref_annihilators(ring):
+    """The distinct left annihilators ``l(b)`` by set scans."""
+    rows = ring.mul_table.tolist()
+    return {mask_of(x for x in ring.elements if rows[x][b] == ring.zero) for b in ring.elements}
+
+
+def _ref_all_ideals(ring):
     """Breadth-first closure from {0} by single principal-ideal extensions."""
     add = ring.add_table.tolist()
     zero_mask = 1 << ring.zero
-    generators = [m for m in tables.pri_distinct if m != zero_mask]
+    generators = [m for m in _ref_principals(ring) if m != zero_mask]
     found = {zero_mask}
     frontier = [zero_mask]
     while frontier:
@@ -366,13 +391,14 @@ def _ref_all_ideals(ring, tables):
     return sorted(found)
 
 
-def _ref_bezout(ring, tables):
+def _ref_bezout(ring):
     add = ring.add_table.tolist()
-    masks = tables.pri_distinct
+    least = _ref_principals(ring)
+    masks = list(least)
     for i, m1 in enumerate(masks):
         for m2 in masks[i + 1 :]:
-            if _ref_subgroup_sum(add, m1, m2) not in tables.pri_first:
-                return False, (tables.pri_first[m1], tables.pri_first[m2])
+            if _ref_subgroup_sum(add, m1, m2) not in least:
+                return False, (least[m1], least[m2])
     return True, None
 
 
@@ -396,36 +422,51 @@ def _corpus(max_order):
 
 
 def test_subgroup_sum_matches_cyclic_extension_on_corpus():
-    from morphring.ideals import _resolve
-
     for text, R in _corpus(64):
         add = R.add_table.tolist()
         for side in (Side.LEFT, Side.RIGHT):
-            ring, tables = _resolve(R, side)
-            masks = sorted(set(tables.pri_distinct) | set(tables.ann_first))
+            ring = _side_ring(R, side)
+            masks = sorted(set(_ref_principals(ring)) | _ref_annihilators(ring))
             for m1 in masks:
                 for m2 in masks:
                     assert subgroup_sum(ring, m1, m2) == _ref_subgroup_sum(add, m1, m2), text
 
 
+def test_essential_and_singular_match_their_definitions_on_corpus():
+    # Essential: meets every nonzero ideal of the reference lattice beyond
+    # zero; singular: the elements whose annihilator on that side is essential.
+    for text, R in _corpus(64):
+        for side in (Side.LEFT, Side.RIGHT):
+            ring = _side_ring(R, side)
+            rows = ring.mul_table.tolist()
+            zero_bit = 1 << ring.zero
+            lattice = _ref_all_ideals(ring)
+
+            def essential(mask):
+                return all(mask & ideal & ~zero_bit for ideal in lattice if ideal != zero_bit)
+
+            assert [is_essential(R, side, m) for m in lattice] == [essential(m) for m in lattice], text
+            singular = mask_of(a for a in ring.elements
+                               if essential(mask_of(x for x in ring.elements if rows[x][a] == ring.zero)))
+            assert singular_ideal(R, side) == singular, (text, side)
+
+
 def test_lattice_engine_matches_pair_loops_on_corpus():
     from morphring.classify import _bezout, _exchange_failure
-    from morphring.ideals import _resolve
 
     for text, R in _corpus(256):
         for side in (Side.LEFT, Side.RIGHT):
-            ring, tables = _resolve(R, side)
+            ring = _side_ring(R, side)
             lattice = all_ideals(R, side)
-            assert lattice == _ref_all_ideals(ring, tables), (text, side)
+            assert lattice == _ref_all_ideals(ring), (text, side)
             flag = _bezout(R, side)
-            assert (flag.status, flag.counterexample) == _ref_bezout(ring, tables), (text, side)
+            assert (flag.status, flag.counterexample) == _ref_bezout(ring), (text, side)
             assert _exchange_failure(R, side, lattice) == _ref_exchange_failure(R, side, lattice), (text, side)
 
 
 def test_lattice_overflow_text_and_bezout_fallback(monkeypatch):
     from morphring.classify import _bezout
     from morphring.cli import build_ring, parse_ring_expr
-    from morphring.ideals import _resolve
 
     # z12 is Bezout on both sides, the others on neither
     for text in ("poly(z4,2)", "tri(z2,3)", "z12", "trivext(z8,ideal(2))"):
@@ -439,6 +480,6 @@ def test_lattice_overflow_text_and_bezout_fallback(monkeypatch):
                 monkeypatch.setenv("IDEAL_LATTICE_CAP", str(cap))
                 fresh = build_ring(parse_ring_expr(text))
                 flag = _bezout(fresh, side)
-                assert (flag.status, flag.counterexample) == _ref_bezout(*_resolve(fresh, side)), (text, side, cap)
+                assert (flag.status, flag.counterexample) == _ref_bezout(_side_ring(fresh, side)), (text, side, cap)
                 monkeypatch.delenv("IDEAL_LATTICE_CAP")
                 assert len(all_ideals(R, side, cap=size)) == size

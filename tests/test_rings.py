@@ -1,6 +1,8 @@
 """Tests for ring construction and axiom checking."""
 
+import gc
 import time
+import weakref
 from itertools import product
 
 import numpy as np
@@ -10,6 +12,7 @@ from morphring import (
     BimoduleSpec,
     FiniteRing,
     OrderCapExceeded,
+    Side,
     check_bimodule,
     check_ring_axioms,
     direct_product,
@@ -20,6 +23,7 @@ from morphring import (
     matrix_ring,
     opposite,
     pierce_corner,
+    principal_ideal,
     regular_bimodule,
     ring_from_tables,
     trivial_extension,
@@ -375,6 +379,21 @@ def test_opposite_transposes_multiplication():
     assert O.construction == "opp(tri(z2,2))"
 
 
+def test_dropped_ring_is_freed_without_the_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        R = matrix_ring(make_zmod(2), 2, shape="lower_triangular")
+        whole = principal_ideal(R, Side.RIGHT, R.one) == (1 << R.order) - 1
+        same = opposite(opposite(R)) is R
+        ref = weakref.ref(R)
+        del R
+        freed = ref() is None
+    finally:
+        gc.enable()
+    assert whole and same and freed
+
+
 def test_opposite_of_commutative_is_equal():
     R = make_zmod(6)
     assert np.array_equal(opposite(R).mul_table, R.mul_table)
@@ -440,7 +459,6 @@ def test_tables_are_readonly_int32_and_opposite_shares_storage():
     assert O.add_table is R.add_table
     assert np.shares_memory(O.mul_table, R.mul_table)
     assert np.array_equal(O.mul_table, R.mul_table.T)
-    assert O.mul_rows == R.mul_table.T.tolist()
 
 
 def test_ring_equality_compares_table_contents():
@@ -501,7 +519,7 @@ def _column_module():
 def _tables(A):
     """(add, mul or left action, right action or None) of a ring or bimodule as lists."""
     if isinstance(A, FiniteRing):
-        return A.add_table.tolist(), A.mul_rows, None
+        return A.add_table.tolist(), A.mul_table.tolist(), None
     return [np.asarray(t).tolist() for t in (A.add_table, A.left_action, A.right_action)]
 
 
@@ -594,5 +612,6 @@ def test_constructors_match_their_definition_on_digit_tuples(name):
         wrong = np.argwhere(table != np.asarray(expected))
         assert not wrong.size, [(elements[x], elements[y]) for x, y in wrong[:3]]
     assert elements[ring.zero] == tuple(P.zero for P in parts)
-    assert all(mul_rows_one == x for x, mul_rows_one in enumerate(ring.mul_rows[ring.one]))
-    assert all(row[ring.one] == x for x, row in enumerate(ring.mul_rows))
+    rows = ring.mul_table.tolist()
+    assert all(one_x == x for x, one_x in enumerate(rows[ring.one]))
+    assert all(row[ring.one] == x for x, row in enumerate(rows))

@@ -4,8 +4,10 @@ import hashlib
 
 import pytest
 
+import morphring.verify as verify_module
 from morphring import (
     CornerCase,
+    FiniteRing,
     Side,
     TriangularCase,
     TrivialExtensionCase,
@@ -14,7 +16,9 @@ from morphring import (
     ideal_bimodule,
     make_gf,
     make_zmod,
+    mask_of,
     matrix_ring,
+    principal_ideal,
     regular_bimodule,
     ring_morphic_profile,
     search_counterexample,
@@ -100,6 +104,115 @@ def test_witness_identities_full_coverage_matrix_ring():
     assert report.details["skipped_sum"] == 0
     assert report.details["skipped_intersection"] == 0
     assert report.details["checked_sum"] == 256
+
+
+# Reference element-pair loops for the two checks that work over class ids:
+# every l(b) and Ra as a mask per element, with first-generator dicts, all
+# by set scans of the raw table.  Sums go through ``verify.subgroup_sum``
+# so that a fault patched into it reaches both versions.
+
+
+def _ref_tables(R):
+    n = R.order
+    mul = R.mul_table.tolist()
+    pri = [mask_of(mul[x][a] for x in range(n)) for a in range(n)]
+    ann = [mask_of(x for x in range(n) if mul[x][b] == R.zero) for b in range(n)]
+    ann_first, ann_members, pri_first = {}, {}, {}
+    for b, m in enumerate(ann):
+        ann_first.setdefault(m, b)
+        ann_members.setdefault(m, []).append(b)
+    for a, m in enumerate(pri):
+        pri_first.setdefault(m, a)
+    return mul, pri, ann, ann_first, ann_members, pri_first
+
+
+def _ref_lemma(R):
+    _, pri, ann, ann_first, ann_members, _ = _ref_tables(R)
+    both_true = 0
+    for a in range(R.order):
+        candidates = ann_members.get(pri[a], ())
+        pred2 = any(pri[c] in ann_first for c in candidates)
+        pred3 = any(any(pri[d] in ann_first for d in ann_members.get(ann[c], ()))
+                    for c in candidates)
+        if pred2 != pred3:
+            return "refuted", {"element": a, "direct_form": pred2, "isomorphism_form": pred3}
+        both_true += pred2
+    return "verified", {"elements": R.order, "satisfying_both": both_true}
+
+
+def _ref_witnesses(R):
+    mul, pri, ann, ann_first, _, pri_first = _ref_tables(R)
+    checked_sum = skipped_sum = checked_meet = skipped_meet = 0
+    for a1 in range(R.order):
+        for a2 in range(R.order):
+            b1, b2 = ann_first.get(pri[a1]), ann_first.get(pri[a2])
+            c = None if b1 is None or b2 is None else ann_first.get(pri[mul[a2][b1]])
+            if c is None:
+                skipped_sum += 1
+            else:
+                lhs = verify_module.subgroup_sum(R, pri[a1], pri[a2])
+                rhs = ann[mul[b1][c]]
+                if lhs != rhs:
+                    return "refuted", {"kind": "sum", "pair": [a1, a2],
+                                       "witnesses": [b1, b2, c], "lhs": lhs, "rhs": rhs}
+                checked_sum += 1
+            b1, b2 = pri_first.get(ann[a1]), pri_first.get(ann[a2])
+            c = None if b1 is None or b2 is None else pri_first.get(ann[mul[b1][a2]])
+            if c is None:
+                skipped_meet += 1
+            else:
+                lhs = ann[a1] & ann[a2]
+                rhs = pri[mul[c][b1]]
+                if lhs != rhs:
+                    return "refuted", {"kind": "intersection", "pair": [a1, a2],
+                                       "witnesses": [b1, b2, c], "lhs": lhs, "rhs": rhs}
+                checked_meet += 1
+    return "verified", {"checked_sum": checked_sum, "skipped_sum": skipped_sum,
+                        "checked_intersection": checked_meet, "skipped_intersection": skipped_meet}
+
+
+def _agrees_with_reference(R):
+    for check, reference in ((verify_lemma_equivalences, _ref_lemma),
+                             (verify_witness_identities, _ref_witnesses)):
+        report = check(R)
+        assert (report.status, report.details) == reference(R), (R, check.__name__)
+    return report
+
+
+def test_class_id_checks_match_element_pair_loops_on_corpus():
+    from morphring.cli import build_ring, default_corpus, parse_ring_expr
+
+    for text in default_corpus(256):
+        assert _agrees_with_reference(build_ring(parse_ring_expr(text))).status == "verified", text
+
+
+def test_patched_sum_fault_reported_at_the_same_pair(monkeypatch):
+    real = verify_module.subgroup_sum
+    target = (principal_ideal(Z12, Side.LEFT, 4), principal_ideal(Z12, Side.LEFT, 6))
+
+    def faulty(ring, m1, m2):
+        return real(ring, m1, m2) ^ (1 << 1) if (m1, m2) == target else real(ring, m1, m2)
+
+    monkeypatch.setattr(verify_module, "subgroup_sum", faulty)
+    report = _agrees_with_reference(make_zmod(12))
+    assert report.status == "refuted"
+    assert (report.details["kind"], report.details["pair"]) == ("sum", [4, 6])
+
+
+@pytest.mark.parametrize("ring", [Z12, T2], ids=["z12", "tri(z2,2)"])
+def test_corrupted_tables_reported_alike(ring):
+    # Each single entry of the multiplication table set to zero or one: the
+    # result is no longer a ring, and both versions must name the same first
+    # failing pair, kind, witnesses and masks.
+    kinds = set()
+    for x in ring.elements:
+        for y in ring.elements:
+            for value in {ring.zero, ring.one} - {int(ring.mul_table[x, y])}:
+                mul = ring.mul_table.copy()
+                mul[x, y] = value
+                bad = FiniteRing(ring.order, ring.add_table, mul, ring.zero, ring.one, ring.labels)
+                kinds.add(_agrees_with_reference(bad).details.get("kind"))
+    assert kinds == {None, "sum", "intersection"}
 
 
 def test_pseudo_consequences_z4():
