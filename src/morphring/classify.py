@@ -27,7 +27,7 @@ from .ideals import (
     _principal_pair_sums,
     _resolve,
 )
-from .rings import FiniteRing, OrderCapExceeded, opposite, order_cap
+from .rings import FiniteRing, OrderCapExceeded, _check_element, _chunk_rows, order_cap
 
 __all__ = [
     "ClassProfile",
@@ -163,19 +163,30 @@ def _all_true(ok: np.ndarray) -> Flag:
     return Flag(False, counterexample=int(np.argmin(ok)))
 
 
+def _witness_vectors(R: FiniteRing, side: Side) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per element ``a``: the least ``b`` with ``Ra = l(b)``, with ``l(a) = Rb``, and with both.
+
+    ``-1`` means none.  The morphic ``b`` has class pair ``(l(b), Rb) = (Ra, l(a))``:
+    one sort gives the least ``b`` per class pair, and a binary search looks it up.
+    """
+    _, tables = _resolve(R, side)
+    count = len(tables.masks)
+    ann, pri = tables.ann_id.astype(np.int64), tables.pri_id.astype(np.int64)
+    pairs, least = np.unique(ann * count + pri, return_index=True)
+    wanted = pri * count + ann
+    at = np.minimum(np.searchsorted(pairs, wanted), len(pairs) - 1)
+    morphic = np.where(pairs[at] == wanted, least[at], -1)
+    return tables.ann_least[tables.pri_id], tables.pri_least[tables.ann_id], morphic
+
+
 def element_class(R: FiniteRing, side: Side, a: int) -> ElementClass:
     """Classify one element; witnesses are the least satisfying indices."""
-    ring, tables = _resolve(R, side)
-    if not 0 <= a < ring.order:
-        raise ValueError(f"element index {a} out of range [0, {ring.order})")
-    pri, ann = tables.pri_id[a], tables.ann_id[a]
-    pseudo_witness = tables.ann_witness(tables.masks[pri])
-    generalized_witness = tables.pri_witness(tables.masks[ann])
+    _check_element(R, a)
+    pseudo_witness, generalized_witness, morphic_witness = (
+        int(w[a]) if w[a] >= 0 else None for w in _witness_vectors(R, side))
     pseudo = pseudo_witness is not None
     generalized = generalized_witness is not None
     quasi = pseudo and generalized
-    morphic = np.flatnonzero((tables.ann_id == pri) & (tables.pri_id == ann))
-    morphic_witness = int(morphic[0]) if morphic.size else None
     return ElementClass(
         element=a,
         side=side,
@@ -191,21 +202,14 @@ def element_class(R: FiniteRing, side: Side, a: int) -> ElementClass:
 
 
 def _side_hierarchy(R: FiniteRing, side: Side) -> SideHierarchy:
-    """Each flag is its element predicate checked over the whole ring.
-
-    ``a`` is morphic when its class pair ``(Ra, l(a))`` is some ``(l(b), Rb)``.
-    """
-    _, tables = _resolve(R, side)
-    pseudo = tables.ann_least[tables.pri_id] >= 0
-    generalized = tables.pri_least[tables.ann_id] >= 0
-    count = len(tables.masks)
-    ann, pri = tables.ann_id.astype(np.int64), tables.pri_id.astype(np.int64)
+    """Each flag is its element predicate checked over the whole ring."""
+    pseudo, generalized, morphic = (w >= 0 for w in _witness_vectors(R, side))
     return SideHierarchy(
         side=side,
         pseudo=_all_true(pseudo),
         generalized=_all_true(generalized),
         quasi=_all_true(pseudo & generalized),
-        morphic=_all_true(np.isin(pri * count + ann, ann * count + pri)),
+        morphic=_all_true(morphic),
     )
 
 
@@ -264,7 +268,7 @@ def commutation_profile(R: FiniteRing) -> CommutationProfile:
         symmetric = Flag(False, counterexample=(a, b, one))
     else:
         symmetric = Flag(True)
-        step = max(1, (1 << 24) // max(1, n * n))
+        step = _chunk_rows(n)
         for start in range(0, n, step):
             rows = mul[start : start + step]
             abc = mul[rows]                      # [i,b,c] = (a b) c
@@ -312,27 +316,32 @@ def _bezout(R: FiniteRing, side: Side) -> Flag:
 
 def _p_injective(R: FiniteRing, side: Side) -> Flag:
     """Left flag: ``rl(a) = aR`` for all ``a``; right flag: ``lr(a) = Ra``."""
-    other = Side.RIGHT if side is Side.LEFT else Side.LEFT
-    _, own = _resolve(R, side)           # side annihilators, e.g. l(a) for Left
-    _, mirrored = _resolve(R, other)     # other-side principal ideals, e.g. aR for Left
-    back = np.full(len(own.masks), -1)   # per annihilator id: id of its other-side annihilator
+    _, own = _resolve(R, side)            # side annihilators, e.g. l(a) for Left
+    _, mirrored = _resolve(R, side.other) # other-side principal ideals, e.g. aR for Left
+    back = np.full(len(own.masks), -1)    # per annihilator id: id of its other-side annihilator
     for i in np.flatnonzero(own.ann_least >= 0).tolist():
-        back[i] = mirrored.index.get(annihilator(R, other, own.masks[i]), -1)
+        back[i] = mirrored.index.get(annihilator(R, side.other, own.masks[i]), -1)
     return _all_true(back[own.ann_id] == mirrored.pri_id)
 
 
+def _double_annihilator_failure(R: FiniteRing, side: Side, ideals: Iterable[int]) -> int | None:
+    """First side ideal ``I`` with ``ann(ann(I)) != I``, the inner one on the other side, or None."""
+    for ideal in ideals:
+        if annihilator(R, side, annihilator(R, side.other, ideal)) != ideal:
+            return ideal
+    return None
+
+
 def _dual_ring(R: FiniteRing) -> Flag:
+    """Every one-sided ideal, on either side, is its double annihilator."""
     try:
-        left = all_ideals(R, Side.LEFT)
-        right = all_ideals(R, Side.RIGHT)
+        lattices = [(side, all_ideals(R, side)) for side in Side]
     except LatticeOverflow as exc:
         return Flag(None, note=str(exc))
-    for ideal in left:
-        if annihilator(R, Side.LEFT, annihilator(R, Side.RIGHT, ideal)) != ideal:
-            return Flag(False, counterexample=ideal)
-    for ideal in right:
-        if annihilator(R, Side.RIGHT, annihilator(R, Side.LEFT, ideal)) != ideal:
-            return Flag(False, counterexample=ideal)
+    for side, ideals in lattices:
+        failure = _double_annihilator_failure(R, side, ideals)
+        if failure is not None:
+            return Flag(False, counterexample=failure)
     return Flag(True)
 
 
@@ -378,7 +387,7 @@ def _exchange_failure(R: FiniteRing, side: Side,
     """
     if len(ideals) * (len(ideals) + 1) // 2 > _PAIR_BUDGET:
         raise LatticeOverflow(f"{len(ideals)} ideals exceed the pair budget")
-    other = Side.RIGHT if side is Side.LEFT else Side.LEFT
+    other = side.other
     memo = _resolve(R, other)[1].ann_of_mask
     anns = [annihilator(R, other, m) for m in ideals]
     sizes = [a.bit_count() for a in anns]

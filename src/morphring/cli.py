@@ -45,19 +45,13 @@ from .rings import (
     truncated_poly,
 )
 from .verify import (
+    RING_THEOREMS,
     TrivialExtensionCase,
     VerificationReport,
     _search_hit,
     _search_report,
     verify_extension_heredity,
-    verify_finite_qf,
-    verify_lemma_equivalences,
-    verify_pseudo_consequences,
-    verify_quasi_equivalence,
-    verify_reduced_equivalences,
-    verify_regular_criteria,
     verify_triangular_example_identity,
-    verify_witness_identities,
 )
 
 __all__ = [
@@ -415,21 +409,10 @@ def _report_record(expression: str, report: VerificationReport) -> dict:
             "status": report.status, "witness": report.details or None}
 
 
-_RING_THEOREMS: dict[str, Callable[[FiniteRing], VerificationReport]] = {
-    "annihilator_chain_equivalence": verify_lemma_equivalences,
-    "sum_intersection_witnesses": verify_witness_identities,
-    "pseudo_morphic_consequences": verify_pseudo_consequences,
-    "pseudo_quasi_equivalence": verify_quasi_equivalence,
-    "finite_dual_ring_battery": verify_finite_qf,
-    "regular_criteria": verify_regular_criteria,
-    "reduced_ring_collapse": verify_reduced_equivalences,
-}
-
-
 def _verify_suite(expr: RingExpr, ring: FiniteRing, only: str | None,
                   built: dict) -> list[VerificationReport]:
     available: dict[str, Callable[[], VerificationReport]] = {
-        name: (lambda fn=fn: fn(ring)) for name, fn in _RING_THEOREMS.items()
+        name: (lambda fn=fn: fn(ring)) for name, fn in RING_THEOREMS.items()
     }
     if expr[0] == "trivext":
         case = TrivialExtensionCase(*built[expr], extension=ring)

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .rings import FiniteRing, _env_cap, opposite
+from .rings import FiniteRing, _check_element, _env_cap, opposite
 
 __all__ = [
     "ElementCensus",
@@ -53,6 +53,11 @@ class Side(Enum):
 
     LEFT = "left"
     RIGHT = "right"
+
+    @property
+    def other(self) -> Side:
+        """The opposite side."""
+        return Side.LEFT if self is Side.RIGHT else Side.RIGHT
 
 
 def mask_of(elements: Iterable[int]) -> int:
@@ -144,6 +149,12 @@ def _side_tables(R: FiniteRing) -> SideTables:
     return tables
 
 
+def _check_mask(R: FiniteRing, mask: int) -> None:
+    """Raise ``ValueError`` if the mask has bits at or beyond the order (or is negative)."""
+    if mask >> R.order:
+        raise ValueError(f"mask has bits beyond ring order {R.order}")
+
+
 def _resolve(R: FiniteRing, side: Side) -> tuple[FiniteRing, SideTables]:
     """Ring to compute on (``R`` or its opposite) plus its left tables."""
     ring = opposite(R) if side is Side.RIGHT else R
@@ -157,7 +168,8 @@ def annihilator(R: FiniteRing, side: Side, S: int | Iterable[int]) -> int:
     set annihilates to the whole ring.
     """
     ring, tables = _resolve(R, side)
-    target = S if isinstance(S, int) else mask_of(S)
+    target = S if isinstance(S, int) else mask_of(_check_element(ring, s) for s in S)
+    _check_mask(ring, target)
     full = (1 << ring.order) - 1
     if target == 0:
         return full
@@ -176,9 +188,7 @@ def annihilator(R: FiniteRing, side: Side, S: int | Iterable[int]) -> int:
 def principal_ideal(R: FiniteRing, side: Side, a: int) -> int:
     """Mask of ``Ra`` (left) or ``aR`` (right)."""
     ring, tables = _resolve(R, side)
-    if not 0 <= a < ring.order:
-        raise ValueError(f"element index {a} out of range [0, {ring.order})")
-    return tables.masks[tables.pri_id[a]]
+    return tables.masks[tables.pri_id[_check_element(ring, a)]]
 
 
 def subgroup_sum(R: FiniteRing, m1: int, m2: int) -> int:
@@ -223,9 +233,9 @@ def fg_ideal(R: FiniteRing, side: Side, generators: Sequence[int]) -> int:
         raise ValueError("generator list must be nonempty")
     ring, tables = _resolve(R, side)
     masks, pri_id = tables.masks, tables.pri_id
-    result = masks[pri_id[generators[0]]]
+    result = masks[pri_id[_check_element(ring, generators[0])]]
     for g in generators[1:]:
-        result = subgroup_sum(ring, result, masks[pri_id[g]])
+        result = subgroup_sum(ring, result, masks[pri_id[_check_element(ring, g)]])
     return result
 
 
@@ -234,8 +244,7 @@ def is_ideal(R: FiniteRing, side: Side, mask: int) -> bool:
     ring, _ = _resolve(R, side)
     if not (mask >> ring.zero) & 1:
         return False
-    if mask >> ring.order:
-        raise ValueError(f"mask has bits beyond ring order {ring.order}")
+    _check_mask(ring, mask)
     inside = _bool_from_mask(mask, ring.order)
     members = np.flatnonzero(inside)
     return bool(inside[ring.add_table[np.ix_(members, members)]].all()
@@ -337,8 +346,7 @@ def singular_ideal(R: FiniteRing, side: Side) -> int:
 
     By ``is_essential`` that is the other-side annihilator of the side socle.
     """
-    other = Side.RIGHT if side is Side.LEFT else Side.LEFT
-    return annihilator(R, other, socle(R, side))
+    return annihilator(R, side.other, socle(R, side))
 
 
 def _minimal_principals(tables: SideTables) -> np.ndarray:

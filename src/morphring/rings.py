@@ -194,6 +194,13 @@ def _validate_tables(add_table, mul_table, zero: int, one: int) -> tuple[np.ndar
     return add.astype(np.int32), mul.astype(np.int32), n
 
 
+def _check_element(R: FiniteRing, a: int) -> int:
+    """``a``, after checking that it is an element index of ``R``."""
+    if not 0 <= a < R.order:
+        raise ValueError(f"element index {a} out of range [0, {R.order})")
+    return a
+
+
 def _chunk_rows(n: int) -> int:
     # keep (chunk, n, n) int32 blocks around 64 MB
     return max(1, (1 << 24) // max(1, n * n))
@@ -710,8 +717,7 @@ def ideal_bimodule(R: FiniteRing, d: int) -> BimoduleSpec:
     ``d`` is an element index; ``d = zero`` gives the zero bimodule.  The
     base must be commutative so that the two restricted actions agree.
     """
-    if not 0 <= d < R.order:
-        raise ValueError(f"element index {d} out of range [0, {R.order})")
+    _check_element(R, d)
     mul = R.mul_table
     if not np.array_equal(mul, mul.T):
         raise ValueError("ideal bimodules require a commutative base ring")
@@ -763,8 +769,7 @@ def formal_triangular(R: FiniteRing, S: FiniteRing, V: BimoduleSpec) -> FiniteRi
 
 def pierce_corner(R: FiniteRing, e: int) -> FiniteRing:
     """The corner ring ``eRe`` for an idempotent ``e``, with identity ``e``."""
-    if not 0 <= e < R.order:
-        raise ValueError(f"element index {e} out of range [0, {R.order})")
+    _check_element(R, e)
     mul = R.mul_table
     if mul[e, e] != e:
         raise ValueError(f"element {e} is not idempotent")

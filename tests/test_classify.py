@@ -84,6 +84,46 @@ def test_witnesses_satisfy_their_equations():
                     assert annihilator(R, side, [a]) == principal_ideal(R, side, b)
 
 
+def _raw_witnesses(R, side):
+    """Per element, its least pseudo, generalized and morphic witness or None, by set scans."""
+    n = R.order
+    mul = (R.mul_table if side is Side.LEFT else R.mul_table.T).tolist()
+    pri = [frozenset(mul[x][a] for x in range(n)) for a in range(n)]
+    ann = [frozenset(x for x in range(n) if mul[x][b] == R.zero) for b in range(n)]
+
+    def least(holds):
+        return next((b for b in range(n) if holds(b)), None)
+
+    return [(least(lambda b: ann[b] == pri[a]),
+             least(lambda b: pri[b] == ann[a]),
+             least(lambda b: ann[b] == pri[a] and pri[b] == ann[a])) for a in range(n)]
+
+
+def test_witness_vectors_match_set_scans_on_corpus():
+    from morphring.cli import build_ring, default_corpus, parse_ring_expr
+
+    for text in default_corpus(128):
+        R = build_ring(parse_ring_expr(text))
+        profile = ring_morphic_profile(R)
+        for side in Side:
+            raw = _raw_witnesses(R, side)
+            for a, (pseudo, generalized, morphic) in enumerate(raw):
+                c = element_class(R, side, a)
+                assert (c.pseudo_witness, c.generalized_witness, c.morphic_witness) == \
+                    (pseudo, generalized, morphic), (text, side, a)
+            holds = {
+                "pseudo": [w[0] is not None for w in raw],
+                "generalized": [w[1] is not None for w in raw],
+                "quasi": [w[0] is not None and w[1] is not None for w in raw],
+                "morphic": [w[2] is not None for w in raw],
+            }
+            for name, per_element in holds.items():
+                flag = getattr(getattr(profile, side.value), name)
+                first = next((a for a, ok in enumerate(per_element) if not ok), None)
+                assert (flag.status, flag.counterexample) == (first is None, first), \
+                    (text, side, name)
+
+
 def test_hierarchy_monotonicity():
     for R in (make_zmod(8), T2(), Z4_ext(), make_gf(2, 2)):
         for side in (Side.LEFT, Side.RIGHT):

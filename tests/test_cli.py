@@ -232,13 +232,13 @@ class TestCommands:
         assert by_predicate["triangular_example_identity"]["status"] == "verified"
 
     def test_verify_indeterminate_exits_0(self, capsys, monkeypatch):
-        from morphring import cli
+        from morphring import verify
         from morphring.verify import VerificationReport
 
         stub = VerificationReport("finite_dual_ring_battery", "z4",
                                   "indeterminate", {"note": "lattice overflow"},
                                   0.0)
-        monkeypatch.setitem(cli._RING_THEOREMS, "finite_dual_ring_battery",
+        monkeypatch.setitem(verify.RING_THEOREMS, "finite_dual_ring_battery",
                             lambda R: stub)
         assert run_command(["verify", "z4", "--theorem",
                             "finite_dual_ring_battery", "--json"]) == 0

@@ -1,5 +1,7 @@
 """Tests for the bit-vector ideal engine."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from morphring import (
     all_ideals,
     annihilator,
     element_census,
+    element_class,
     fg_ideal,
+    ideal_bimodule,
     is_essential,
     is_ideal,
     jacobson_radical,
@@ -20,6 +24,7 @@ from morphring import (
     mask_of,
     matrix_ring,
     opposite,
+    pierce_corner,
     principal_ideal,
     singular_ideal,
     socle,
@@ -113,6 +118,31 @@ def test_is_ideal():
     assert is_ideal(T, Side.RIGHT, principal_ideal(T, Side.RIGHT, 2))
     with pytest.raises(ValueError):
         is_ideal(R, Side.LEFT, mask_of([0, 9]))
+
+
+def test_element_and_mask_arguments_are_checked():
+    # Each call misbehaved without a check: a negative generator wrapped
+    # around to the last element, a large one raised IndexError, and the
+    # annihilator of a mask or element past the order raised OverflowError.
+    R = make_zmod(4)
+    bad_calls = [
+        (fg_ideal, [-1], "element index -1 out of range [0, 4)"),
+        (fg_ideal, [7], "element index 7 out of range [0, 4)"),
+        (fg_ideal, [1, 4], "element index 4 out of range [0, 4)"),
+        (annihilator, 1 << 10, "mask has bits beyond ring order 4"),
+        (annihilator, -1, "mask has bits beyond ring order 4"),
+        (annihilator, [9], "element index 9 out of range [0, 4)"),
+        (annihilator, [-1], "element index -1 out of range [0, 4)"),
+        (principal_ideal, -1, "element index -1 out of range [0, 4)"),
+        (element_class, 4, "element index 4 out of range [0, 4)"),
+    ]
+    for side in Side:
+        for function, argument, text in bad_calls:
+            with pytest.raises(ValueError, match=re.escape(text)):
+                function(R, side, argument)
+    for function in (ideal_bimodule, pierce_corner):
+        with pytest.raises(ValueError, match=re.escape("element index 5 out of range [0, 4)")):
+            function(R, 5)
 
 
 def test_all_ideals_counts():

@@ -8,9 +8,11 @@ import morphring.verify as verify_module
 from morphring import (
     CornerCase,
     FiniteRing,
+    Flag,
     Side,
     TriangularCase,
     TrivialExtensionCase,
+    all_ideals,
     annihilator,
     fg_ideal,
     ideal_bimodule,
@@ -279,6 +281,73 @@ def test_finite_qf_matrix_ring():
 def test_finite_qf_vacuous():
     for ring in (T2, TE):
         assert verify_finite_qf(ring).status == "vacuous"
+
+
+# The battery reads classify's flags, so each refutation is reached by
+# patching one flag to fail: the payload names the check and carries the
+# flag's counterexample.
+_FLAG_FAULTS = [
+    ("_dual_ring", lambda R: Flag(False, counterexample=5),
+     {"check": "dual_ring", "counterexample": 5}),
+    ("_bezout", lambda R, side: Flag(side is Side.LEFT, counterexample=(2, 3)),
+     {"check": "all_ideals_principal", "side": "right", "counterexample": (2, 3)}),
+    ("_lear", lambda R, side: Flag(side is Side.RIGHT, counterexample=21),
+     {"check": "all_ideals_are_annihilators", "side": "left", "counterexample": 21}),
+    ("_strongly_clean", lambda R: Flag(False, counterexample=7),
+     {"check": "strongly_clean", "counterexample": 7}),
+]
+
+
+@pytest.mark.parametrize("name, fault, details", _FLAG_FAULTS, ids=[f[0] for f in _FLAG_FAULTS])
+def test_finite_qf_refutes_with_the_failing_flag(monkeypatch, name, fault, details):
+    assert verify_finite_qf(Z12).status == "verified"
+    monkeypatch.setattr(verify_module, name, fault)
+    report = verify_finite_qf(Z12)
+    assert (report.theorem, report.status, report.details) == (
+        "finite_dual_ring_battery", "refuted", details)
+
+
+def test_finite_qf_indeterminate_dual_flag(monkeypatch):
+    monkeypatch.setattr(verify_module, "_dual_ring", lambda R: Flag(None, note="too many"))
+    report = verify_finite_qf(Z12)
+    assert (report.status, report.details) == ("indeterminate", {"note": "too many"})
+
+
+def test_pseudo_consequences_refutes_double_annihilator(monkeypatch):
+    calls = []
+
+    def fault(R, side, ideals):
+        calls.append((side, list(ideals)))
+        return 3
+
+    monkeypatch.setattr(verify_module, "_double_annihilator_failure", fault)
+    report = verify_pseudo_consequences(Z4)
+    assert (report.theorem, report.status, report.details) == (
+        "pseudo_morphic_consequences", "refuted", {"check": "lr(I)=I", "ideal": 3})
+    assert calls == [(Side.LEFT, [mask_of([0]), mask_of([0, 2]), mask_of(range(4))])]
+
+
+def test_double_annihilator_failure_names_the_first_bad_mask():
+    from morphring.classify import _double_annihilator_failure
+
+    ideals = all_ideals(Z12, Side.LEFT)
+    assert _double_annihilator_failure(Z12, Side.LEFT, ideals) is None
+    # {0, 1} is no ideal: its right annihilator is {0}, whose left one is Z4
+    assert _double_annihilator_failure(Z4, Side.LEFT, [1, mask_of([0, 1]), 3]) == mask_of([0, 1])
+    bad = _double_annihilator_failure(T2, Side.LEFT, all_ideals(T2, Side.LEFT))
+    assert bad is not None and annihilator(T2, Side.LEFT, annihilator(T2, Side.RIGHT, bad)) != bad
+
+
+def test_ring_theorems_table():
+    assert list(verify_module.RING_THEOREMS) == [
+        "annihilator_chain_equivalence", "sum_intersection_witnesses",
+        "pseudo_morphic_consequences", "pseudo_quasi_equivalence",
+        "finite_dual_ring_battery", "regular_criteria", "reduced_ring_collapse"]
+    for name, check in verify_module.RING_THEOREMS.items():
+        assert check(Z6).theorem == name
+    assert verify_module.RING_THEOREMS["reduced_ring_collapse"] is verify_reduced_equivalences
+    assert verify_reduced_equivalences.__name__ == "verify_reduced_equivalences"
+    assert verify_reduced_equivalences(Z6, nmax=3).details["checked_degrees"] == [2, 3]
 
 
 def test_regular_criteria():
