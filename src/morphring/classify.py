@@ -215,10 +215,7 @@ def _side_hierarchy(R: FiniteRing, side: Side) -> SideHierarchy:
 
 def ring_morphic_profile(R: FiniteRing) -> MorphicProfile:
     """Hierarchy flags for both sides; first failing element as counterexample."""
-    return MorphicProfile(
-        left=_side_hierarchy(R, Side.LEFT),
-        right=_side_hierarchy(R, Side.RIGHT),
-    )
+    return MorphicProfile(*(_side_hierarchy(R, side) for side in Side))
 
 
 def regularity_profile(R: FiniteRing) -> RegularityProfile:
@@ -296,21 +293,19 @@ def commutation_profile(R: FiniteRing) -> CommutationProfile:
 def _bezout(R: FiniteRing, side: Side) -> Flag:
     """Every finitely generated side ideal is principal.
 
-    In a finite ring every side ideal is a sum of principal ones, so this
-    asks whether the whole lattice is principal.  A failure, or a lattice
-    over the cap, runs the pairwise principal-sum closure, which names the
-    canonical counterexample.  Pairwise closure suffices: sums fold two
-    generators at a time, each partial sum staying principal.
+    In a finite ring every side ideal is a sum of principal ones, and the
+    principal ideals are among the ideals, so this holds exactly when the
+    lattice has no more ideals than there are principal ones.  Otherwise
+    the pairwise principal-sum closure names the canonical counterexample;
+    pairwise suffices, as sums fold two generators at a time.
     """
     ring, tables = _resolve(R, side)
     try:
-        if all(tables.pri_witness(ideal) is not None for ideal in all_ideals(R, side)):
-            return Flag(True)
+        all_ideals(R, side, cap=len(tables.principal_masks))
     except LatticeOverflow:
-        pass
-    for m1, m2, total in _principal_pair_sums(ring, tables):
-        if tables.pri_witness(total) is None:
-            return Flag(False, counterexample=(tables.pri_witness(m1), tables.pri_witness(m2)))
+        m1, m2 = next((m1, m2) for m1, m2, total in _principal_pair_sums(ring, tables)
+                      if tables.pri_witness(total) is None)
+        return Flag(False, counterexample=(tables.pri_witness(m1), tables.pri_witness(m2)))
     return Flag(True)
 
 

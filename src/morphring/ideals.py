@@ -260,9 +260,10 @@ def all_ideals(R: FiniteRing, side: Side, cap: int | None = None) -> list[int]:
     for every ideal ``I`` found so far, and is skipped when it is already
     one of them, since the set found so far is closed under sums.  Raises
     ``LatticeOverflow`` if more than ``cap`` ideals appear (default:
-    ``lattice_cap()``); never silently truncates.  A complete lattice is
-    cached on the ring and checked against the cap of every call; each call
-    gets a fresh list.
+    ``lattice_cap()``); never silently truncates.  A ``cap`` equal to the
+    number of principal ideals overflows exactly when some ideal is not
+    principal.  A complete lattice is cached on the ring and checked
+    against the cap of every call; each call gets a fresh list.
     """
     ring, tables = _resolve(R, side)
     if cap is None:

@@ -285,14 +285,12 @@ def ring_from_tables(
     one: int,
     labels: Sequence[str] | None = None,
     construction: str | None = None,
-    check: bool = True,
 ) -> FiniteRing:
     """Build a ``FiniteRing`` from raw tables, validating the axioms."""
     add, mul, n = _validate_tables(add_table, mul_table, zero, one)
-    if check:
-        result = check_ring_axioms(add, mul, zero, one)
-        if not result.ok:
-            raise ValueError(f"tables violate ring axiom {result.axiom} at {result.witness}")
+    result = check_ring_axioms(add, mul, zero, one)
+    if not result.ok:
+        raise ValueError(f"tables violate ring axiom {result.axiom} at {result.witness}")
     if labels is None:
         labels = tuple(str(i) for i in range(n))
     else:

@@ -140,8 +140,9 @@ def verify_lemma_equivalences(R: FiniteRing) -> tuple[str, dict]:
     For each ``a``, compares (2) "some ``c`` has ``Ra = l(c)`` and ``Rc``
     is itself an annihilator ``l(b)``" with (3) the same up to replacing
     ``Rc`` by an isomorphic cyclic ``Rd``, encoded through the generator
-    criterion ``Rc ≅ Rd`` with ``l(d) = l(c)``.  Both depend on ``a`` only
-    through the class of ``Ra``, so they are formed once per class id.
+    criterion ``Rc ≅ Rd`` with ``l(d) = l(c)``.  Those ``d`` are the ``c``
+    of (2), so the forms agree by construction: this guards the consistency
+    of the class-id tables, not the lemma.  Both are formed once per id of ``Ra``.
     """
     _, tables = _resolve(R, Side.LEFT)
     ann_id, pri_id = tables.ann_id, tables.pri_id
@@ -419,6 +420,15 @@ class TriangularCase:
     corner_right: FiniteRing
     bimodule: BimoduleSpec
 
+    def claims(self) -> tuple[str, FiniteRing, list]:
+        big = formal_triangular(self.corner_left, self.corner_right, self.bimodule)
+        return _expr(big), big, [
+            ("generalized_to_corners", Side.LEFT, "generalized",
+             (self.corner_left, self.corner_right)),
+            ("left_pseudo_to_right_corner", Side.LEFT, "pseudo", (self.corner_right,)),
+            ("right_pseudo_to_left_corner", Side.RIGHT, "pseudo", (self.corner_left,)),
+        ]
+
 
 @dataclass(frozen=True)
 class TrivialExtensionCase:
@@ -428,6 +438,10 @@ class TrivialExtensionCase:
     bimodule: BimoduleSpec
     extension: FiniteRing | None = None  # the ring R ⋉ M, when already built
 
+    def claims(self) -> tuple[str, FiniteRing, list]:
+        big = self.extension or trivial_extension(self.base, self.bimodule)
+        return _expr(big), big, [("generalized_to_base", Side.LEFT, "generalized", (self.base,))]
+
 
 @dataclass(frozen=True)
 class CornerCase:
@@ -435,6 +449,22 @@ class CornerCase:
 
     ring: FiniteRing
     idempotent: int
+
+    def claims(self) -> tuple[str, FiniteRing, list | str]:
+        """The claims, or the note saying why the corollary does not apply."""
+        R, e = self.ring, self.idempotent
+        if R.mul(e, e) != e:
+            raise ValueError(f"element {e} is not idempotent")
+        f = R.sub(R.one, e)
+        expression = f"{_expr(R)} corner e={e}"
+        if any(R.mul(R.mul(f, x), e) != R.zero for x in R.elements):
+            return expression, R, "(1-e)Re != 0; the corner corollary does not apply"
+        eRe, fRf = pierce_corner(R, e), pierce_corner(R, f)
+        return expression, R, [
+            ("generalized_to_both_corners", Side.LEFT, "generalized", (eRe, fRf)),
+            ("left_pseudo_to_complement_corner", Side.LEFT, "pseudo", (fRf,)),
+            ("right_pseudo_to_corner", Side.RIGHT, "pseudo", (eRe,)),
+        ]
 
 
 def verify_extension_heredity(
@@ -447,92 +477,28 @@ def verify_extension_heredity(
     left corner.  Trivial extensions pass left generalized morphic to the
     base.  Corners with ``(1-e)Re = 0``: left generalized passes to both
     Peirce corners, left pseudo to ``(1-e)R(1-e)``, right pseudo to ``eRe``.
+    Each case lists its claims as rows ``(name, side, flag, rings)``: every
+    ring has the hierarchy flag on that side if the big ring has it, and the
+    claim is vacuous if the big ring has not.
     """
     start = time.perf_counter()
+    expression, big, claims = case.claims()
+    if isinstance(claims, str):
+        return VerificationReport("extension_heredity", expression, "vacuous",
+                                  {"note": claims}, time.perf_counter() - start)
     checked: dict[str, bool] = {}
     vacuous: list[str] = []
-    failures: list[str] = []
-
-    def implication(name: str, antecedent: bool, consequent: Callable[[], bool]) -> None:
-        if not antecedent:
+    for name, side, flag, rings in claims:
+        if getattr(_side_hierarchy(big, side), flag).status:
+            checked[name] = all(getattr(_side_hierarchy(ring, side), flag).status
+                                for ring in rings)
+        else:
             vacuous.append(name)
-            return
-        ok = consequent()
-        checked[name] = ok
-        if not ok:
-            failures.append(name)
-
-    if isinstance(case, TriangularCase):
-        big = formal_triangular(case.corner_left, case.corner_right, case.bimodule)
-        expression = _expr(big)
-        profile = ring_morphic_profile(big)
-        implication(
-            "generalized_to_corners",
-            bool(profile.left.generalized.status),
-            lambda: all(_side_hierarchy(corner, Side.LEFT).generalized.status
-                        for corner in (case.corner_left, case.corner_right)),
-        )
-        implication(
-            "left_pseudo_to_right_corner",
-            bool(profile.left.pseudo.status),
-            lambda: _side_hierarchy(case.corner_right, Side.LEFT).pseudo.status,
-        )
-        implication(
-            "right_pseudo_to_left_corner",
-            bool(profile.right.pseudo.status),
-            lambda: _side_hierarchy(case.corner_left, Side.RIGHT).pseudo.status,
-        )
-    elif isinstance(case, TrivialExtensionCase):
-        big = case.extension
-        if big is None:
-            big = trivial_extension(case.base, case.bimodule)
-        expression = _expr(big)
-        implication(
-            "generalized_to_base",
-            _side_hierarchy(big, Side.LEFT).generalized.status,
-            lambda: _side_hierarchy(case.base, Side.LEFT).generalized.status,
-        )
-    else:
-        R, e = case.ring, case.idempotent
-        if R.mul(e, e) != e:
-            raise ValueError(f"element {e} is not idempotent")
-        f = R.sub(R.one, e)
-        expression = f"{_expr(R)} corner e={e}"
-        hypothesis = all(R.mul(R.mul(f, x), e) == R.zero for x in R.elements)
-        if not hypothesis:
-            return VerificationReport(
-                "extension_heredity", expression, "vacuous",
-                {"note": "(1-e)Re != 0; the corner corollary does not apply"},
-                time.perf_counter() - start,
-            )
-        eRe = pierce_corner(R, e)
-        fRf = pierce_corner(R, f)
-        profile = ring_morphic_profile(R)
-        implication(
-            "generalized_to_both_corners",
-            profile.left.generalized.status,
-            lambda: all(_side_hierarchy(corner, Side.LEFT).generalized.status
-                        for corner in (eRe, fRf)),
-        )
-        implication(
-            "left_pseudo_to_complement_corner",
-            profile.left.pseudo.status,
-            lambda: _side_hierarchy(fRf, Side.LEFT).pseudo.status,
-        )
-        implication(
-            "right_pseudo_to_corner",
-            profile.right.pseudo.status,
-            lambda: _side_hierarchy(eRe, Side.RIGHT).pseudo.status,
-        )
-
     details = {"checked": sorted(checked), "vacuous": sorted(vacuous)}
+    failures = sorted(name for name, ok in checked.items() if not ok)
     if failures:
-        details["failures"] = sorted(failures)
-        status = "refuted"
-    elif checked:
-        status = "verified"
-    else:
-        status = "vacuous"
+        details["failures"] = failures
+    status = "refuted" if failures else "verified" if checked else "vacuous"
     return VerificationReport("extension_heredity", expression, status, details,
                               time.perf_counter() - start)
 

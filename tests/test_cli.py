@@ -370,6 +370,26 @@ def test_verify_records_golden_over_corpus_128(capsys):
     assert digest.hexdigest() == VERIFY_CORPUS_128_SHA256
 
 
+# classify and verify --json over four rings whose lattices overflow a small
+# IDEAL_LATTICE_CAP: Bezout is decided anyway, the lattice flags are indeterminate
+OVERFLOW_RINGS = ("tri(z2,3)", "poly(z4,2)", "prod(z2,z2,z2,z2,z2,z2)", "trivext(z8,ideal(2))")
+OVERFLOW_SHA256 = {
+    "5": "6fa3a4cb6c0e219ec3dde6044d13fa8838fcde39d41e3b79f7153a554e044959",
+    "100": "ad9f1fb4c5ce6fbbaef17e06fafe1135c49cce8f658a7c3dc9285141f8f0b6ee",
+}
+
+
+@pytest.mark.parametrize("cap", sorted(OVERFLOW_SHA256))
+def test_records_golden_under_lattice_overflow(monkeypatch, capsys, cap):
+    monkeypatch.setenv("IDEAL_LATTICE_CAP", cap)
+    digest = hashlib.sha256()
+    for text in OVERFLOW_RINGS:
+        for command in ("classify", "verify"):
+            assert run_command([command, text, "--json"]) == 0, (command, text)
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == OVERFLOW_SHA256[cap]
+
+
 @pytest.mark.parametrize("argv", [["qz", "--bound", "4"],
                                   ["search", "--max-order", "4"],
                                   ["classify", "z2"]])

@@ -1,6 +1,8 @@
 """Tests for the bit-vector ideal engine."""
 
+import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -513,3 +515,21 @@ def test_lattice_overflow_text_and_bezout_fallback(monkeypatch):
                 assert (flag.status, flag.counterexample) == _ref_bezout(_side_ring(fresh, side)), (text, side, cap)
                 monkeypatch.delenv("IDEAL_LATTICE_CAP")
                 assert len(all_ideals(R, side, cap=size)) == size
+
+
+def test_bezout_ignores_the_lattice_cap(monkeypatch, capsys):
+    from morphring.classify import _bezout
+    from morphring.cli import build_ring, parse_ring_expr, run_command
+
+    # 512 ideals per side, all principal, against a lattice cap of 100
+    text = "prod(" + ",".join(["z2"] * 9) + ")"
+    monkeypatch.setenv("IDEAL_LATTICE_CAP", "100")
+    R = build_ring(parse_ring_expr(text))
+    start = time.perf_counter()
+    flags = [(flag.status, flag.counterexample) for flag in (_bezout(R, side) for side in Side)]
+    assert time.perf_counter() - start < 2.0
+    assert flags == [_ref_bezout(R)] * 2 == [(True, None)] * 2  # commutative: one reference
+    assert run_command(["classify", text, "--json"]) == 0
+    status = {r["predicate"]: r["status"] for r in map(json.loads, capsys.readouterr().out.splitlines())}
+    assert status["bezout_left"] == status["bezout_right"] == "true"
+    assert status["dual_ring"] == "indeterminate"

@@ -10,9 +10,11 @@ from morphring import (
     FiniteRing,
     Flag,
     Side,
+    SideHierarchy,
     TriangularCase,
     TrivialExtensionCase,
     all_ideals,
+    direct_product,
     annihilator,
     fg_ideal,
     ideal_bimodule,
@@ -452,6 +454,45 @@ def test_heredity_corner_hypothesis_violated():
     report = verify_extension_heredity(CornerCase(T2, 4))
     assert report.status == "vacuous"
     assert "(1-e)Re != 0" in report.details["note"]
+
+
+_Z2 = make_zmod(2)
+
+
+# The big rings here have order 4 or more, the rings of the claims 2 or 3;
+# each case pins the (order, side) of every consequent checked, in order.
+@pytest.mark.parametrize("case, fails_on, consequents, details", [
+    (TriangularCase(_Z2, _Z2, regular_bimodule(_Z2)), lambda R: R is _Z2, [(2, "left")],
+     {"checked": ["generalized_to_corners"],
+      "vacuous": ["left_pseudo_to_right_corner", "right_pseudo_to_left_corner"],
+      "failures": ["generalized_to_corners"]}),
+    (TrivialExtensionCase(_Z2, regular_bimodule(_Z2)), lambda R: R is _Z2, [(2, "left")],
+     {"checked": ["generalized_to_base"], "vacuous": [], "failures": ["generalized_to_base"]}),
+    # in Z2 x Z3 with e = 3, eRe has order 2 and (1-e)R(1-e) order 3
+    (CornerCase(direct_product([_Z2, make_zmod(3)]), 3), lambda R: R.order == 3,
+     [(2, "left"), (3, "left"), (3, "left"), (2, "right")],
+     {"checked": ["generalized_to_both_corners", "left_pseudo_to_complement_corner",
+                  "right_pseudo_to_corner"],
+      "vacuous": [],
+      "failures": ["generalized_to_both_corners", "left_pseudo_to_complement_corner"]}),
+])
+def test_heredity_refuted_when_a_consequent_fails(monkeypatch, case, fails_on, consequents, details):
+    real = verify_module._side_hierarchy
+    no = Flag(False, counterexample=0)
+    seen = []
+
+    def faulty(R, side):
+        if R.order < 4:
+            seen.append((R.order, side.value))
+        if fails_on(R):
+            return SideHierarchy(side, no, no, no, no)
+        return real(R, side)
+
+    monkeypatch.setattr(verify_module, "_side_hierarchy", faulty)
+    report = verify_extension_heredity(case)
+    assert report.status == "refuted"
+    assert report.details == details
+    assert seen == consequents
 
 
 def test_heredity_corner_rejects_non_idempotent():
