@@ -1,13 +1,24 @@
 """Exact-arithmetic tests for the Q/Z submodule lattice and Z⋉(Q/Z)."""
 
+import copy
+import hashlib
+import json
+import os
+import pickle
+import subprocess
+import sys
+from collections import Counter
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphring import qz
+from morphring.cli import run_command
 from morphring.qz import (
     FULL,
     CyclicSub,
@@ -263,6 +274,10 @@ _FAULTS = {
         lambda n, q: TEIdeal(abs(n) + (not q.is_zero), FULL) if n
         else TEIdeal(0, CyclicSub(q.den))),
     "witness_annihilates": ("te_morphic_witness", lambda n, q: (1, QFrac(0, 1))),
+    # Right for n = 0 and independent of q, so base_dominates still passes.
+    "witness_ideals": (
+        "te_left_annihilator",
+        lambda n, q: TEIdeal(0, CyclicSub(2 * abs(n))) if n else TEIdeal(q.den, FULL)),
     "annihilator_grid": ("TEIdeal.contains", lambda self, n, q: True),
     "principal_membership": (
         "TEIdeal.contains",
@@ -300,3 +315,137 @@ def test_grid_mask_and_sumset_match_set_computations():
                                        for y in subgroups[d2])
                 got = _sumset(_grid_mask(d1, grid), _grid_mask(d2, grid), grid)
                 assert got == expected, (d1, d2, grid)
+
+
+def test_qz_cli_reports_witness_ideals_fault(monkeypatch, capsys):
+    target, wrong = _FAULTS["witness_ideals"]
+    monkeypatch.setattr(qz, target, wrong)
+    assert run_command(["qz", "--bound", "6", "--json"]) == 1
+    captured = capsys.readouterr()
+    (line,) = captured.out.splitlines()
+    record = json.loads(line)
+    assert record["status"] == "refuted"
+    assert record["witness"] == {"check": "witness_ideals", "element": [-6, "0"]}
+    assert "Traceback" not in captured.err
+
+
+_OPTIMISED_FAULT = """
+import sys
+from morphring import qz
+from morphring.cli import run_command
+from morphring.qz import CyclicSub, FULL, TEIdeal
+qz.te_principal_ideal = (lambda n, q: TEIdeal(abs(n), FULL) if n
+                         else TEIdeal(0, CyclicSub(2 * q.den)))
+sys.exit(run_command(["qz", "--bound", "6", "--json"]))
+"""
+
+
+def test_witness_ideals_checked_under_optimisation():
+    """``python -O`` strips ``assert``; the suite's own check must remain."""
+    done = subprocess.run([sys.executable, "-O", "-c", _OPTIMISED_FAULT],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(Path(qz.__file__).parent.parent)})
+    assert done.returncode == 1, done.stderr
+    assert json.loads(done.stdout)["witness"] == {"check": "witness_ideals",
+                                                  "element": [-6, "0"]}
+
+
+# Calls per helper in verify_qz_suite(12), recorded before the interning
+# rewrite; a check dropped or short-cut changes one of them.
+_HELPER_CALLS = {
+    "te_principal_ideal": 1378,
+    "te_left_annihilator": 1378,
+    "te_product": 18186,
+    "te_morphic_witness": 70,
+    "cyclic_submodule": 78,
+    "lattice_meet_join": 144,
+    "submodule_leq": 144,
+    "_sumset": 144,
+}
+
+
+def test_suite_calls_every_helper_as_often_as_before(monkeypatch):
+    calls = Counter()
+    for name in _HELPER_CALLS:
+        real = getattr(qz, name)
+        monkeypatch.setattr(qz, name, lambda *args, real=real, name=name:
+                            calls.update([name]) or real(*args))
+    assert verify_qz_suite(12).status == "verified"
+    assert dict(calls) == _HELPER_CALLS
+
+
+def test_equal_ideal_values_are_identical():
+    for den in range(1, 40):
+        assert CyclicSub(den) is CyclicSub(den) is cyclic_submodule(1, den)
+        assert hash(CyclicSub(den)) == hash(CyclicSub(den))
+        assert TEIdeal(0, CyclicSub(den)) is TEIdeal(0, CyclicSub(den))
+        assert TEIdeal(den, FULL) is TEIdeal(den, FULL)
+    assert CyclicSub(2) != CyclicSub(3)
+    assert TEIdeal(0, CyclicSub(2)) != TEIdeal(2, FULL)
+    assert len({TEIdeal(0, CyclicSub(d % 5 + 1)) for d in range(50)}) == 5
+    meet, join = lattice_meet_join(4, 6)
+    assert meet is CyclicSub(2) and join is CyclicSub(12)
+
+
+def test_interned_values_stay_immutable_and_survive_copies():
+    ideal = TEIdeal(0, CyclicSub(6))
+    for value in (ideal, ideal.part, TEIdeal(3, FULL)):
+        assert copy.copy(value) is value
+        assert copy.deepcopy(value) is value
+        assert pickle.loads(pickle.dumps(value)) is value
+    with pytest.raises(FrozenInstanceError):
+        ideal.base = 1
+    with pytest.raises(FrozenInstanceError):
+        CyclicSub(6).den = 3
+    with pytest.raises(FrozenInstanceError):
+        del CyclicSub(6).den
+    assert ideal.base == 0 and ideal.part.den == 6
+    assert repr(ideal) == "TEIdeal(base=0, part=CyclicSub(den=6))"
+    assert repr(TEIdeal(2, FULL)) == "TEIdeal(base=2, part=Full)"
+
+
+@pytest.mark.parametrize("build, key, match", [
+    (lambda: CyclicSub(0), (CyclicSub, 0), "positive"),
+    (lambda: TEIdeal(-1, FULL), (TEIdeal, (-1, FULL)), "nonnegative"),
+    (lambda: TEIdeal(2, CyclicSub(3)), (TEIdeal, (2, CyclicSub(3))), "full module"),
+])
+def test_rejected_values_never_enter_the_table(build, key, match):
+    cls, fields = key
+    for _ in range(3):
+        with pytest.raises(ValueError, match=match):
+            build()
+        assert fields not in cls._table
+
+
+@given(st.integers(-10**4, 10**4), st.integers(-10**4, 10**4), st.integers(1, 10**4))
+def test_helper_ideals_are_the_directly_built_values(n, num, den):
+    q = QFrac(num, den)
+    principal = TEIdeal(abs(n), FULL) if n else TEIdeal(0, CyclicSub(q.den))
+    if n:
+        ann = TEIdeal(0, CyclicSub(abs(n)))
+    else:
+        ann = TEIdeal(q.den, FULL) if not q.is_zero else TEIdeal(1, FULL)
+    assert te_principal_ideal(n, q) is principal
+    assert te_left_annihilator(n, q) is ann
+
+
+# SHA-256 of ``qz --bound B`` stdout, human and --json, recorded before the
+# interning rewrite; every run exits 0.
+_QZ_STDOUT_SHA256 = {
+    (2, False): "8c50cbc9b47202344ac3a4b3c3b1c6936227674703a5f9fc8ae779d3aed3caa1",
+    (2, True): "9f125f86f3811a3fa8c4dc97f2fc07b6036801c64ce092d5f6a8ca5ceb6d9829",
+    (6, False): "b0137d435b9ba5d966cb8f0dd880a49d0b4c8b632be828c0cb4a8c8e3d9481c9",
+    (6, True): "f9f003a3907c626e173cd6f91831ac0ae6ba0fd16225607fba60c2d523505ea7",
+    (12, False): "4f2f94ac2cbcf5a29b17143c379947411d6cc5ae9c10b44e6a10ad19d0fd0200",
+    (12, True): "ba3010af50542441fa412e32ebb15698e46bdb89938f01114cf0abec97adbcf5",
+    (48, False): "094c92bdd1e8f862db14a9459c6f37cb1a7b1526049e9631224e94af64102a91",
+    (48, True): "3cfda2b7caf773f1644f2b13df21136a7631e8336886d202cfe42447e502e5e0",
+}
+
+
+@pytest.mark.parametrize("bound, as_json", sorted(_QZ_STDOUT_SHA256))
+def test_qz_stdout_golden(bound, as_json, capsys):
+    argv = ["qz", "--bound", str(bound)] + ["--json"] * as_json
+    assert run_command(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == _QZ_STDOUT_SHA256[bound, as_json]

@@ -30,3 +30,13 @@ def test_newer_grammar_is_rejected(source):
 def test_sources_parse_under_python_3_10():
     for path in SOURCES:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_no_assert_statements_in_src():
+    """``python -O`` strips ``assert``, so a runtime check under ``src/`` must
+    raise or report instead."""
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in SOURCES if path.is_relative_to(ROOT / "src")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
