@@ -511,12 +511,21 @@ def _map(fn: Callable, items: Sequence, jobs: int) -> Iterable:
         return list(pool.map(fn, items))
 
 
+def _check_corpus_flags(args: argparse.Namespace) -> None:
+    """Refuse ``--jobs`` below 1 and ``--max-order`` below 2, the least corpus ring order."""
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.max_order < 2:
+        raise ValueError(f"--max-order must be at least 2, got {args.max_order}")
+
+
 def _worker_classify(expression: str) -> tuple[str, list[dict]]:
     ring = _build_checked(parse_ring_expr(expression))
     return expression, profile_records(expression, classify_ring(ring))
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
+    _check_corpus_flags(args)
     rows = [(e, p, s) for e, p, s in _EXAMPLE_TABLE
             if projected_order(parse_ring_expr(e)) <= args.max_order]
     expressions = sorted({e for e, _, _ in rows})
@@ -548,6 +557,7 @@ def _worker_search(expression: str) -> dict | None:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    _check_corpus_flags(args)
     start = time.perf_counter()
     expressions = default_corpus(args.max_order)
     # serially, one ring is alive at a time: each is built as the map reaches it

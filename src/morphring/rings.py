@@ -4,10 +4,10 @@ A ring of order ``n`` is stored as two ``n x n`` tables of element indices
 (addition and multiplication), read-only ``int32`` arrays, together with
 the indices of 0 and 1.  Every constructor produces a canonical element
 ordering, so that reports built from them are reproducible bit for bit.
-The composite constructors (products, matrix and triangular rings,
-truncated polynomials, trivial extensions) state their components and
-bilinear product rules; one structure-constant builder, ``_structure_ring``,
-fixes their element encoding and builds their tables.
+Finite fields and the composite constructors (products, matrix and
+triangular rings, truncated polynomials, trivial extensions) state their
+components and biadditive product rules; one structure-constant builder,
+``_structure_ring``, fixes their element encoding and builds their tables.
 """
 
 from __future__ import annotations
@@ -423,124 +423,98 @@ def _poly_label(coeffs: Sequence[int], labels: Sequence[str], zero: int, one: in
 
 
 def make_gf(p: int, k: int) -> FiniteRing:
-    """The field of order ``p**k`` as ``Z_p[x]`` modulo the least irreducible.
+    """The field of order ``p**k`` as ``Z_p[x]`` modulo the least irreducible ``f``.
 
     Element ``i`` is the polynomial with base-``p`` digits of ``i`` as
-    coefficients, constant term least significant.  Multiplication tables
-    are assembled from discrete logarithms of a primitive element.
+    coefficients, constant term least significant: the encoding of
+    ``truncated_poly``, which is the case ``f = x**k``.  The ring is built
+    on ``k`` copies of ``Z_p`` by structure constants: coefficient ``c``
+    times coefficient ``d`` adds ``r x y`` into coefficient ``t`` for each
+    term ``r x**t`` of ``x**(c+d) mod f``.
     """
-    _require_order(_power(p, k, build_cap()), "the field gf(p,k)")
+    what = "the field gf(p,k)"
+    _require_order(_power(p, k, build_cap()), what)
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError(f"degree must be positive, got {k}")
-    n = p**k
+    Zp = make_zmod(p)
     f = _least_irreducible(p, k)
-
-    def mul_poly(a: int, b: int) -> int:
-        ca, cb = _digits(a, p, k), _digits(b, p, k)
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        rem = _poly_mod(prod, f, p)
-        return sum(c * p**i for i, c in enumerate(rem))
-
-    # additive table: componentwise digits mod p
-    left, right = _digit_axes([p] * k)
-    add = _frozen(_mixed_radix([p] * k, [(x + y) % p for x, y in zip(left, right)]).reshape(n, n))
-
-    # multiplicative table from a primitive element
-    mul = np.zeros((n, n), dtype=np.int32)
-    if n > 2:
-        # exp lists the powers of the least primitive element: the first g with n - 1 of them
-        for g in range(2, n):
-            exp = [1]
-            while (acc := mul_poly(exp[-1], g)) != 1:
-                exp.append(acc)
-            if len(exp) == n - 1:
-                break
-        log = np.zeros(n, dtype=np.int32)
-        log[exp] = np.arange(n - 1, dtype=np.int32)
-        exp = np.array(exp * 2, dtype=np.int32)  # two periods: log sums need no reduction
-        for a in range(1, n):
-            mul[a, 1:] = exp[log[a] + log[1:]]
-    elif n == 2:
-        mul[1][1] = 1
-
-    digit_labels = [str(c) for c in range(p)]
-    labels = tuple(_poly_label(_digits(i, p, k), digit_labels, 0, 1, "x", True) for i in range(n))
-    return FiniteRing(n, add, _frozen(mul), 0, 1, labels, f"gf({p},{k})")
+    powers = [_poly_mod([0] * m + [1], f, p) for m in range(2 * k - 1)]  # x**m mod f
+    scaled = {r: Zp.mul_table[r, Zp.mul_table] for power in powers for r in power if r > 1}
+    scaled[1] = Zp.mul_table  # scaled[r][x, y] is r x y
+    # digit k-1-c holds coefficient c, as in truncated_poly
+    rules = [(k - 1 - c, k - 1 - d, k - 1 - t, scaled[r])
+             for c in range(k) for d in range(k)
+             for t, r in enumerate(powers[c + d]) if r]
+    return _structure_ring(
+        [Zp.add_table] * k, rules, [0] * k, [0] * (k - 1) + [1],
+        lambda d: _poly_label(d[::-1], Zp.labels, 0, 1, "x", True), f"gf({p},{k})", what)
 
 
 # ---------------------------------------------------------------------------
 # composite constructors
 
 
-def _digit_axes(orders: Sequence[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Open-mesh ``arange`` arrays of each digit of the left and of the right factor.
-
-    They index a tensor with two axes per part, one for each factor.  A
-    part of order one has the constant digit 0 and no axis, so the tensor
-    has at most ``2 log2(n)`` axes.
-    """
-    axes = [m > 1 for m in orders]
-
-    def digit(p: int, first_axis: int) -> np.ndarray:
-        if not axes[p]:
-            return np.zeros((), dtype=np.int32)
-        shape = [1] * (2 * sum(axes))
-        shape[first_axis + sum(axes[:p])] = orders[p]
-        return np.arange(orders[p], dtype=np.int32).reshape(shape)
-
-    return ([digit(p, 0) for p in range(len(orders))],
-            [digit(p, sum(axes)) for p in range(len(orders))])
-
-
-def _mixed_radix(orders: Sequence[int], digits: Sequence) -> int | np.ndarray:
-    """Index of a digit tuple, first digit most significant.
-
-    The digits are ints, or arrays on the axes of ``_digit_axes``; the
-    index tensor of those, reshaped to ``(n, n)``, is a table.
-    """
-    index = 0
-    for m, d in zip(orders, digits):
-        index = index * m + d
-    return index
-
-
 def _structure_ring(parts: Sequence, rules: Sequence[tuple[int, int, int, object]],
                     zero: Sequence[int], one: Sequence[int], label: Callable[[tuple], str],
                     construction: str | None, what: str) -> FiniteRing:
-    """The ring on a direct sum of abelian groups with a bilinear product.
+    """The ring on a direct sum of abelian groups with a biadditive product.
 
     ``parts`` are the additive tables of the components.  An element is a
     digit tuple ``(x_0, ..., x_{P-1})``, digit ``p`` an index into part
     ``p``, and its index is the mixed-radix number with the first digit
-    most significant; this is the one element encoding of every composite
-    constructor.  Addition is digitwise.  A rule ``(i, j, t, table)``
-    says that digit ``i`` of the left factor times digit ``j`` of the
-    right factor adds ``table[x_i, y_j]`` into digit ``t`` of the
-    product; the rules of one digit are summed in the order given, with
-    that part's addition, each on just the digit axes it reads.  ``zero``
-    and ``one`` are digit tuples, and ``label`` names an element from its
-    digit tuple.  ``what`` names the ring when its order is past the cap.
+    most significant; this is the one element encoding of ``make_gf`` and
+    every composite constructor.  Addition is digitwise.  A rule
+    ``(i, j, t, table)`` says that digit ``i`` of the left factor times
+    digit ``j`` of the right factor adds ``table[x_i, y_j]`` into digit
+    ``t`` of the product.  ``zero`` and ``one`` are digit tuples, and
+    ``label`` names an element from its digit tuple.  ``what`` names the
+    ring when its order is past the cap.
+
+    Precondition: every rule table is biadditive, so it sends a zero
+    digit on either side to the zero of part ``t``.  The callers ensure
+    it: their ring tables passed ``ring_from_tables`` or a constructor,
+    and their bimodules passed ``check_bimodule``.
+
+    Both tables are built level by level, from the least significant digit
+    up to the whole ring; level ``q`` holds the elements whose digits
+    before ``q`` are zeros.  Addition on a level is the digitwise sum of
+    part ``q``'s table and the table of the level below.  Multiplication
+    is filled by distributivity, a column (all ``a`` times one ``b``) at a
+    time.  The column of a one-digit element (digit ``q`` is ``y``, every
+    other digit is its part's zero) is read off the rules on the digits of
+    all ``n`` elements.  An element of level ``q`` is such a one-digit
+    element plus an element of the level below, so its column is one
+    gather of the two columns from ``add``: one gather per digit, about
+    ``2 n**2`` entries in all.
     """
     orders = [len(part) for part in parts]
     n = math.prod(orders)
     _require_order(n, what)
     parts = [np.asarray(part, dtype=np.int32) for part in parts]
-    left, right = _digit_axes(orders)
-    products: list = [None] * len(parts)
+    strides = [math.prod(orders[q + 1:]) for q in range(len(orders))]
+    digits = [d.astype(np.int32) for d in np.unravel_index(np.arange(n), orders)]
+
+    def index(digit_tuple: Sequence) -> int | np.ndarray:
+        return sum(d * s for d, s in zip(digit_tuple, strides))
+
+    # products[q][t][a, y] is digit t of a times the one-digit element y in digit q
+    products = [list(zero) for _ in parts]
     for i, j, t, table in rules:
-        term = np.asarray(table, dtype=np.int32)[left[i], right[j]]
-        products[t] = term if products[t] is None else parts[t][products[t], term]
-    sums = [part[x, y] for part, x, y in zip(parts, left, right)]
-    add = _frozen(_mixed_radix(orders, sums).reshape(n, n))
-    mul = _frozen(_mixed_radix(orders, products).reshape(n, n))
+        term = np.asarray(table, dtype=np.int32)[digits[i][:, None], np.arange(orders[j])]
+        products[j][t] = parts[t][products[j][t], term]
+
+    add = np.zeros((1, 1), dtype=np.int32)  # the table of the empty level
+    mul = np.full((n, 1), index(zero), dtype=np.int32)  # the column of 0
+    for q in reversed(range(len(parts))):
+        m, size = orders[q], strides[q]
+        add = (parts[q][:, None, :, None] * size + add[None, :, None, :]).reshape(m * size, -1)
+    for q in reversed(range(len(parts))):
+        columns = np.broadcast_to(index(products[q]), (n, orders[q]))
+        mul = add[columns[:, :, None], mul[:, None, :]].reshape(n, -1)
     labels = tuple(map(label, itertools.product(*map(range, orders))))
-    return FiniteRing(n, add, mul, int(_mixed_radix(orders, zero)), int(_mixed_radix(orders, one)),
+    return FiniteRing(n, _frozen(add), _frozen(mul), int(index(zero)), int(index(one)),
                       labels, construction)
 
 

@@ -524,13 +524,13 @@ def _search_hit(R: FiniteRing) -> dict | None:
     Any hit is re-validated with raw scans independent of the classifier's
     caches before being reported.
     """
-    profile = ring_morphic_profile(R)
-    if not profile.left.pseudo.status or profile.left.quasi.status:
+    left = _side_hierarchy(R, Side.LEFT)
+    if not left.pseudo.status or left.quasi.status:
         return None
     raw_pseudo, raw_generalized = _raw_left_flags(R)
     return {
         "expression": _expr(R),
-        "quasi_counterexample": profile.left.quasi.counterexample,
+        "quasi_counterexample": left.quasi.counterexample,
         "raw_revalidation": {
             "left_pseudo": raw_pseudo,
             "left_generalized": raw_generalized,

@@ -469,3 +469,25 @@ def test_map_bounds_the_worker_count(monkeypatch, capsys):
     (record,) = _records(capsys)
     assert record["witness"]["rings"] == len(default_corpus(16))
     assert reports[0].elapsed > 0.0
+
+
+@pytest.mark.parametrize("command", ["search", "corpus"])
+@pytest.mark.parametrize("flags", [["--jobs", "0"], ["--jobs", "-2"],
+                                   ["--max-order", "1"], ["--max-order", "-1"]],
+                         ids=" ".join)
+def test_counts_below_their_least_value_exit_2_before_any_work(monkeypatch, capsys,
+                                                               command, flags):
+    import morphring.cli as cli
+
+    def refuse(*args, **kwargs):
+        pytest.fail("started work on a refused flag")
+
+    for name in ("default_corpus", "projected_order", "_map"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert run_command([command, *flags, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: {flags[0]} must be at least ")
+    monkeypatch.undo()
+    assert run_command([command, "--max-order", "2", "--jobs", "1", "--json"]) == 0

@@ -365,9 +365,9 @@ def test_census_radical_and_clean_match_element_scans_on_corpus():
         assert _strongly_clean(R).status is clean, text
 
 
-# Reference lattice engine in plain Python: cyclic extension of subgroups
-# over add rows, breadth-first lattice closure, and pair loops that form
-# every sum for the Bezout and exchange-law checks.
+# Reference lattice engine: cyclic extension of subgroups over add rows for
+# ``subgroup_sum`` itself, and for the lattice, Bezout and exchange-law
+# references every sum ``A + B`` formed as the set ``{x + y}`` of all pairs.
 
 
 def _ref_subgroup_sum(add, m1, m2):
@@ -383,39 +383,51 @@ def _ref_subgroup_sum(add, m1, m2):
     return res
 
 
+def _row_masks(member):
+    """The bit mask of each row of a boolean matrix."""
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(member, axis=1, bitorder="little")]
+
+
+def _ref_sums(ring, xs, rest):
+    """The mask of ``{x + y}`` for ``x`` in ``xs`` and ``y`` in each element list of ``rest``."""
+    owner = np.repeat(np.arange(len(rest)), [len(ys) for ys in rest])
+    ys = np.array([y for members in rest for y in members], dtype=np.intp)
+    member = np.zeros((len(rest), ring.order), dtype=bool)
+    member[owner, ring.add_table[np.array(xs)[:, None], ys]] = True
+    return _row_masks(member)
+
+
 def _side_ring(R, side):
     return opposite(R) if side is Side.RIGHT else R
 
 
 def _ref_principals(ring):
-    """Each distinct left principal ideal ``Ra`` with its least ``a``, ascending, by set scans."""
-    rows = ring.mul_table.tolist()
+    """Each distinct left principal ideal ``Ra`` (column ``a``) with its least ``a``, ascending."""
+    member = np.zeros((ring.order, ring.order), dtype=bool)
+    member[np.arange(ring.order)[:, None], ring.mul_table.T] = True
     least = {}
-    for a in ring.elements:
-        least.setdefault(mask_of(row[a] for row in rows), a)
+    for a, mask in enumerate(_row_masks(member)):
+        least.setdefault(mask, a)
     return dict(sorted(least.items()))
 
 
 def _ref_annihilators(ring):
-    """The distinct left annihilators ``l(b)`` by set scans."""
-    rows = ring.mul_table.tolist()
-    return {mask_of(x for x in ring.elements if rows[x][b] == ring.zero) for b in ring.elements}
+    """The distinct left annihilators ``l(b)`` (the zeros of column ``b``)."""
+    return set(_row_masks(ring.mul_table.T == ring.zero))
 
 
 def _ref_all_ideals(ring):
     """Breadth-first closure from {0} by single principal-ideal extensions."""
-    add = ring.add_table.tolist()
     zero_mask = 1 << ring.zero
-    generators = [m for m in _ref_principals(ring) if m != zero_mask]
+    generators = {m: mask_members(m) for m in _ref_principals(ring) if m != zero_mask}
     found = {zero_mask}
     frontier = [zero_mask]
     while frontier:
         next_frontier = []
         for ideal in frontier:
-            for gen in generators:
-                if gen & ~ideal == 0:
-                    continue
-                bigger = _ref_subgroup_sum(add, ideal, gen)
+            rest = [members for m, members in generators.items() if m & ~ideal]
+            for bigger in _ref_sums(ring, mask_members(ideal), rest):
                 if bigger not in found:
                     found.add(bigger)
                     next_frontier.append(bigger)
@@ -424,26 +436,24 @@ def _ref_all_ideals(ring):
 
 
 def _ref_bezout(ring):
-    add = ring.add_table.tolist()
     least = _ref_principals(ring)
     masks = list(least)
-    for i, m1 in enumerate(masks):
-        for m2 in masks[i + 1 :]:
-            if _ref_subgroup_sum(add, m1, m2) not in least:
+    members = [mask_members(m) for m in masks]
+    for i, m1 in enumerate(masks[:-1]):
+        for m2, total in zip(masks[i + 1 :], _ref_sums(ring, members[i], members[i + 1 :])):
+            if total not in least:
                 return False, (least[m1], least[m2])
     return True, None
 
 
 def _ref_exchange_failure(R, side, ideals):
     other = Side.RIGHT if side is Side.LEFT else Side.LEFT
-    add = R.add_table.tolist()
+    members = [mask_members(annihilator(R, other, m)) for m in ideals]
     for i, m1 in enumerate(ideals):
-        a1 = annihilator(R, other, m1)
-        for m2 in ideals[i:]:
+        for m2, total in zip(ideals[i:], _ref_sums(R, members[i], members[i:])):
             lhs = annihilator(R, other, m1 & m2)
-            rhs = _ref_subgroup_sum(add, a1, annihilator(R, other, m2))
-            if lhs != rhs:
-                return m1, m2, lhs, rhs
+            if lhs != total:
+                return m1, m2, lhs, total
     return None
 
 

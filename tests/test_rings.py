@@ -1,7 +1,9 @@
 """Tests for ring construction and axiom checking."""
 
 import gc
+import hashlib
 import time
+import tracemalloc
 import weakref
 from itertools import product
 
@@ -126,10 +128,16 @@ def test_gf9_is_a_field():
 
 
 def test_gf_prime_degree_one_matches_zmod():
-    F = make_gf(5, 1)
-    Z = make_zmod(5)
-    assert np.array_equal(F.add_table, Z.add_table)
-    assert np.array_equal(F.mul_table, Z.mul_table)
+    for p in (5, 257):
+        F, Z = make_gf(p, 1), make_zmod(p)
+        assert np.array_equal(F.add_table, Z.add_table)
+        assert np.array_equal(F.mul_table, Z.mul_table)
+    # only the scaled products r x y that some x**m mod f uses are tabled, not all p of them
+    tracemalloc.start()
+    make_gf(257, 1)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 16 * Z.mul_table.nbytes
 
 
 def _reference_gf_mul(p, k):
@@ -501,6 +509,54 @@ def test_vectorised_helpers_match_element_scans():
             assert members[C.mul(i, j)] == R.mul(v, w)
 
 
+# SHA-256 of the little-endian int32 add_table, then mul_table, then the
+# newline-joined labels, recorded from the exp/log-table gf builder and the
+# per-rule product builder that preceded the distributive fill.
+_TABLE_SHA256 = {
+    "gf(2,9)": "99b2c1b88c8582e329d306ad2c3f06a7cc0b164290f6326e4882385e978c968b",
+    "gf(2,10)": "8c5802e0d4bc798ac1edc552575f02a22064b8770c392a849f2c1adc779e7f29",
+    "gf(2,11)": "bc2b4410941a6841d71b1025ac029750fec1a16f6b9c3be0eaf3688f35a40ec1",
+    "gf(2,12)": "9e5f9f7585ba1e930a703cacdce99936ee75eea2e9f7d5d8d6d40fdcdeb819b8",
+    "gf(3,6)": "489e28fd242a3ce4125b00ea14ca18b3e241dd2b1a21477860d0cab3fc8bca9a",
+    "gf(3,7)": "b032415cfdedfacdb951014d169853088ab16c50e9fa21b62e5ae0d7d2b58f5a",
+    "gf(5,4)": "41ef861434732cf3d2bf65be635fad304a24334e641208accc29740f7a69bf9e",
+    "gf(5,5)": "d94e5d83bb9a534d6859a3b92ea80027e7187bfb0166ed3978ef98ec1daab1f2",
+    "gf(7,3)": "495e8875a54e24b97ecfd0b36c9ca439d5e55701a2dc963cc328c7ff692ce56a",
+    "gf(7,4)": "aaf608cd6dc03a71c2abd67b624cd1783a1e3d7d0af2b0d6edc9b086869b55c0",
+    "gf(11,3)": "8d09556c3c7f358dc1f3e0081ed5a51935d03644fdc79cbf43773728c1c78244",
+    "gf(13,3)": "48f67e37e7c8788116b181ba5321fe4ed18daf5d8a18bf49ab684a5b15722d8d",
+    "gf(17,2)": "48ce5633fccb907aeef8298f8dc99c8241e9ad04029d71b6aea22239c7e5084e",
+    "gf(19,2)": "607583d16c9f034bea8fd1ab44a1b2e5338f8ce2194ac8dcba6b9e8ef772b5e9",
+    "gf(23,2)": "dbdefa9eb516d5edc929bcf04a10fe8f1aa739e88bcec514c3f79b97f5cb1bf6",
+    "gf(29,2)": "97f12b57b4e502379c71cde6f2589ccc75b2d01cb31e8f69b535184311f35ba6",
+    "gf(31,2)": "b0d827aa2c20fead0a70b70e1ec9aed59c505b86befcee39c442c818c03ffcd4",
+    "gf(37,2)": "0f37ad20b8d21218fd3c47e951c10fc3ac290ad9c010d68512f7d8028f4f2a28",
+    "gf(41,2)": "96fecfafc48813b8eb010d6977373b539a8d4b313497a919db14d5f37a5a2471",
+    "gf(43,2)": "d90deda1327bfac79a351ac42bf2fd1bfa4d5865479f2a98170f4573ba327bd1",
+    "gf(47,2)": "8efd243f10f9f38472f3797b062049ba9587fe7e03897208d5ab11fb297749de",
+    "gf(53,2)": "1cec753a676c4cf9e3c34dcb09fc7854cf2083e48b960a6240889192f165be1a",
+    "gf(59,2)": "d87caad785db68186d01beb056f10090e51bb47272f06e7216cb8e5dee3cfa30",
+    "gf(61,2)": "bcb780f1805746d4ac6d236315bc1d31b2f7e31fcb3c08f05e264d992966a61a",
+    "poly(z2,11)": "d64778f7f5a4d31149c73df1f115686f0b2ae5f6bd13cb78ecc5dd9397a3afbb",
+    "tri(z2,4)": "bae59afe73909ee3f77881811c692180c15a5675c0b6fc4bf3b5f3d234fd99c3",
+}
+
+
+def test_tables_above_order_256_match_recorded_digests():
+    from morphring.cli import build_ring, parse_ring_expr
+
+    fields = {f"gf({p},{k})" for p in range(2, 4097) if all(p % d for d in range(2, p))
+              for k in range(2, 13) if 256 < p**k <= 4096}
+    assert fields | {"poly(z2,11)", "tri(z2,4)"} == set(_TABLE_SHA256)
+    for text, expected in _TABLE_SHA256.items():
+        R = build_ring(parse_ring_expr(text))
+        digest = hashlib.sha256()
+        for table in (R.add_table, R.mul_table):
+            digest.update(np.ascontiguousarray(table, dtype="<i4").tobytes())
+        digest.update("\n".join(R.labels).encode())
+        assert digest.hexdigest() == expected, text
+
+
 # ---------------------------------------------------------------------------
 # every composite constructor against its definition, on digit tuples
 
@@ -579,10 +635,25 @@ def _formal_case(R, S, V):
     return formal_triangular(R, S, V), [R, V, S], mul
 
 
+def _shifted(R):
+    """``R`` relabelled by ``i -> i+1 mod n``, so its zero and one are not indices 0 and 1."""
+    back = (np.arange(R.order) - 1) % R.order
+
+    def move(table):
+        return (table[np.ix_(back, back)] + 1) % R.order
+    return ring_from_tables(move(R.add_table), move(R.mul_table), (R.zero + 1) % R.order,
+                            (R.one + 1) % R.order, [R.labels[i] for i in back])
+
+
 def _reference_cases():
     Z2, Z4, G4 = make_zmod(2), make_zmod(4), make_gf(2, 2)
     T2 = matrix_ring(Z2, 2, shape="lower_triangular")
+    S4, ST2 = _shifted(Z4), _shifted(T2)
     return {
+        "poly(shift(z4),3)": lambda: _poly_case(S4, 3),
+        "mat(shift(z4),2)": lambda: _matrix_case(S4, 2, "full"),
+        "trivext(shift(tri(z2,2)),self)": lambda: _trivext_case(ST2, regular_bimodule(ST2)),
+        "prod(shift(tri(z2,2)),z2)": lambda: _product_case([ST2, Z2]),
         "poly(tri(z2,2),2)": lambda: _poly_case(T2, 2),
         "poly(gf(2,2),3)": lambda: _poly_case(G4, 3),
         "poly(z4,4)": lambda: _poly_case(Z4, 4),

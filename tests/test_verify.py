@@ -1,7 +1,9 @@
 """Theorem-checker tests with hand-frozen oracle values."""
 
 import hashlib
+import operator
 
+import numpy as np
 import pytest
 
 import morphring.verify as verify_module
@@ -110,17 +112,26 @@ def test_witness_identities_full_coverage_matrix_ring():
     assert report.details["checked_sum"] == 256
 
 
-# Reference element-pair loops for the two checks that work over class ids:
+# Reference element-pair checks for the two checks that work over class ids:
 # every l(b) and Ra as a mask per element, with first-generator dicts, all
-# by set scans of the raw table.  Sums go through ``verify.subgroup_sum``
-# so that a fault patched into it reaches both versions.
+# read off the raw table, and each witness identity evaluated on every pair
+# of elements at once.  Sums go through ``verify.subgroup_sum`` so that a
+# fault patched into it reaches both versions.
+
+
+def _row_masks(member):
+    """The bit mask of each row of a boolean matrix."""
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(member, axis=1, bitorder="little")]
 
 
 def _ref_tables(R):
     n = R.order
-    mul = R.mul_table.tolist()
-    pri = [mask_of(mul[x][a] for x in range(n)) for a in range(n)]
-    ann = [mask_of(x for x in range(n) if mul[x][b] == R.zero) for b in range(n)]
+    mul = R.mul_table
+    member = np.zeros((n, n), dtype=bool)
+    member[np.arange(n)[:, None], mul.T] = True
+    pri = _row_masks(member)                  # Ra: column a as a set
+    ann = _row_masks(mul.T == R.zero)         # l(b): the zeros of column b
     ann_first, ann_members, pri_first = {}, {}, {}
     for b, m in enumerate(ann):
         ann_first.setdefault(m, b)
@@ -144,35 +155,50 @@ def _ref_lemma(R):
     return "verified", {"elements": R.order, "satisfying_both": both_true}
 
 
+def _ref_identity(table, masks, first, dual, combine):
+    """One witness identity on every pair of elements ``(a1, a2)`` at once.
+
+    ``b1``, ``b2`` are the least ``b`` with ``dual[b]`` equal to ``masks[a1]``,
+    ``masks[a2]``, and ``c`` the one for ``masks[table[a2, b1]]`` (-1 for
+    none).  Returns whether all three exist, whether then
+    ``combine(masks[a1], masks[a2]) == dual[table[b1, c]]``, and ``b1, b2, c``.
+    """
+    n = len(masks)
+    least = np.array([first.get(m, -1) for m in masks])
+    b1, b2 = np.meshgrid(least, least, indexing="ij")
+    c = least[table[np.arange(n)[None, :], b1]]
+    checked = (b1 >= 0) & (b2 >= 0) & (c >= 0)
+    ids = {}  # every mask met, numbered in order
+    x = np.array([ids.setdefault(m, len(ids)) for m in masks])
+    distinct = list(ids)
+    met, where = np.unique((x[:, None] * n + x[None, :])[checked], return_inverse=True)
+    lhs = np.full((n, n), -1)  # each pair of masks is combined once
+    lhs[checked] = np.array([ids.setdefault(combine(distinct[k // n], distinct[k % n]), len(ids))
+                             for k in met.tolist()], dtype=np.int64)[where]
+    rhs = np.array([ids.setdefault(m, len(ids)) for m in dual])[table[b1, c]]
+    return checked, ~checked | (lhs == rhs), (b1, b2, c)
+
+
 def _ref_witnesses(R):
     mul, pri, ann, ann_first, _, pri_first = _ref_tables(R)
-    checked_sum = skipped_sum = checked_meet = skipped_meet = 0
-    for a1 in range(R.order):
-        for a2 in range(R.order):
-            b1, b2 = ann_first.get(pri[a1]), ann_first.get(pri[a2])
-            c = None if b1 is None or b2 is None else ann_first.get(pri[mul[a2][b1]])
-            if c is None:
-                skipped_sum += 1
-            else:
-                lhs = verify_module.subgroup_sum(R, pri[a1], pri[a2])
-                rhs = ann[mul[b1][c]]
-                if lhs != rhs:
-                    return "refuted", {"kind": "sum", "pair": [a1, a2],
-                                       "witnesses": [b1, b2, c], "lhs": lhs, "rhs": rhs}
-                checked_sum += 1
-            b1, b2 = pri_first.get(ann[a1]), pri_first.get(ann[a2])
-            c = None if b1 is None or b2 is None else pri_first.get(ann[mul[b1][a2]])
-            if c is None:
-                skipped_meet += 1
-            else:
-                lhs = ann[a1] & ann[a2]
-                rhs = pri[mul[c][b1]]
-                if lhs != rhs:
-                    return "refuted", {"kind": "intersection", "pair": [a1, a2],
-                                       "witnesses": [b1, b2, c], "lhs": lhs, "rhs": rhs}
-                checked_meet += 1
-    return "verified", {"checked_sum": checked_sum, "skipped_sum": skipped_sum,
-                        "checked_intersection": checked_meet, "skipped_intersection": skipped_meet}
+    n = R.order
+    # sum: Ra1 + Ra2 = l(b1 c); intersection: l(a1) & l(a2) = R(c b1), the transposed table
+    kinds = (("sum", mul, pri, ann_first, ann,
+              lambda m1, m2: verify_module.subgroup_sum(R, m1, m2)),
+             ("intersection", mul.T, ann, pri_first, pri, operator.and_))
+    results = [_ref_identity(*kind[1:]) for kind in kinds]
+    # pairs in order, the sum before the intersection of the same pair
+    bad = np.stack([~ok for _, ok, _ in results], axis=-1)
+    if bad.any():
+        a1, a2, k = (int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        kind, table, masks, _, dual, combine = kinds[k]
+        b1, b2, c = (int(w[a1, a2]) for w in results[k][2])
+        return "refuted", {"kind": kind, "pair": [a1, a2], "witnesses": [b1, b2, c],
+                           "lhs": combine(masks[a1], masks[a2]), "rhs": dual[table[b1, c]]}
+    checked_sum, checked_meet = (int(checked.sum()) for checked, _, _ in results)
+    return "verified", {"checked_sum": checked_sum, "skipped_sum": n * n - checked_sum,
+                        "checked_intersection": checked_meet,
+                        "skipped_intersection": n * n - checked_meet}
 
 
 def _agrees_with_reference(R):
