@@ -15,44 +15,17 @@ or usage errors, 1 if any check is refuted or mismatched, otherwise 0.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Iterable, Sequence
 
-from .classify import ClassProfile, Flag, classify_ring, ring_morphic_profile
+from .common import OrderCapExceeded, VerificationReport, order_cap
 from .qz import verify_qz_suite
-from .rings import (
-    BimoduleSpec,
-    FiniteRing,
-    OrderCapExceeded,
-    _is_prime,
-    _power,
-    check_bimodule,
-    direct_product,
-    ideal_bimodule,
-    make_gf,
-    make_zmod,
-    matrix_ring,
-    opposite,
-    order_cap,
-    regular_bimodule,
-    trivial_extension,
-    truncated_poly,
-)
-from .verify import (
-    RING_THEOREMS,
-    TrivialExtensionCase,
-    VerificationReport,
-    _search_hit,
-    _search_report,
-    verify_extension_heredity,
-    verify_triangular_example_identity,
-)
 
 __all__ = [
     "build_ring",
@@ -65,6 +38,43 @@ __all__ = [
 ]
 
 RingExpr = tuple
+
+# The ring engine's names this module uses.  ``_engine()`` imports them on
+# the first call that projects or builds a ring, so ``qz`` runs without
+# numpy; module attribute access (``cli.make_zmod``) loads them too.
+_ENGINE = {
+    "rings": ("BimoduleSpec", "FiniteRing", "_is_prime", "_power", "check_bimodule",
+              "direct_product", "ideal_bimodule", "make_gf", "make_zmod", "matrix_ring",
+              "opposite", "regular_bimodule", "trivial_extension", "truncated_poly"),
+    "classify": ("ClassProfile", "Flag", "classify_ring"),
+    "verify": ("RING_THEOREMS", "TrivialExtensionCase", "_search_hit", "_search_report",
+               "verify_extension_heredity", "verify_triangular_example_identity"),
+}
+_engine_loaded = False
+
+
+def _engine() -> None:
+    """Bind the ring engine's names in this module, once.
+
+    A name bound already, such as a test's stand-in, is kept.
+    """
+    global _engine_loaded
+    if _engine_loaded:
+        return
+    namespace = globals()
+    for module, names in _ENGINE.items():
+        loaded = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            namespace.setdefault(name, getattr(loaded, name))
+    _engine_loaded = True
+
+
+def __getattr__(name: str):
+    if any(name in names for names in _ENGINE.values()):
+        _engine()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Deepest constructor nesting the parser accepts: far below the interpreter's
 # recursion limit, far above any expression a capped ring needs.
@@ -304,6 +314,7 @@ def build_ring(expr: RingExpr, built: dict | None = None) -> FiniteRing:
     so that a caller that already projected the order (which builds them)
     does not build them again.
     """
+    _engine()
     built = {} if built is None else built
     return _form(_RINGS, expr).build(*_arguments(expr, built, build_ring))
 
@@ -325,6 +336,7 @@ def projected_order(expr: RingExpr, built: dict | None = None) -> int:
     the cap builds anything: its base ring and bimodule, which are kept in
     ``built`` when given.
     """
+    _engine()
     return _order(expr, {} if built is None else built, order_cap())
 
 
@@ -340,6 +352,7 @@ def _build_checked(expr: RingExpr, built: dict | None = None) -> FiniteRing:
 
 def default_corpus(max_order: int) -> list[str]:
     """The built-in expression corpus, capped at the given ring order."""
+    _engine()
     primes = [p for p in range(2, 65) if _is_prime(p)]
     exprs: list[str] = []
     for n in range(2, 65):
@@ -507,6 +520,8 @@ def _map(fn: Callable, items: Sequence, jobs: int) -> Iterable:
     workers = min(jobs, len(items), _available_cpus())
     if workers <= 1:
         return map(fn, items)
+    from concurrent.futures import ProcessPoolExecutor  # a serial run never pays for it
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -526,6 +541,7 @@ def _worker_classify(expression: str) -> tuple[str, list[dict]]:
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
     _check_corpus_flags(args)
+    _engine()  # before _map: forked workers inherit the engine, not import it each
     rows = [(e, p, s) for e, p, s in _EXAMPLE_TABLE
             if projected_order(parse_ring_expr(e)) <= args.max_order]
     expressions = sorted({e for e, _, _ in rows})
@@ -553,11 +569,15 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def _worker_search(expression: str) -> dict | None:
-    return _search_hit(_build_checked(parse_ring_expr(expression)))
+    # built first: in a worker that starts from a fresh import (``spawn``),
+    # building loads the engine that binds ``_search_hit``
+    ring = _build_checked(parse_ring_expr(expression))
+    return _search_hit(ring)
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
     _check_corpus_flags(args)
+    _engine()  # before _map: forked workers inherit the engine, not import it each
     start = time.perf_counter()
     expressions = default_corpus(args.max_order)
     # serially, one ring is alive at a time: each is built as the map reaches it

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .rings import FiniteRing, _check_element, _env_cap, opposite
+from .rings import FiniteRing, _check_element, _distinct, _env_cap, opposite
 
 __all__ = [
     "ElementCensus",
@@ -179,7 +179,7 @@ def annihilator(R: FiniteRing, side: Side, S: int | Iterable[int]) -> int:
         return cached
     masks = tables.masks
     result = full
-    for i in np.unique(tables.ann_id[_bool_from_mask(target, ring.order)]).tolist():
+    for i in _distinct(tables.ann_id[_bool_from_mask(target, ring.order)]).tolist():
         result &= masks[i]
     memo[target] = result
     return result

@@ -13,10 +13,10 @@ enough that every product stays on the grid.
 from __future__ import annotations
 
 import time
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from math import gcd, lcm
 
-from .verify import VerificationReport
+from .common import VerificationReport, _env_cap
 
 __all__ = [
     "FULL",
@@ -24,6 +24,7 @@ __all__ = [
     "QFrac",
     "TEIdeal",
     "base_annihilator",
+    "bound_cap",
     "cyclic_submodule",
     "lattice_meet_join",
     "submodule_leq",
@@ -35,28 +36,55 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+# The suite grows about as the cube of its bound: 192 took 13 s and 256 took
+# 31 s on a 2-vCPU VM, so a bound in the thousands would run for hours.
+_DEFAULT_BOUND_CAP = 256
+
+
+def bound_cap() -> int:
+    """Largest bound :func:`verify_qz_suite` accepts."""
+    return _env_cap("QZ_BOUND_CAP", _DEFAULT_BOUND_CAP)
+
+
+def _frozen(self, name: str, value: object = None) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
 class QFrac:
     """An element ``num/den + Z`` of Q/Z in canonical reduced form.
 
     Canonical means ``0 <= num < den`` and ``gcd(num, den) = 1``; the zero
     element is exactly the one with ``den = 1``.  The constructor reduces
-    any integer pair, so ``QFrac(3, 6) == QFrac(1, 2)``.
+    any integer pair, so ``QFrac(3, 6) == QFrac(1, 2)``.  Values are
+    immutable and compare and hash by ``(num, den)``.
     """
 
-    num: int
-    den: int
+    __slots__ = ("num", "den")
 
-    def __post_init__(self) -> None:
-        if self.den == 0:
+    def __new__(cls, num: int, den: int) -> QFrac:
+        if den == 0:
             raise ValueError("denominator must be nonzero")
-        num, den = self.num, self.den
         if den < 0:
             num, den = -num, -den
         num %= den
         g = gcd(num, den)
-        object.__setattr__(self, "num", num // g)
-        object.__setattr__(self, "den", den // g)
+        return _qfrac(num // g, den // g)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __reduce__(self) -> tuple:
+        return QFrac, (self.num, self.den)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not QFrac:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
+    def __repr__(self) -> str:
+        return f"QFrac(num={self.num!r}, den={self.den!r})"
 
     @property
     def is_zero(self) -> bool:
@@ -71,7 +99,7 @@ class QFrac:
                      self.den * other.den)
 
     def __neg__(self) -> "QFrac":
-        return QFrac(-self.num, self.den)
+        return _qfrac(-self.num % self.den, self.den)
 
     def scale(self, r: int) -> "QFrac":
         """The module action of the integer ``r``."""
@@ -84,7 +112,19 @@ class QFrac:
         return "0" if self.is_zero else f"{self.num}/{self.den}"
 
 
-_ZERO = QFrac(0, 1)
+_set_num = QFrac.num.__set__
+_set_den = QFrac.den.__set__
+
+
+def _qfrac(num: int, den: int) -> QFrac:
+    """The ``QFrac`` of a pair already in canonical form, not reduced again."""
+    self = object.__new__(QFrac)
+    _set_num(self, num)
+    _set_den(self, den)
+    return self
+
+
+_ZERO = _qfrac(0, 1)
 
 
 class _Full:
@@ -105,10 +145,6 @@ class _Full:
 
 
 FULL = _Full()
-
-
-def _frozen(self, name: str, value: object = None) -> None:
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 class CyclicSub:
@@ -218,7 +254,18 @@ def base_annihilator(q: QFrac) -> int:
 
 def te_product(n1: int, q1: QFrac, n2: int, q2: QFrac) -> tuple[int, QFrac]:
     """The product ``(n1, q1)·(n2, q2) = (n1 n2, n1 q2 + q1 n2)``."""
-    return n1 * n2, q2.scale(n1) + q1.scale(n2)
+    # QFrac.scale inline: in reduced form r·num/den is zero exactly when den | r.
+    d1, d2 = q1.den, q2.den
+    if n1 % d2 == 0:
+        return n1 * n2, _ZERO if n2 % d1 == 0 else QFrac(n2 * q1.num, d1)
+    left = QFrac(n1 * q2.num, d2)
+    return n1 * n2, left if n2 % d1 == 0 else left + QFrac(n2 * q1.num, d1)
+
+
+# The helpers below look interned ideals up in these tables and call a
+# constructor only on a miss.
+_IDEALS = TEIdeal._table
+_CYCLIC = CyclicSub._table
 
 
 def te_principal_ideal(n: int, q: QFrac) -> TEIdeal:
@@ -228,17 +275,24 @@ def te_principal_ideal(n: int, q: QFrac) -> TEIdeal:
     divisible; a zero base leaves exactly the cyclic submodule of ``q``.
     """
     if n != 0:
-        return TEIdeal(abs(n), FULL)
-    return TEIdeal(0, CyclicSub(q.den))
+        key = (abs(n), FULL)
+    else:
+        key = (0, _CYCLIC.get(q.den) or CyclicSub(q.den))
+    return _IDEALS.get(key) or TEIdeal(*key)
 
 
 def te_left_annihilator(n: int, q: QFrac) -> TEIdeal:
-    """The annihilator of ``(n, q)``: pairs ``(r, m)`` with ``(rn, rq+mn) = 0``."""
+    """The annihilator of ``(n, q)``: pairs ``(r, m)`` with ``(rn, rq+mn) = 0``.
+
+    For ``n = 0`` it is ``dZ ⋉ Q/Z`` with ``d`` the denominator of ``q``,
+    which is all of the ring when ``q`` is zero.
+    """
     if n != 0:
-        return TEIdeal(0, CyclicSub(abs(n)))
-    if not q.is_zero:
-        return TEIdeal(q.den, FULL)
-    return TEIdeal(1, FULL)
+        n = abs(n)
+        key = (0, _CYCLIC.get(n) or CyclicSub(n))
+    else:
+        key = (q.den, FULL)
+    return _IDEALS.get(key) or TEIdeal(*key)
 
 
 def te_morphic_witness(n: int, q: QFrac) -> tuple[int, QFrac]:
@@ -249,17 +303,25 @@ def te_morphic_witness(n: int, q: QFrac) -> tuple[int, QFrac]:
     equalities are the ``witness_ideals`` check of :func:`verify_qz_suite`.
     """
     if n != 0:
-        return 0, QFrac(1, abs(n))
-    if not q.is_zero:
-        return q.den, _ZERO
-    return 1, _ZERO
+        n = abs(n)
+        return 0, _qfrac(1 % n, n)  # 1/n, which is zero for n = 1
+    return q.den, _ZERO
 
 
 def _module_fracs(bound: int) -> list[QFrac]:
     """All elements of Q/Z with denominator at most ``bound``."""
-    out = [QFrac(0, 1)]
+    out = [_ZERO]
     for den in range(2, bound + 1):
-        out.extend(QFrac(num, den) for num in range(1, den) if gcd(num, den) == 1)
+        out.extend(_qfrac(num, den) for num in range(1, den) if gcd(num, den) == 1)
+    return out
+
+
+def _grid_fracs(grid: int) -> list[QFrac]:
+    """The elements ``v/grid`` of Q/Z for ``v`` in ``range(grid)``, in order."""
+    out = []
+    for v in range(grid):
+        g = gcd(v, grid)
+        out.append(_qfrac(v // g, grid // g))
     return out
 
 
@@ -300,11 +362,15 @@ def verify_qz_suite(bound: int) -> VerificationReport:
     both ideal equalities) are checked symbolically for every extension
     element in range, and the three ideal formulas are re-derived on
     concrete grids at a small internal bound where every product is
-    enumerable.
+    enumerable.  A bound above :func:`bound_cap` is refused before any work.
     """
     start = time.perf_counter()
     if bound < 2:
         raise ValueError(f"bound must be at least 2, got {bound}")
+    cap = bound_cap()
+    if bound > cap:
+        raise ValueError(f"bound {bound} exceeds the cap {cap}; "
+                         f"raise QZ_BOUND_CAP to allow it")
     expression = "Z⋉(Q/Z)"
 
     def fail(check: str, payload: dict) -> VerificationReport:
@@ -389,7 +455,7 @@ def verify_qz_suite(bound: int) -> VerificationReport:
             qnum = q.num * (grid // c)
             cells = grid_cells.get(grid)
             if cells is None:
-                cells = grid_cells[grid] = [QFrac(v, grid) for v in range(grid)]
+                cells = grid_cells[grid] = _grid_fracs(grid)
             ann = te_left_annihilator(n, q)
             principal = te_principal_ideal(n, q)
             for r in range(-span, span + 1):

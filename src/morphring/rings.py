@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+
+from .common import OrderCapExceeded, _env_cap, order_cap
 
 __all__ = [
     "AxiomCheck",
@@ -45,31 +46,7 @@ __all__ = [
     "zero_bimodule",
 ]
 
-_DEFAULT_ORDER_CAP = 512
 _DEFAULT_BUILD_CAP = 4096
-
-
-class OrderCapExceeded(ValueError):
-    """A construction would exceed the configured order cap."""
-
-
-def _env_cap(name: str, default: int) -> int:
-    """The positive integer in environment variable ``name``, else ``default``."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be a positive integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"{name} must be positive, got {cap}")
-    return cap
-
-
-def order_cap() -> int:
-    """Largest ring order accepted for full classification profiles."""
-    return _env_cap("RING_ORDER_CAP", _DEFAULT_ORDER_CAP)
 
 
 def build_cap() -> int:
@@ -676,6 +653,14 @@ def zero_bimodule(R: FiniteRing) -> BimoduleSpec:
                         0, (R.labels[R.zero],), "ideal(0)")
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of a nonnegative integer vector, in its dtype.
+
+    A bare ``np.unique`` would import ``numpy.ma`` to test for a mask.
+    """
+    return np.flatnonzero(np.bincount(values)).astype(values.dtype)
+
+
 def _positions(R: FiniteRing, members: np.ndarray) -> np.ndarray:
     """Map sending each entry of the sorted index array ``members`` to its position."""
     pos = np.zeros(R.order, dtype=np.int32)
@@ -693,7 +678,7 @@ def ideal_bimodule(R: FiniteRing, d: int) -> BimoduleSpec:
     mul = R.mul_table
     if not np.array_equal(mul, mul.T):
         raise ValueError("ideal bimodules require a commutative base ring")
-    members = np.unique(mul[:, d])
+    members = _distinct(mul[:, d])
     pos = _positions(R, members)
     add = pos[R.add_table[np.ix_(members, members)]]
     lact = pos[mul[:, members]]
@@ -745,7 +730,7 @@ def pierce_corner(R: FiniteRing, e: int) -> FiniteRing:
     mul = R.mul_table
     if mul[e, e] != e:
         raise ValueError(f"element {e} is not idempotent")
-    members = np.unique(mul[mul[e], e])
+    members = _distinct(mul[mul[e], e])
     pos = _positions(R, members)
     corner = np.ix_(members, members)
     labels = tuple(R.labels[v] for v in members.tolist())

@@ -35,6 +35,7 @@ from .classify import (
     regularity_profile,
     ring_morphic_profile,
 )
+from .common import VerificationReport
 from .ideals import (
     LatticeOverflow,
     Side,
@@ -80,25 +81,6 @@ __all__ = [
     "verify_triangular_example_identity",
     "verify_witness_identities",
 ]
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of one theorem check on one ring."""
-
-    theorem: str
-    expression: str
-    status: str
-    details: dict
-    elapsed: float
-
-    def to_record(self) -> dict:
-        """Stable machine form; excludes wall-clock time for diffability."""
-        return {
-            "theorem": self.theorem,
-            "expression": self.expression,
-            "status": self.status,
-            "details": self.details,
-        }
 
 
 def _expr(R: FiniteRing) -> str:

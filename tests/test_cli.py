@@ -435,6 +435,8 @@ def test_verify_trivext_builds_the_extension_once(monkeypatch, capsys):
 
 
 def test_map_bounds_the_worker_count(monkeypatch, capsys):
+    import concurrent.futures
+
     import morphring.cli as cli
 
     pools = []
@@ -456,7 +458,7 @@ def test_map_bounds_the_worker_count(monkeypatch, capsys):
 
     reports = []
     real_report = cli._search_report
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli, "_available_cpus", lambda: 4)
     monkeypatch.setattr(cli, "_search_report",
                         lambda *a: reports.append(real_report(*a)) or reports[-1])

@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -47,6 +48,40 @@ def test_qfrac_canonical_form():
     assert QFrac(7, 3) == QFrac(1, 3)
     assert str(QFrac(2, 4)) == "1/2"
     assert str(QFrac(0, 1)) == "0"
+
+
+def test_qfrac_value_behaviour():
+    q = QFrac(6, -8)
+    assert (q.num, q.den) == (1, 4)
+    assert q == QFrac(num=1, den=4) and q != QFrac(3, 4)
+    assert q != (1, 4) and q != Fraction(1, 4)
+    assert hash(q) == hash(QFrac(5, 4)) == hash((1, 4))
+    assert len({QFrac(v, 12) for v in range(24)}) == 12
+    assert repr(q) == "QFrac(num=1, den=4)"
+    assert (str(q), str(QFrac(4, 4))) == ("1/4", "0")
+    for copied in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+        assert type(copied) is QFrac and copied == q
+    for change in (lambda: setattr(q, "num", 3), lambda: delattr(q, "den"),
+                   lambda: setattr(q, "extra", 1)):
+        with pytest.raises(FrozenInstanceError):
+            change()
+    assert (q.num, q.den) == (1, 4)
+
+
+def test_canonical_constructor_builds_what_the_reducing_one_does():
+    fracs = qz._module_fracs(30)
+    assert len(set(fracs)) == len(fracs)
+    assert set(fracs) == {QFrac(n, d) for d in range(1, 31) for n in range(d)}
+    for q in fracs:
+        assert (q.num, q.den) == (QFrac(q.num, q.den).num, QFrac(q.num, q.den).den)
+        assert ((-q).num, (-q).den) == (QFrac(-q.num, q.den).num, QFrac(-q.num, q.den).den)
+    for grid in range(1, 61):
+        cells = qz._grid_fracs(grid)
+        assert [(c.num, c.den) for c in cells] == [
+            (QFrac(v, grid).num, QFrac(v, grid).den) for v in range(grid)]
+    for n in (1, -1):
+        assert te_morphic_witness(n, QFrac(1, 3)) == (0, QFrac(0, 1))
+        assert te_morphic_witness(n, QFrac(1, 3))[1].den == 1
 
 
 def test_qfrac_rejects_zero_denominator():
@@ -449,3 +484,41 @@ def test_qz_stdout_golden(bound, as_json, capsys):
     assert run_command(argv) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == _QZ_STDOUT_SHA256[bound, as_json]
+
+
+def _refuse_work(monkeypatch):
+    def refuse(*args):
+        pytest.fail("started the suite past the bound cap")
+
+    for name in ("cyclic_submodule", "_grid_mask", "_module_fracs"):
+        monkeypatch.setattr(qz, name, refuse)
+
+
+@pytest.mark.parametrize("bound", [2000, 10**30])
+def test_bound_over_the_default_cap_exits_2_before_any_work(monkeypatch, capsys, bound):
+    monkeypatch.delenv("QZ_BOUND_CAP", raising=False)
+    assert qz.bound_cap() == 256
+    _refuse_work(monkeypatch)
+    start = time.perf_counter()
+    assert run_command(["qz", "--bound", str(bound), "--json"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: bound {bound} exceeds the cap 256; "
+                            f"raise QZ_BOUND_CAP to allow it\n")
+
+
+def test_bound_cap_boundary_and_malformed_values(monkeypatch, capsys):
+    monkeypatch.setenv("QZ_BOUND_CAP", "6")
+    assert run_command(["qz", "--bound", "6", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["witness"]["bound"] == 6
+    _refuse_work(monkeypatch)
+    assert run_command(["qz", "--bound", "7", "--json"]) == 2
+    assert capsys.readouterr().err.startswith("error: bound 7 exceeds the cap 6;")
+    for raw, message in (("abc", "must be a positive integer, got 'abc'"),
+                         ("0", "must be positive, got 0"), ("-3", "must be positive, got -3")):
+        monkeypatch.setenv("QZ_BOUND_CAP", raw)
+        assert run_command(["qz", "--bound", "2", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: QZ_BOUND_CAP {message}\n"
