@@ -265,7 +265,7 @@ def commutation_profile(R: FiniteRing) -> CommutationProfile:
         symmetric = Flag(False, counterexample=(a, b, one))
     else:
         symmetric = Flag(True)
-        step = _chunk_rows(n)
+        step = _chunk_rows(mul)
         for start in range(0, n, step):
             rows = mul[start : start + step]
             abc = mul[rows]                      # [i,b,c] = (a b) c

@@ -124,6 +124,21 @@ def _least(least: np.ndarray, i: int | None) -> int | None:
     return int(least[i])
 
 
+def _packed_rows(bits: np.ndarray) -> np.ndarray:
+    """Each row of a bool matrix as the bytes of its mask, big-endian.
+
+    Big-endian rows sort as bytes in the order of the mask integers.
+    """
+    return np.packbits(bits, axis=1, bitorder="little")[:, ::-1]
+
+
+def _principal_bits(mul: np.ndarray) -> np.ndarray:
+    """Bool matrix whose row ``a`` is the members of ``Ra = {x a : x in R}``."""
+    bits = np.zeros(mul.shape, dtype=bool)
+    bits[np.arange(len(mul))[None, :], mul] = True
+    return bits
+
+
 def _side_tables(R: FiniteRing) -> SideTables:
     """The left ``SideTables`` of ``R``, built once and cached on it."""
     tables = R._cache.get("side_tables")
@@ -131,11 +146,9 @@ def _side_tables(R: FiniteRing) -> SideTables:
         return tables
     n = R.order
     mul = R.mul_table
-    bits = np.zeros((2 * n, n), dtype=bool)
-    bits[:n] = mul.T == R.zero                 # row b: l(b) = {x : x b = 0}
-    bits[n + np.arange(n)[None, :], mul] = True  # row n + a: Ra = {x a : x in R}
-    # big-endian rows sort as bytes in the order of the mask integers
-    packed = np.ascontiguousarray(np.packbits(bits, axis=1, bitorder="little")[:, ::-1])
+    # rows b: l(b) = {x : x b = 0}, then rows n + a: Ra; each half is
+    # packed before the next is formed, so one n x n bool matrix lives at a time
+    packed = np.concatenate([_packed_rows(mul.T == R.zero), _packed_rows(_principal_bits(mul))])
     distinct, ids = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
                               return_inverse=True)
     masks = [int.from_bytes(row.tobytes(), "big") for row in distinct]

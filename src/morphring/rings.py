@@ -1,9 +1,11 @@
 """Finite rings as explicit Cayley tables, built from composable constructors.
 
 A ring of order ``n`` is stored as two ``n x n`` tables of element indices
-(addition and multiplication), read-only ``int32`` arrays, together with
-the indices of 0 and 1.  Every constructor produces a canonical element
-ordering, so that reports built from them are reproducible bit for bit.
+(addition and multiplication), read-only ``uint16`` arrays, together with
+the indices of 0 and 1.  A ``uint16`` entry indexes at most 65,536
+elements, so no ring has a larger order.  Every constructor produces a
+canonical element ordering, so that reports built from them are
+reproducible bit for bit.
 Finite fields and the composite constructors (products, matrix and
 triangular rings, truncated polynomials, trivial extensions) state their
 components and biadditive product rules; one structure-constant builder,
@@ -16,7 +18,7 @@ import itertools
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,15 +50,22 @@ __all__ = [
 
 _DEFAULT_BUILD_CAP = 4096
 
+_TABLE_DTYPE = np.dtype(np.uint16)  # the one dtype of every stored table
+_INDEX_LIMIT = 1 << 16        # element indices lie in [0, _INDEX_LIMIT)
+
+# Entries per row block when a table is filled or scanned a block at a time.
+_BLOCK_ENTRIES = 1 << 19
+
 
 def build_cap() -> int:
     """Largest ring order accepted by the constructors.
 
     Single-predicate element scans remain tractable well past the full
     classification cap, so constructions are allowed up to the larger of
-    ``order_cap()`` and 4096.
+    ``order_cap()`` and 4096, but never past 65,536, the most elements a
+    ``uint16`` table can index.
     """
-    return max(order_cap(), _DEFAULT_BUILD_CAP)
+    return min(max(order_cap(), _DEFAULT_BUILD_CAP), _INDEX_LIMIT)
 
 
 class AxiomCheck(NamedTuple):
@@ -72,9 +81,10 @@ class FiniteRing:
     """An associative ring with identity, given by Cayley tables.
 
     ``add_table[a, b]`` and ``mul_table[a, b]`` are element indices in
-    ``[0, order)``, held as read-only ``int32`` arrays of shape
-    ``(order, order)``; they are the only stored form of the tables.  The
-    opposite ring's ``mul_table`` is the transposed view of this one's.
+    ``[0, order)``, held as read-only ``uint16`` arrays of shape
+    ``(order, order)``; they are the only stored form of the tables, and
+    ``order`` is at most 65,536.  The opposite ring's ``mul_table`` is the
+    transposed view of this one's.
     ``construction`` is the canonical expression text that built the ring,
     when one exists.  Two rings are equal when their tables,
     distinguished elements, labels and construction agree.  ``_cache``
@@ -106,7 +116,7 @@ class FiniteRing:
 
     @property
     def neg_table(self) -> np.ndarray:
-        """Read-only ``int32`` array whose entry ``a`` is the index of ``-a``."""
+        """Read-only ``uint16`` array whose entry ``a`` is the index of ``-a``."""
         negs = self._cache.get("neg")
         if negs is None:
             negs = self._cache["neg"] = _frozen(np.argmax(self.add_table == self.zero, axis=1))
@@ -142,11 +152,34 @@ class FiniteRing:
         return f"FiniteRing(order={self.order}, construction={name!r})"
 
 
+def _as_indices(table) -> np.ndarray:
+    """``table`` as a ``uint16`` array, with no copy when it already is one.
+
+    Raises ``ValueError`` on an entry outside ``[0, 65536)`` rather than
+    letting the cast wrap it.
+    """
+    out = np.asarray(table)
+    if out.dtype != _TABLE_DTYPE:
+        if out.size and (out.min() < 0 or out.max() >= _INDEX_LIMIT):
+            raise ValueError(f"table entries must lie in [0, {_INDEX_LIMIT}) to fit uint16")
+        out = out.astype(_TABLE_DTYPE)
+    return out
+
+
 def _frozen(table) -> np.ndarray:
-    """``table`` as a read-only ``int32`` array (no copy when it already is one)."""
-    out = np.asarray(table, dtype=np.int32)
+    """``table`` as a read-only ``uint16`` array (no copy when it already is one).
+
+    Raises ``ValueError`` on an entry outside ``[0, 65536)``; nothing wraps.
+    """
+    out = _as_indices(table)
     out.flags.writeable = False
     return out
+
+
+def _row_blocks(rows: int, width: int) -> Iterator[slice]:
+    """Consecutive slices of ``range(rows)`` of about ``_BLOCK_ENTRIES / width`` rows each."""
+    step = max(1, _BLOCK_ENTRIES // max(1, width))
+    return (slice(start, min(start + step, rows)) for start in range(0, rows, step))
 
 
 def _validate_tables(add_table, mul_table, zero: int, one: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -160,6 +193,8 @@ def _validate_tables(add_table, mul_table, zero: int, one: int) -> tuple[np.ndar
     n = add.shape[0]
     if n == 0:
         raise ValueError("tables must be nonempty")
+    if n > _INDEX_LIMIT:
+        raise ValueError(f"order {n} is above {_INDEX_LIMIT}, the most a uint16 table can index")
     if not (np.issubdtype(add.dtype, np.integer) and np.issubdtype(mul.dtype, np.integer)):
         raise ValueError("tables must contain integer element indices")
     for name, t in (("addition", add), ("multiplication", mul)):
@@ -168,7 +203,7 @@ def _validate_tables(add_table, mul_table, zero: int, one: int) -> tuple[np.ndar
     for name, e in (("zero", zero), ("one", one)):
         if not 0 <= e < n:
             raise ValueError(f"{name} index {e} out of range [0, {n})")
-    return add.astype(np.int32), mul.astype(np.int32), n
+    return add.astype(_TABLE_DTYPE), mul.astype(_TABLE_DTYPE), n
 
 
 def _check_element(R: FiniteRing, a: int) -> int:
@@ -178,9 +213,10 @@ def _check_element(R: FiniteRing, a: int) -> int:
     return a
 
 
-def _chunk_rows(n: int) -> int:
-    # keep (chunk, n, n) int32 blocks around 64 MB
-    return max(1, (1 << 24) // max(1, n * n))
+def _chunk_rows(table: np.ndarray) -> int:
+    """Rows per ``(chunk, n, n)`` block of gathers from ``table``, about 32 MB of its dtype."""
+    n = len(table)
+    return max(1, (32 << 20) // (table.itemsize * n * n))
 
 
 def _first_diff3(lhs: np.ndarray, rhs: np.ndarray, offset: int) -> tuple[int, int, int]:
@@ -190,7 +226,7 @@ def _first_diff3(lhs: np.ndarray, rhs: np.ndarray, offset: int) -> tuple[int, in
 
 def _check_assoc(t: np.ndarray, n: int) -> tuple[int, int, int] | None:
     """First (a, b, c) with t[t[a,b],c] != t[a,t[b,c]], or None."""
-    step = _chunk_rows(n)
+    step = _chunk_rows(t)
     for start in range(0, n, step):
         rows = t[start : start + step]
         lhs = t[rows]            # [i,b,c] = t[t[a,b], c]
@@ -211,7 +247,7 @@ def _check_abelian_group(add: np.ndarray, zero: int, prefix: str) -> AxiomCheck 
     if not np.array_equal(add, add.T):
         where = np.argwhere(add != add.T)[0]
         return AxiomCheck(False, f"{prefix}add_commutative", (int(where[0]), int(where[1])))
-    witness = _check_assoc(add.astype(np.int32, copy=False), len(add))
+    witness = _check_assoc(add, len(add))
     if witness is not None:
         return AxiomCheck(False, f"{prefix}add_associative", witness)
     return None
@@ -231,7 +267,7 @@ def check_ring_axioms(add_table, mul_table, zero: int, one: int) -> AxiomCheck:
     group = _check_abelian_group(add, zero, "")
     if group is not None:
         return group
-    idx = np.arange(n, dtype=np.int32)
+    idx = np.arange(n)
     if not (np.array_equal(mul[one], idx) and np.array_equal(mul[:, one], idx)):
         bad_row = np.nonzero(mul[one] != idx)[0]
         bad = bad_row if bad_row.size else np.nonzero(mul[:, one] != idx)[0]
@@ -240,7 +276,7 @@ def check_ring_axioms(add_table, mul_table, zero: int, one: int) -> AxiomCheck:
     if witness is not None:
         return AxiomCheck(False, "mul_associative", witness)
 
-    step = _chunk_rows(n)
+    step = _chunk_rows(mul)
     for start in range(0, n, step):
         rows = mul[start : start + step]
         lhs = rows[:, add]                                   # a*(b+c)
@@ -291,7 +327,8 @@ def _require_order(order: int, what: str) -> None:
     """
     cap = build_cap()
     if order > cap:
-        raise OrderCapExceeded(f"{what} would have order above the cap {cap}")
+        why = ", the most elements a uint16 table can index" if cap == _INDEX_LIMIT else ""
+        raise OrderCapExceeded(f"{what} would have order above the cap {cap}{why}")
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +340,11 @@ def make_zmod(n: int) -> FiniteRing:
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
     _require_order(n, "the integers modulo n")
-    idx = np.arange(n, dtype=np.int32)
-    add = (idx[:, None] + idx[None, :]) % n
-    mul = (idx[:, None] * idx[None, :]) % n
+    idx = np.arange(n, dtype=np.int64)  # a product of two indices needs up to 32 bits
+    add, mul = np.empty((n, n), dtype=_TABLE_DTYPE), np.empty((n, n), dtype=_TABLE_DTYPE)
+    for rows in _row_blocks(n, n):
+        np.remainder(idx[rows, None] + idx, n, out=add[rows], casting="unsafe")
+        np.remainder(idx[rows, None] * idx, n, out=mul[rows], casting="unsafe")
     one = 1 if n > 1 else 0
     labels = tuple(str(i) for i in range(n))
     return FiniteRing(n, _frozen(add), _frozen(mul), 0, one, labels, f"z{n}")
@@ -464,32 +503,48 @@ def _structure_ring(parts: Sequence, rules: Sequence[tuple[int, int, int, object
     all ``n`` elements.  An element of level ``q`` is such a one-digit
     element plus an element of the level below, so its column is one
     gather of the two columns from ``add``: one gather per digit, about
-    ``2 n**2`` entries in all.
+    ``2 n**2`` entries in all.  Rows of ``mul`` are independent, so it is
+    filled a block of rows at a time, each block through every level in
+    place; the level sums of ``add`` run a block of part ``q``'s rows at a
+    time.  Index arithmetic runs in ``int32`` and is cast to ``uint16`` on
+    store, so a temporary holds about ``_BLOCK_ENTRIES`` entries at most.
     """
     orders = [len(part) for part in parts]
     n = math.prod(orders)
     _require_order(n, what)
-    parts = [np.asarray(part, dtype=np.int32) for part in parts]
+    parts = [_as_indices(part) for part in parts]
     strides = [math.prod(orders[q + 1:]) for q in range(len(orders))]
-    digits = [d.astype(np.int32) for d in np.unravel_index(np.arange(n), orders)]
-
-    def index(digit_tuple: Sequence) -> int | np.ndarray:
-        return sum(d * s for d, s in zip(digit_tuple, strides))
-
-    # products[q][t][a, y] is digit t of a times the one-digit element y in digit q
-    products = [list(zero) for _ in parts]
+    # rules_at[j]: the rules whose right factor is digit j, as (i, t, table)
+    rules_at = [[] for _ in parts]
     for i, j, t, table in rules:
-        term = np.asarray(table, dtype=np.int32)[digits[i][:, None], np.arange(orders[j])]
-        products[j][t] = parts[t][products[j][t], term]
+        rules_at[j].append((i, t, _as_indices(table)))
 
-    add = np.zeros((1, 1), dtype=np.int32)  # the table of the empty level
-    mul = np.full((n, 1), index(zero), dtype=np.int32)  # the column of 0
+    def index(digit_tuple: Sequence) -> np.integer | np.ndarray:
+        return sum(np.multiply(d, s, dtype=np.int32) for d, s in zip(digit_tuple, strides))
+
+    add = np.zeros((1, 1), dtype=_TABLE_DTYPE)  # the table of the empty level
     for q in reversed(range(len(parts))):
         m, size = orders[q], strides[q]
-        add = (parts[q][:, None, :, None] * size + add[None, :, None, :]).reshape(m * size, -1)
-    for q in reversed(range(len(parts))):
-        columns = np.broadcast_to(index(products[q]), (n, orders[q]))
-        mul = add[columns[:, :, None], mul[:, None, :]].reshape(n, -1)
+        level = np.empty((m * size, m * size), dtype=_TABLE_DTYPE)
+        for xs in _row_blocks(m, m):  # digit q times its stride plus the level below
+            np.add(np.multiply(parts[q][xs], size, dtype=np.int32)[:, None, :, None],
+                   add[None, :, None, :], out=level.reshape(m, size, m, size)[xs],
+                   dtype=np.int32, casting="unsafe")
+        add = level
+    mul = np.empty((n, n), dtype=_TABLE_DTYPE)
+    for rows in _row_blocks(n, n):
+        block = mul[rows]
+        digits = np.unravel_index(np.arange(rows.start, rows.stop), orders)
+        block[:, 0] = index(zero)  # the column of 0
+        for q in reversed(range(len(parts))):
+            m, size = orders[q], strides[q]
+            # products[t][a, y]: digit t of a times the one-digit element y in digit q
+            products = list(zero)
+            for i, t, table in rules_at[q]:
+                products[t] = parts[t][products[t], table[digits[i]]]
+            columns = np.broadcast_to(index(products), (len(block), m))
+            gathered = add[columns[:, :, None], block[:, None, :size]]
+            block[:, : m * size] = gathered.reshape(len(block), -1)
     labels = tuple(map(label, itertools.product(*map(range, orders))))
     return FiniteRing(n, _frozen(add), _frozen(mul), int(index(zero)), int(index(one)),
                       labels, construction)
@@ -569,8 +624,10 @@ class BimoduleSpec:
     ``left_action[r, m]`` is the module index of ``r . m`` for a ring index
     ``r``; ``right_action[m, s]`` is ``m . s``.  No implicit coercions:
     every action is a full table.  The constructors here give read-only
-    ``int32`` arrays; ``check_bimodule`` also accepts nested integer
-    sequences, so that a hand-written spec can be validated before use.
+    ``uint16`` arrays, so a module has at most 65,536 elements;
+    ``check_bimodule`` also accepts nested integer sequences, so that a
+    hand-written spec can be validated before use.  The ring builders take
+    every table as ``uint16`` and refuse an entry that does not fit.
     """
 
     order: int
@@ -648,7 +705,7 @@ def regular_bimodule(R: FiniteRing) -> BimoduleSpec:
 
 def zero_bimodule(R: FiniteRing) -> BimoduleSpec:
     """The one-element bimodule over ``R``."""
-    zeros = _frozen(np.zeros((R.order, 1)))
+    zeros = _frozen(np.zeros((R.order, 1), dtype=_TABLE_DTYPE))
     return BimoduleSpec(1, _frozen([[0]]), zeros, zeros.T,
                         0, (R.labels[R.zero],), "ideal(0)")
 
@@ -663,7 +720,7 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 def _positions(R: FiniteRing, members: np.ndarray) -> np.ndarray:
     """Map sending each entry of the sorted index array ``members`` to its position."""
-    pos = np.zeros(R.order, dtype=np.int32)
+    pos = np.zeros(R.order, dtype=_TABLE_DTYPE)
     pos[members] = np.arange(members.size)
     return pos
 

@@ -335,6 +335,20 @@ def test_classify_lattice_heavy_ring_in_seconds(monkeypatch):
     assert elapsed < 5.0, f"classify tri(z2,4) took {elapsed:.1f} s"
 
 
+def test_classify_poly_z2_11_peak_memory(monkeypatch):
+    import tracemalloc
+
+    monkeypatch.setenv("RING_ORDER_CAP", "2048")
+    R = truncated_poly(make_zmod(2), 11)
+    tracemalloc.start()
+    classify_ring(R)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # about 8.1 MB: two n x n bool temporaries (element census, reversibility);
+    # an unpacked 2n x n side-table matrix would add 4 MB more
+    assert peak < 10 << 20, f"classify poly(z2,11) peaked at {peak / 2**20:.1f} MB"
+
+
 def test_flag_text():
     from morphring import Flag
 

@@ -200,6 +200,15 @@ class TestCommands:
         assert run_command(["classify", "mat(z7,3)"]) == 2
         assert "projected order" in capsys.readouterr().err
 
+    def test_order_past_uint16_tables_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("RING_ORDER_CAP", "70000")
+        start = time.perf_counter()
+        assert run_command(["classify", "z70000"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: the integers modulo n would have order above the cap 65536")
+
     def test_verify_all_theorems(self, capsys):
         assert run_command(["verify", "z12", "--json"]) == 0
         names = [r["predicate"] for r in _records(capsys)]

@@ -179,7 +179,7 @@ def test_gf_tables_match_reference_construction():
     assert len(fields) == 70
     for p, k in fields:
         F = make_gf(p, k)
-        assert F.mul_table.dtype == np.int32, (p, k)
+        assert F.mul_table.dtype == np.uint16, (p, k)
         assert np.array_equal(F.mul_table, _reference_gf_mul(p, k)), (p, k)
 
 
@@ -459,7 +459,7 @@ def test_tables_are_readonly_int32_and_opposite_shares_storage():
     B = ideal_bimodule(make_zmod(4), 2)
     tables = (R.add_table, R.mul_table, B.add_table, B.left_action, B.right_action)
     for table in tables:
-        assert table.dtype == np.int32
+        assert table.dtype == np.uint16
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 1
@@ -467,6 +467,61 @@ def test_tables_are_readonly_int32_and_opposite_shares_storage():
     assert O.add_table is R.add_table
     assert np.shares_memory(O.mul_table, R.mul_table)
     assert np.array_equal(O.mul_table, R.mul_table.T)
+
+
+def test_every_constructor_gives_readonly_uint16_tables():
+    Z2, Z4, T2 = make_zmod(2), make_zmod(4), matrix_ring(make_zmod(2), 2, shape="lower_triangular")
+    as_lists = ring_from_tables(Z4.add_table.tolist(), Z4.mul_table.tolist(), 0, 1)
+    rings = [Z4, make_gf(2, 3), direct_product([Z2, T2]), matrix_ring(Z2, 2), T2,
+             truncated_poly(Z4, 2), trivial_extension(Z4, ideal_bimodule(Z4, 2)),
+             formal_triangular(Z2, Z2, regular_bimodule(Z2)), pierce_corner(T2, 4),
+             as_lists, opposite(T2)]
+    specs = [regular_bimodule(T2), zero_bimodule(Z4), ideal_bimodule(Z4, 2)]
+    tables = [t for R in rings for t in (R.add_table, R.mul_table, R.neg_table)]
+    tables += [t for M in specs for t in (M.add_table, M.left_action, M.right_action)]
+    for table in tables:
+        assert table.dtype == np.uint16
+        assert not table.flags.writeable
+
+
+def test_tables_refuse_indices_that_do_not_fit_uint16(monkeypatch):
+    from morphring.rings import _frozen
+
+    assert _frozen(np.array([[0, 65535]])).tolist() == [[0, 65535]]
+    for bad in ([[0, 65536]], [[-1]], np.array([[70000]], dtype=np.int32)):
+        with pytest.raises(ValueError, match="uint16"):
+            _frozen(bad)
+    # a zero-stride view: an order past 65,536 without a large allocation
+    huge = np.broadcast_to(np.zeros(1, dtype=np.int64), (70000, 70000))
+    with pytest.raises(ValueError, match="65536"):
+        ring_from_tables(huge, huge, 0, 0)
+    monkeypatch.setenv("RING_ORDER_CAP", "70000")
+    Z2, Z256 = make_zmod(2), make_zmod(256)
+    tracemalloc.start()
+    for build in (lambda: make_zmod(70000), lambda: make_zmod(65537), lambda: make_gf(65537, 1),
+                  lambda: truncated_poly(Z2, 17), lambda: direct_product([Z256, Z256, Z2])):
+        with pytest.raises(OrderCapExceeded, match="above the cap 65536"):
+            build()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_one_part_build_peaks_below_three_times_its_tables():
+    p = 2039
+    tracemalloc.start()
+    F = make_gf(p, 1)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # the builder's input Z_p is as large as its output, so this leaves
+    # about one table pair for everything transient
+    assert peak <= 3 * (F.add_table.nbytes + F.mul_table.nbytes)
+    idx = np.arange(p, dtype=np.int64)
+    for row in (0, 1, 777, p - 1):
+        assert np.array_equal(F.add_table[row], (row + idx) % p)
+        assert np.array_equal(F.mul_table[row], (row * idx) % p)
+        assert np.array_equal(F.mul_table[:, row], (row * idx) % p)
+    assert np.array_equal(F.mul_table, make_zmod(p).mul_table)
 
 
 def test_ring_equality_compares_table_contents():
