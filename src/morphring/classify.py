@@ -11,6 +11,7 @@ opposite ring.  All witnesses are least-index, so profiles are canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -27,9 +28,10 @@ from .ideals import (
     _principal_pair_sums,
     _resolve,
 )
-from .rings import FiniteRing, OrderCapExceeded, _check_element, _chunk_rows, order_cap
+from .rings import FiniteRing, OrderCapExceeded, _check_element, _chunk_rows, _per_ring, order_cap
 
 __all__ = [
+    "PREDICATES",
     "ClassProfile",
     "CommutationProfile",
     "ElementClass",
@@ -147,6 +149,16 @@ class ClassProfile:
     commutation: CommutationProfile
     structural: StructuralProfile
 
+    @property
+    def flags(self) -> dict[str, Flag]:
+        """Every flag by record name, in record order: the keys of ``PREDICATES``."""
+        flags = {name: getattr(hierarchy, field)
+                 for hierarchy in (self.morphic.left, self.morphic.right)
+                 for field, name in _HIERARCHY_NAMES[hierarchy.side].items()}
+        for group in (self.regularity, self.commutation, self.structural):
+            flags.update(vars(group))
+        return flags
+
 
 def _for_all(items: Iterable, holds: Callable[..., bool]) -> Flag:
     """True when ``holds(x)`` for every item; else the first failing ``x``."""
@@ -201,6 +213,7 @@ def element_class(R: FiniteRing, side: Side, a: int) -> ElementClass:
     )
 
 
+@_per_ring
 def _side_hierarchy(R: FiniteRing, side: Side) -> SideHierarchy:
     """Each flag is its element predicate checked over the whole ring."""
     pseudo, generalized, morphic = (w >= 0 for w in _witness_vectors(R, side))
@@ -218,6 +231,7 @@ def ring_morphic_profile(R: FiniteRing) -> MorphicProfile:
     return MorphicProfile(*(_side_hierarchy(R, side) for side in Side))
 
 
+@_per_ring
 def regularity_profile(R: FiniteRing) -> RegularityProfile:
     """Von Neumann regularity and its unit and strong refinements."""
     mul = R.mul_table
@@ -229,14 +243,12 @@ def regularity_profile(R: FiniteRing) -> RegularityProfile:
     )
 
 
+@_per_ring
 def _is_commutative(R: FiniteRing) -> bool:
-    flag = R._cache.get("commutative")
-    if flag is None:
-        flag = bool(np.array_equal(R.mul_table, R.mul_table.T))
-        R._cache["commutative"] = flag
-    return flag
+    return bool(np.array_equal(R.mul_table, R.mul_table.T))
 
 
+@_per_ring
 def commutation_profile(R: FiniteRing) -> CommutationProfile:
     """Reduced, reversible, symmetric, semiprime, and directly finite flags."""
     n = R.order
@@ -249,35 +261,28 @@ def commutation_profile(R: FiniteRing) -> CommutationProfile:
     else:
         reduced = Flag(False, counterexample=mask_members(census.nilpotents & ~(1 << zero))[0])
 
-    is_zero = mul == zero
-    reversible = Flag(True)
-    bad = np.argwhere(is_zero & ~is_zero.T)
-    if bad.size:
-        a, b = (int(v) for v in bad[0])
-        reversible = Flag(False, counterexample=(a, b))
-
-    if _is_commutative(R):
-        symmetric = Flag(True)
-    elif not reversible.status:
-        # a reversibility failure ab = 0, ba != 0 breaks symmetry at the
-        # triple (a, b, 1): abc = 0 but bac = ba != 0
-        a, b = reversible.counterexample
-        symmetric = Flag(False, counterexample=(a, b, one))
-    else:
-        symmetric = Flag(True)
-        step = _chunk_rows(mul)
-        for start in range(0, n, step):
-            rows = mul[start : start + step]
-            abc = mul[rows]                      # [i,b,c] = (a b) c
-            acb = abc.swapaxes(1, 2)             # [i,b,c] = (a c) b
-            bac = mul[mul[:, start : start + step].T]  # [i,b,c] = (b a) c
-            viol = (abc == zero) & ((acb != zero) | (bac != zero))
-            if viol.any():
-                w = np.argwhere(viol)[0]
-                symmetric = Flag(
-                    False, counterexample=(int(w[0]) + start, int(w[1]), int(w[2]))
-                )
-                break
+    reversible = symmetric = Flag(True)
+    if not _is_commutative(R):  # a commutative ring is reversible and symmetric
+        is_zero = mul == zero
+        bad = np.argwhere(is_zero & ~is_zero.T)
+        if bad.size:
+            # a reversibility failure ab = 0, ba != 0 breaks symmetry at the
+            # triple (a, b, 1): abc = 0 but bac = ba != 0
+            a, b = (int(v) for v in bad[0])
+            reversible = Flag(False, counterexample=(a, b))
+            symmetric = Flag(False, counterexample=(a, b, one))
+        else:
+            step = _chunk_rows(mul)
+            for start in range(0, n, step):
+                rows = mul[start : start + step]
+                abc = mul[rows]                      # [i,b,c] = (a b) c
+                acb = abc.swapaxes(1, 2)             # [i,b,c] = (a c) b
+                bac = mul[mul[:, start : start + step].T]  # [i,b,c] = (b a) c
+                viol = (abc == zero) & ((acb != zero) | (bac != zero))
+                if viol.any():
+                    i, b, c = (int(v) for v in np.argwhere(viol)[0])
+                    symmetric = Flag(False, counterexample=(i + start, b, c))
+                    break
 
     semiprime = _for_all(range(n), lambda a: a == zero or not (mul[mul[a], a] == zero).all())
 
@@ -409,25 +414,14 @@ def _ikeda_nakayama(R: FiniteRing, side: Side) -> Flag:
     return Flag(True)
 
 
+_QF_NOTE = "finite ring: dual annihilator conditions model quasi-Frobenius"
+
+
 def structural_profile(R: FiniteRing) -> StructuralProfile:
     """Bezout, P-injectivity, duality, annihilator, p.p., and clean flags."""
-    dual = _dual_ring(R)
-    qf = replace(dual, note="finite ring: dual annihilator conditions model quasi-Frobenius")
-    return StructuralProfile(
-        bezout_left=_bezout(R, Side.LEFT),
-        bezout_right=_bezout(R, Side.RIGHT),
-        p_injective_left=_p_injective(R, Side.LEFT),
-        p_injective_right=_p_injective(R, Side.RIGHT),
-        dual_ring=dual,
-        qf_finite=qf,
-        lear_left=_lear(R, Side.LEFT),
-        lear_right=_lear(R, Side.RIGHT),
-        pp_left=_pp(R, Side.LEFT),
-        pp_right=_pp(R, Side.RIGHT),
-        strongly_clean=_strongly_clean(R),
-        ikeda_nakayama_left=_ikeda_nakayama(R, Side.LEFT),
-        ikeda_nakayama_right=_ikeda_nakayama(R, Side.RIGHT),
-    )
+    flags = {name: PREDICATES[name](R) for name in StructuralProfile.__dataclass_fields__
+             if name != "qf_finite"}  # the dual flag noted: one lattice scan, not two
+    return StructuralProfile(**flags, qf_finite=replace(flags["dual_ring"], note=_QF_NOTE))
 
 
 def classify_ring(R: FiniteRing) -> ClassProfile:
@@ -446,3 +440,40 @@ def classify_ring(R: FiniteRing) -> ClassProfile:
         commutation=commutation_profile(R),
         structural=structural_profile(R),
     )
+
+
+# The record name of each ``SideHierarchy`` flag on each side: the only
+# place a record name is put together from parts.
+_HIERARCHY_NAMES = {side: {field: f"{side.value}_{suffix}" for field, suffix in (
+    ("pseudo", "pseudo_morphic"), ("generalized", "generalized_morphic"),
+    ("quasi", "quasi_morphic"), ("morphic", "morphic"))} for side in Side}
+
+
+def _flag_of(group: Callable[..., object], field: str, *args) -> Callable[[FiniteRing], Flag]:
+    return lambda R: getattr(group(R, *args), field)
+
+
+# Every ring-level flag by record name, in record order: the CLI and the
+# theorem checks read flags here.  A profile group is computed once per ring,
+# so its flags cost no more one by one than together.
+PREDICATES: dict[str, Callable[[FiniteRing], Flag]] = {
+    **{name: _flag_of(_side_hierarchy, field, side)
+       for side in Side for field, name in _HIERARCHY_NAMES[side].items()},
+    **{name: _flag_of(group, name)
+       for group, fields in ((regularity_profile, RegularityProfile.__dataclass_fields__),
+                             (commutation_profile, CommutationProfile.__dataclass_fields__))
+       for name in fields},
+    "bezout_left": partial(_bezout, side=Side.LEFT),
+    "bezout_right": partial(_bezout, side=Side.RIGHT),
+    "p_injective_left": partial(_p_injective, side=Side.LEFT),
+    "p_injective_right": partial(_p_injective, side=Side.RIGHT),
+    "dual_ring": _dual_ring,
+    "qf_finite": lambda R: replace(_dual_ring(R), note=_QF_NOTE),
+    "lear_left": partial(_lear, side=Side.LEFT),
+    "lear_right": partial(_lear, side=Side.RIGHT),
+    "pp_left": partial(_pp, side=Side.LEFT),
+    "pp_right": partial(_pp, side=Side.RIGHT),
+    "strongly_clean": _strongly_clean,
+    "ikeda_nakayama_left": partial(_ikeda_nakayama, side=Side.LEFT),
+    "ikeda_nakayama_right": partial(_ikeda_nakayama, side=Side.RIGHT),
+}

@@ -43,10 +43,10 @@ RingExpr = tuple
 # the first call that projects or builds a ring, so ``qz`` runs without
 # numpy; module attribute access (``cli.make_zmod``) loads them too.
 _ENGINE = {
-    "rings": ("BimoduleSpec", "FiniteRing", "_is_prime", "_power", "check_bimodule",
+    "rings": ("BimoduleSpec", "_is_prime", "_power", "check_bimodule",
               "direct_product", "ideal_bimodule", "make_gf", "make_zmod", "matrix_ring",
               "opposite", "regular_bimodule", "trivial_extension", "truncated_poly"),
-    "classify": ("ClassProfile", "Flag", "classify_ring"),
+    "classify": ("PREDICATES", "classify_ring"),
     "verify": ("RING_THEOREMS", "TrivialExtensionCase", "_search_hit", "_search_report",
                "verify_extension_heredity", "verify_triangular_example_identity"),
 }
@@ -399,19 +399,7 @@ def profile_records(expression: str, profile: ClassProfile) -> list[dict]:
     """Flatten a classification into fixed-key records, one per predicate."""
     records = [{"expression": expression, "predicate": "order",
                 "status": str(profile.order), "witness": None}]
-    named: list[tuple[str, Flag]] = []
-    for hierarchy in (profile.morphic.left, profile.morphic.right):
-        prefix = hierarchy.side.value
-        named.extend([
-            (f"{prefix}_pseudo_morphic", hierarchy.pseudo),
-            (f"{prefix}_generalized_morphic", hierarchy.generalized),
-            (f"{prefix}_quasi_morphic", hierarchy.quasi),
-            (f"{prefix}_morphic", hierarchy.morphic),
-        ])
-    for group in (profile.regularity, profile.commutation, profile.structural):
-        named.extend((name, getattr(group, name))
-                     for name in group.__dataclass_fields__)
-    for name, flag in named:
+    for name, flag in profile.flags.items():
         records.append({"expression": expression, "predicate": name,
                         "status": flag.text, "witness": _flag_payload(flag)})
     return records
@@ -534,9 +522,9 @@ def _check_corpus_flags(args: argparse.Namespace) -> None:
         raise ValueError(f"--max-order must be at least 2, got {args.max_order}")
 
 
-def _worker_classify(expression: str) -> tuple[str, list[dict]]:
-    ring = _build_checked(parse_ring_expr(expression))
-    return expression, profile_records(expression, classify_ring(ring))
+def _worker_flag(row: tuple[str, str, str]) -> Flag:
+    expression, predicate, _ = row
+    return PREDICATES[predicate](_build_checked(parse_ring_expr(expression)))
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
@@ -544,17 +532,12 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     _engine()  # before _map: forked workers inherit the engine, not import it each
     rows = [(e, p, s) for e, p, s in _EXAMPLE_TABLE
             if projected_order(parse_ring_expr(e)) <= args.max_order]
-    expressions = sorted({e for e, _, _ in rows})
-    computed = dict(_map(_worker_classify, expressions, args.jobs))
-    by_key = {(expr, r["predicate"]): r
-              for expr, records in computed.items() for r in records}
     records = []
-    for expression, predicate, expected in rows:
-        actual = by_key[(expression, predicate)]
-        status = "match" if actual["status"] == expected else "mismatch"
-        witness = {"expected": expected, "computed": actual["status"]}
-        if actual["witness"]:
-            witness["detail"] = actual["witness"]
+    for (expression, predicate, expected), flag in zip(rows, _map(_worker_flag, rows, args.jobs)):
+        status = "match" if flag.text == expected else "mismatch"
+        witness = {"expected": expected, "computed": flag.text}
+        if detail := _flag_payload(flag):
+            witness["detail"] = detail
         records.append({"expression": expression, "predicate": predicate,
                         "status": status, "witness": witness})
 

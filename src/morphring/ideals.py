@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .rings import FiniteRing, _check_element, _distinct, _env_cap, opposite
+from .rings import FiniteRing, _check_element, _distinct, _env_cap, _per_ring, opposite
 
 __all__ = [
     "ElementCensus",
@@ -139,11 +139,9 @@ def _principal_bits(mul: np.ndarray) -> np.ndarray:
     return bits
 
 
+@_per_ring
 def _side_tables(R: FiniteRing) -> SideTables:
     """The left ``SideTables`` of ``R``, built once and cached on it."""
-    tables = R._cache.get("side_tables")
-    if tables is not None:
-        return tables
     n = R.order
     mul = R.mul_table
     # rows b: l(b) = {x : x b = 0}, then rows n + a: Ra; each half is
@@ -157,9 +155,7 @@ def _side_tables(R: FiniteRing) -> SideTables:
     for side_ids, side_least in zip(ids, least):
         seen, first = np.unique(side_ids, return_index=True)
         side_least[seen] = first
-    tables = SideTables(masks, {m: i for i, m in enumerate(masks)}, *ids, *least)
-    R._cache["side_tables"] = tables
-    return tables
+    return SideTables(masks, {m: i for i, m in enumerate(masks)}, *ids, *least)
 
 
 def _check_mask(R: FiniteRing, mask: int) -> None:
@@ -311,11 +307,9 @@ class ElementCensus:
     nilpotents: int
 
 
+@_per_ring
 def element_census(R: FiniteRing) -> ElementCensus:
     """Census of units (two-sided inverses), idempotents, and nilpotents."""
-    cached = R._cache.get("census")
-    if cached is not None:
-        return cached
     n = R.order
     mul = R.mul_table
     is_one = mul == R.one
@@ -327,22 +321,16 @@ def element_census(R: FiniteRing) -> ElementCensus:
     for _ in range(max(1, (n - 1).bit_length())):
         power = mul[power, power]
     nilp = _mask_from_bool(power == R.zero)
-    census = ElementCensus(units, idem, nilp)
-    R._cache["census"] = census
-    return census
+    return ElementCensus(units, idem, nilp)
 
 
+@_per_ring
 def jacobson_radical(R: FiniteRing) -> int:
     """Mask of ``J(R) = {a : 1 - xa is a unit for every x}``."""
-    cached = R._cache.get("jacobson")
-    if cached is not None:
-        return cached
     is_unit = _bool_from_mask(element_census(R).units, R.order)
     # column a holds 1 - x a for every x
     one_minus = R.add_table[R.one][R.neg_table[R.mul_table]]
-    radical = _mask_from_bool(is_unit[one_minus].all(axis=0))
-    R._cache["jacobson"] = radical
-    return radical
+    return _mask_from_bool(is_unit[one_minus].all(axis=0))
 
 
 def is_essential(R: FiniteRing, side: Side, mask: int) -> bool:

@@ -14,6 +14,7 @@ components and biadditive product rules; one structure-constant builder,
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import weakref
@@ -88,8 +89,8 @@ class FiniteRing:
     ``construction`` is the canonical expression text that built the ring,
     when one exists.  Two rings are equal when their tables,
     distinguished elements, labels and construction agree.  ``_cache``
-    holds derived tables (annihilator masks, the opposite ring) built
-    lazily by other modules.
+    holds derived tables (annihilator masks, the opposite ring) and the
+    results of ``_per_ring`` functions, built lazily by other modules.
     """
 
     order: int
@@ -150,6 +151,17 @@ class FiniteRing:
     def __repr__(self) -> str:  # keep reprs short; tables can be huge
         name = self.construction or "<tables>"
         return f"FiniteRing(order={self.order}, construction={name!r})"
+
+
+def _per_ring(compute: Callable) -> Callable:
+    """Decorate ``compute(R, *args)`` to run once per ring and arguments, kept in ``R._cache``."""
+    @functools.wraps(compute)
+    def cached(R: FiniteRing, *args):
+        key = (compute, *args)
+        if key not in R._cache:
+            R._cache[key] = compute(R, *args)
+        return R._cache[key]
+    return cached
 
 
 def _as_indices(table) -> np.ndarray:

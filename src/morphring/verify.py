@@ -20,19 +20,11 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .classify import (
-    _bezout,
+    PREDICATES,
     _double_annihilator_failure,
-    _dual_ring,
     _exchange_failure,
     _is_commutative,
-    _lear,
-    _p_injective,
-    _pp,
-    _side_hierarchy,
-    _strongly_clean,
-    commutation_profile,
     element_class,
-    regularity_profile,
     ring_morphic_profile,
 )
 from .common import VerificationReport
@@ -102,6 +94,12 @@ def _theorem(name: str) -> Callable:
         RING_THEOREMS[name] = run
         return run
     return register
+
+
+_PSEUDO_BOTH = ("left_pseudo_morphic", "right_pseudo_morphic")
+# The flags that agree on a reduced ring.
+_COLLAPSING = (*_PSEUDO_BOTH, "left_quasi_morphic", "right_quasi_morphic", "left_morphic",
+               "right_morphic", "regular", "unit_regular", "strongly_regular")
 
 
 def _refuted(check: str, **payload) -> tuple[str, dict]:
@@ -208,9 +206,9 @@ def verify_pseudo_consequences(R: FiniteRing) -> tuple[str, dict]:
     equals the right singular ideal; right socle contained in left socle;
     and minimality transfer from ``aR`` to ``Ra``.
     """
-    if not _side_hierarchy(R, Side.LEFT).pseudo.status:
+    if not PREDICATES["left_pseudo_morphic"](R).status:
         return "vacuous", {"note": "ring is not left pseudo-morphic"}
-    p_injective = _p_injective(R, Side.RIGHT)
+    p_injective = PREDICATES["p_injective_right"](R)
     if not p_injective.status:
         return _refuted("lr(a)=Ra", element=p_injective.counterexample)
     fg = _fg_masks(R, Side.LEFT)
@@ -284,24 +282,23 @@ def verify_finite_qf(R: FiniteRing) -> tuple[str, dict]:
     single-element annihilators, and strongly clean; semiprime ones have
     zero radical.
     """
-    profile = ring_morphic_profile(R)
-    if not (profile.left.pseudo.status and profile.right.pseudo.status):
+    if not all(PREDICATES[name](R).status for name in _PSEUDO_BOTH):
         return "vacuous", {"note": "ring is not pseudo-morphic on both sides"}
-    dual = _dual_ring(R)
+    dual = PREDICATES["dual_ring"](R)
     if dual.status is None:
         return "indeterminate", {"note": dual.note}
     if not dual.status:
         return _refuted("dual_ring", counterexample=dual.counterexample)
-    for side in Side:
-        for check, flag in (("all_ideals_principal", _bezout(R, side)),
-                            ("all_ideals_are_annihilators", _lear(R, side))):
-            if flag.status is not True:
-                return _refuted(check, side=side.value, counterexample=flag.counterexample)
-    clean = _strongly_clean(R)
-    if clean.status is not True:
-        return _refuted("strongly_clean", counterexample=clean.counterexample)
+    for check, name, side in (("all_ideals_principal", "bezout_left", {"side": "left"}),
+                              ("all_ideals_are_annihilators", "lear_left", {"side": "left"}),
+                              ("all_ideals_principal", "bezout_right", {"side": "right"}),
+                              ("all_ideals_are_annihilators", "lear_right", {"side": "right"}),
+                              ("strongly_clean", "strongly_clean", {})):
+        flag = PREDICATES[name](R)
+        if flag.status is not True:
+            return _refuted(check, **side, counterexample=flag.counterexample)
     details = {f"{side.value}_ideals": len(all_ideals(R, side)) for side in Side}
-    if commutation_profile(R).semiprime.status:
+    if PREDICATES["semiprime"](R).status:
         if jacobson_radical(R) != 1 << R.zero:
             return _refuted("semiprime_radical_zero", radical=jacobson_radical(R))
         details["semiprime_radical_zero"] = True
@@ -316,21 +313,20 @@ def verify_regular_criteria(R: FiniteRing) -> tuple[str, dict]:
     sides] ⟺ [regular] ⟺ [zero radical], plus the mixed criteria
     [left p.p. and right pseudo-morphic] ⟹ regular and its mirror.
     """
-    semiprime = bool(commutation_profile(R).semiprime.status)
-    profile = ring_morphic_profile(R)
-    pseudo_l, pseudo_r = profile.left.pseudo.status, profile.right.pseudo.status
-    regular = bool(regularity_profile(R).regular.status)
+    semiprime = bool(PREDICATES["semiprime"](R).status)
+    pseudo_l, pseudo_r = (PREDICATES[name](R).status for name in _PSEUDO_BOTH)
+    regular = bool(PREDICATES["regular"](R).status)
     rad_zero = jacobson_radical(R) == 1 << R.zero
     a = semiprime and pseudo_l and pseudo_r
     details = {"semiprime_pseudo": a, "regular": regular, "radical_zero": rad_zero}
     if not (a == regular == rad_zero):
         return "refuted", details
 
-    for side_pp, side_pseudo, label in (
-        (Side.LEFT, pseudo_r, "left_pp_right_pseudo"),
-        (Side.RIGHT, pseudo_l, "right_pp_left_pseudo"),
+    for pp, side_pseudo, label in (
+        ("pp_left", pseudo_r, "left_pp_right_pseudo"),
+        ("pp_right", pseudo_l, "right_pp_left_pseudo"),
     ):
-        antecedent = _pp(R, side_pp).status and side_pseudo
+        antecedent = PREDICATES[pp](R).status and side_pseudo
         details[label] = antecedent
         if antecedent and not regular:
             details["check"] = label
@@ -351,39 +347,28 @@ def verify_reduced_equivalences(R: FiniteRing, nmax: int = 2) -> tuple[str, dict
     """
     if nmax < 2:
         raise ValueError(f"nmax must be at least 2, got {nmax}")
-    profile = ring_morphic_profile(R)
-    reg = regularity_profile(R)
-    reduced = bool(commutation_profile(R).reduced.status)
+    reduced = bool(PREDICATES["reduced"](R).status)
     details: dict = {"reduced": reduced}
-    flags = {
-        "left_pseudo": profile.left.pseudo.status,
-        "right_pseudo": profile.right.pseudo.status,
-        "left_quasi": profile.left.quasi.status,
-        "right_quasi": profile.right.quasi.status,
-        "left_morphic": profile.left.morphic.status,
-        "right_morphic": profile.right.morphic.status,
-        "regular": reg.regular.status,
-        "unit_regular": reg.unit_regular.status,
-        "strongly_regular": reg.strongly_regular.status,
-    }
+    flags = {name: bool(PREDICATES[name](R).status) for name in _COLLAPSING}
     if reduced:
-        if len({bool(v) for v in flags.values()}) != 1:
-            details["flags"] = {k: bool(v) for k, v in flags.items()}
+        if len(set(flags.values())) != 1:
+            details["flags"] = flags
             return "refuted", details
-        details["nine_way"] = bool(reg.strongly_regular.status)
+        details["nine_way"] = flags["strongly_regular"]
     checked_n, capped_n = [], []
     for n in range(2, nmax + 1):
         if R.order**n > order_cap():  # the constructors' cap is never lower
             capped_n.append(n)
             continue
-        p_profile = ring_morphic_profile(truncated_poly(R, n))
-        if reduced and reg.strongly_regular.status:
-            if not (p_profile.left.morphic.status and p_profile.right.morphic.status):
+        P = truncated_poly(R, n)
+        if reduced and flags["strongly_regular"]:
+            left, right = (PREDICATES[name](P) for name in ("left_morphic", "right_morphic"))
+            if not (left.status and right.status):
                 details["check"] = "strongly_regular_truncation_morphic"
                 details["degree"] = n
-                details["counterexample"] = p_profile.left.morphic.counterexample
+                details["counterexample"] = left.counterexample
                 return "refuted", details
-        if p_profile.left.pseudo.status and not profile.left.pseudo.status:
+        if PREDICATES["left_pseudo_morphic"](P).status and not flags["left_pseudo_morphic"]:
             details["check"] = "truncation_transfer"
             details["degree"] = n
             return "refuted", details
@@ -405,10 +390,10 @@ class TriangularCase:
     def claims(self) -> tuple[str, FiniteRing, list]:
         big = formal_triangular(self.corner_left, self.corner_right, self.bimodule)
         return _expr(big), big, [
-            ("generalized_to_corners", Side.LEFT, "generalized",
+            ("generalized_to_corners", "left_generalized_morphic",
              (self.corner_left, self.corner_right)),
-            ("left_pseudo_to_right_corner", Side.LEFT, "pseudo", (self.corner_right,)),
-            ("right_pseudo_to_left_corner", Side.RIGHT, "pseudo", (self.corner_left,)),
+            ("left_pseudo_to_right_corner", "left_pseudo_morphic", (self.corner_right,)),
+            ("right_pseudo_to_left_corner", "right_pseudo_morphic", (self.corner_left,)),
         ]
 
 
@@ -422,7 +407,7 @@ class TrivialExtensionCase:
 
     def claims(self) -> tuple[str, FiniteRing, list]:
         big = self.extension or trivial_extension(self.base, self.bimodule)
-        return _expr(big), big, [("generalized_to_base", Side.LEFT, "generalized", (self.base,))]
+        return _expr(big), big, [("generalized_to_base", "left_generalized_morphic", (self.base,))]
 
 
 @dataclass(frozen=True)
@@ -443,9 +428,9 @@ class CornerCase:
             return expression, R, "(1-e)Re != 0; the corner corollary does not apply"
         eRe, fRf = pierce_corner(R, e), pierce_corner(R, f)
         return expression, R, [
-            ("generalized_to_both_corners", Side.LEFT, "generalized", (eRe, fRf)),
-            ("left_pseudo_to_complement_corner", Side.LEFT, "pseudo", (fRf,)),
-            ("right_pseudo_to_corner", Side.RIGHT, "pseudo", (eRe,)),
+            ("generalized_to_both_corners", "left_generalized_morphic", (eRe, fRf)),
+            ("left_pseudo_to_complement_corner", "left_pseudo_morphic", (fRf,)),
+            ("right_pseudo_to_corner", "right_pseudo_morphic", (eRe,)),
         ]
 
 
@@ -459,8 +444,8 @@ def verify_extension_heredity(
     left corner.  Trivial extensions pass left generalized morphic to the
     base.  Corners with ``(1-e)Re = 0``: left generalized passes to both
     Peirce corners, left pseudo to ``(1-e)R(1-e)``, right pseudo to ``eRe``.
-    Each case lists its claims as rows ``(name, side, flag, rings)``: every
-    ring has the hierarchy flag on that side if the big ring has it, and the
+    Each case lists its claims as rows ``(name, flag, rings)``, the flag by
+    record name: every ring has the flag if the big ring has it, and the
     claim is vacuous if the big ring has not.
     """
     start = time.perf_counter()
@@ -470,10 +455,9 @@ def verify_extension_heredity(
                                   {"note": claims}, time.perf_counter() - start)
     checked: dict[str, bool] = {}
     vacuous: list[str] = []
-    for name, side, flag, rings in claims:
-        if getattr(_side_hierarchy(big, side), flag).status:
-            checked[name] = all(getattr(_side_hierarchy(ring, side), flag).status
-                                for ring in rings)
+    for name, flag, rings in claims:
+        if PREDICATES[flag](big).status:
+            checked[name] = all(PREDICATES[flag](ring).status for ring in rings)
         else:
             vacuous.append(name)
     details = {"checked": sorted(checked), "vacuous": sorted(vacuous)}
@@ -506,13 +490,13 @@ def _search_hit(R: FiniteRing) -> dict | None:
     Any hit is re-validated with raw scans independent of the classifier's
     caches before being reported.
     """
-    left = _side_hierarchy(R, Side.LEFT)
-    if not left.pseudo.status or left.quasi.status:
+    quasi = PREDICATES["left_quasi_morphic"](R)
+    if not PREDICATES["left_pseudo_morphic"](R).status or quasi.status:
         return None
     raw_pseudo, raw_generalized = _raw_left_flags(R)
     return {
         "expression": _expr(R),
-        "quasi_counterexample": left.quasi.counterexample,
+        "quasi_counterexample": quasi.counterexample,
         "raw_revalidation": {
             "left_pseudo": raw_pseudo,
             "left_generalized": raw_generalized,
@@ -569,14 +553,13 @@ def verify_triangular_example_identity() -> VerificationReport:
     start = time.perf_counter()
     T = matrix_ring(make_zmod(2), 2, shape="lower_triangular")
     E22, E21, E11 = 1, 2, 4
-    left = _side_hierarchy(T, Side.LEFT)
     l_e21 = annihilator(T, Side.LEFT, [E21])
     headline = (
         l_e21 == principal_ideal(T, Side.LEFT, E11 + E21)
         and l_e21.bit_count() == 4
         and not element_class(T, Side.LEFT, E21).pseudo
-        and left.generalized.status
-        and not left.pseudo.status
+        and PREDICATES["left_generalized_morphic"](T).status
+        and not PREDICATES["left_pseudo_morphic"](T).status
     )
     diverges = {}
     for tag, ring in (("row", T), ("transpose", opposite(T))):

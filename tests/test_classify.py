@@ -1,8 +1,12 @@
 """Tests for element and ring classification."""
 
+from collections import defaultdict
+from pathlib import Path
+
 import pytest
 
 from morphring import (
+    FiniteRing,
     OrderCapExceeded,
     Side,
     annihilator,
@@ -24,6 +28,8 @@ from morphring import (
     trivial_extension,
     truncated_poly,
 )
+from morphring.classify import PREDICATES
+from morphring.cli import build_ring, default_corpus, parse_ring_expr
 
 
 def T2():
@@ -355,3 +361,55 @@ def test_flag_text():
     assert Flag(True).text == "true"
     assert Flag(False, counterexample=1).text == "false"
     assert Flag(None, note="overflow").text == "indeterminate"
+
+
+def test_predicate_table_is_the_record_list():
+    assert len(PREDICATES) == 29
+    for text in ("z4", "z6", "tri(z2,2)", "mat(z2,2)", "trivext(z4,ideal(2))"):
+        ring = build_ring(parse_ring_expr(text))
+        profile = classify_ring(ring)
+        assert list(profile.flags) == list(PREDICATES)
+        assert {name: read(ring) for name, read in PREDICATES.items()} == profile.flags, text
+
+
+def test_profile_groups_are_computed_once_per_ring():
+    R = make_zmod(12)
+    assert regularity_profile(R) is regularity_profile(R)
+    assert PREDICATES["unit_regular"](R) is regularity_profile(R).unit_regular
+    assert PREDICATES["left_morphic"](R) is ring_morphic_profile(R).left.morphic
+
+
+@pytest.fixture(scope="module")
+def corpus_statuses():
+    """Each flag's statuses over ``default_corpus(128)``, 155 rings."""
+    statuses = defaultdict(set)
+    for text in default_corpus(128):
+        for name, flag in classify_ring(build_ring(parse_ring_expr(text))).flags.items():
+            statuses[name].add(flag.status)
+    return statuses
+
+
+# Every finite ring is directly finite and strongly clean, so these two flags
+# are refuted only on a corrupted table: one entry of z4's multiplication,
+# with the counterexample it yields.
+_CORRUPTED_Z4 = {"directly_finite": ((2, 3), 1, (3, 2)), "strongly_clean": ((3, 3), 0, 0)}
+
+
+@pytest.mark.parametrize("name", list(PREDICATES))
+def test_every_flag_is_both_true_and_false_somewhere(corpus_statuses, name):
+    if name not in _CORRUPTED_Z4:
+        assert {True, False} <= corpus_statuses[name]
+        return
+    assert corpus_statuses[name] == {True}
+    (x, y), value, counterexample = _CORRUPTED_Z4[name]
+    z4 = make_zmod(4)
+    mul = z4.mul_table.copy()
+    mul[x, y] = value
+    bad = FiniteRing(z4.order, z4.add_table, mul, z4.zero, z4.one, z4.labels)
+    flag = PREDICATES[name](bad)
+    assert (flag.status, flag.counterexample) == (False, counterexample)
+
+
+def test_readme_lists_every_predicate():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    assert [name for name in PREDICATES if f"`{name}`" not in readme] == []

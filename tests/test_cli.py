@@ -268,6 +268,13 @@ class TestCommands:
                 assert record["witness"]["computed"] == "false"
                 assert record["witness"]["expected"] == "true"
 
+    def test_corpus_predicates_are_table_keys(self):
+        # a misspelt row would end ``corpus`` in a KeyError, not an exit status
+        from morphring.classify import PREDICATES
+        from morphring.cli import _EXAMPLE_TABLE
+
+        assert {predicate for _, predicate, _ in _EXAMPLE_TABLE} <= set(PREDICATES)
+
     def test_corpus_small_cap_all_match(self, capsys):
         assert run_command(["corpus", "--max-order", "4", "--json"]) == 0
         records = _records(capsys)

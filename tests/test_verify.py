@@ -12,7 +12,6 @@ from morphring import (
     FiniteRing,
     Flag,
     Side,
-    SideHierarchy,
     TriangularCase,
     TrivialExtensionCase,
     all_ideals,
@@ -40,6 +39,7 @@ from morphring import (
     verify_triangular_example_identity,
     verify_witness_identities,
 )
+from morphring.classify import PREDICATES
 from morphring.verify import _raw_left_flags
 
 Z4 = make_zmod(4)
@@ -312,31 +312,44 @@ def test_finite_qf_vacuous():
 
 
 # The battery reads classify's flags, so each refutation is reached by
-# patching one flag to fail: the payload names the check and carries the
-# flag's counterexample.
+# patching one table entry to fail: the payload names the check and carries
+# the flag's counterexample.  Rows: (test id, entry, fault, details).
 _FLAG_FAULTS = [
-    ("_dual_ring", lambda R: Flag(False, counterexample=5),
+    ("_dual_ring", "dual_ring", lambda R: Flag(False, counterexample=5),
      {"check": "dual_ring", "counterexample": 5}),
-    ("_bezout", lambda R, side: Flag(side is Side.LEFT, counterexample=(2, 3)),
+    ("_bezout", "bezout_right", lambda R: Flag(False, counterexample=(2, 3)),
      {"check": "all_ideals_principal", "side": "right", "counterexample": (2, 3)}),
-    ("_lear", lambda R, side: Flag(side is Side.RIGHT, counterexample=21),
+    ("_lear", "lear_left", lambda R: Flag(False, counterexample=21),
      {"check": "all_ideals_are_annihilators", "side": "left", "counterexample": 21}),
-    ("_strongly_clean", lambda R: Flag(False, counterexample=7),
+    ("_strongly_clean", "strongly_clean", lambda R: Flag(False, counterexample=7),
      {"check": "strongly_clean", "counterexample": 7}),
 ]
 
 
-@pytest.mark.parametrize("name, fault, details", _FLAG_FAULTS, ids=[f[0] for f in _FLAG_FAULTS])
-def test_finite_qf_refutes_with_the_failing_flag(monkeypatch, name, fault, details):
+@pytest.mark.parametrize("_, name, fault, details", _FLAG_FAULTS,
+                         ids=[f[0] for f in _FLAG_FAULTS])
+def test_finite_qf_refutes_with_the_failing_flag(monkeypatch, _, name, fault, details):
     assert verify_finite_qf(Z12).status == "verified"
-    monkeypatch.setattr(verify_module, name, fault)
+    monkeypatch.setitem(PREDICATES, name, fault)
     report = verify_finite_qf(Z12)
     assert (report.theorem, report.status, report.details) == (
         "finite_dual_ring_battery", "refuted", details)
 
 
+def test_reduced_collapse_refuted_names_flags_by_record(monkeypatch):
+    assert verify_reduced_equivalences(Z6).status == "verified"
+    monkeypatch.setitem(PREDICATES, "unit_regular", lambda R: Flag(False))
+    report = verify_reduced_equivalences(Z6)
+    assert report.status == "refuted"
+    assert report.details == {"reduced": True, "flags": {
+        "left_pseudo_morphic": True, "right_pseudo_morphic": True,
+        "left_quasi_morphic": True, "right_quasi_morphic": True,
+        "left_morphic": True, "right_morphic": True,
+        "regular": True, "unit_regular": False, "strongly_regular": True}}
+
+
 def test_finite_qf_indeterminate_dual_flag(monkeypatch):
-    monkeypatch.setattr(verify_module, "_dual_ring", lambda R: Flag(None, note="too many"))
+    monkeypatch.setitem(PREDICATES, "dual_ring", lambda R: Flag(None, note="too many"))
     report = verify_finite_qf(Z12)
     assert (report.status, report.details) == ("indeterminate", {"note": "too many"})
 
@@ -503,18 +516,19 @@ _Z2 = make_zmod(2)
       "failures": ["generalized_to_both_corners", "left_pseudo_to_complement_corner"]}),
 ])
 def test_heredity_refuted_when_a_consequent_fails(monkeypatch, case, fails_on, consequents, details):
-    real = verify_module._side_hierarchy
-    no = Flag(False, counterexample=0)
     seen = []
 
-    def faulty(R, side):
-        if R.order < 4:
-            seen.append((R.order, side.value))
-        if fails_on(R):
-            return SideHierarchy(side, no, no, no, no)
-        return real(R, side)
+    def faulty(name):
+        real = PREDICATES[name]
 
-    monkeypatch.setattr(verify_module, "_side_hierarchy", faulty)
+        def flag(R):
+            if R.order < 4:
+                seen.append((R.order, name.partition("_")[0]))
+            return Flag(False, counterexample=0) if fails_on(R) else real(R)
+        return flag
+
+    for name in ("left_generalized_morphic", "left_pseudo_morphic", "right_pseudo_morphic"):
+        monkeypatch.setitem(PREDICATES, name, faulty(name))
     report = verify_extension_heredity(case)
     assert report.status == "refuted"
     assert report.details == details
