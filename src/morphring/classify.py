@@ -22,6 +22,7 @@ from .ideals import (
     all_ideals,
     annihilator,
     element_census,
+    lattice_cap,
     mask_members,
     subgroup_sum,
     _bool_from_mask,
@@ -332,10 +333,11 @@ def _double_annihilator_failure(R: FiniteRing, side: Side, ideals: Iterable[int]
     return None
 
 
-def _dual_ring(R: FiniteRing) -> Flag:
+@_per_ring  # keyed on the cap too, as ``all_ideals`` checks it on every call
+def _dual_ring(R: FiniteRing, cap: int) -> Flag:
     """Every one-sided ideal, on either side, is its double annihilator."""
     try:
-        lattices = [(side, all_ideals(R, side)) for side in Side]
+        lattices = [(side, all_ideals(R, side, cap)) for side in Side]
     except LatticeOverflow as exc:
         return Flag(None, note=str(exc))
     for side, ideals in lattices:
@@ -419,9 +421,8 @@ _QF_NOTE = "finite ring: dual annihilator conditions model quasi-Frobenius"
 
 def structural_profile(R: FiniteRing) -> StructuralProfile:
     """Bezout, P-injectivity, duality, annihilator, p.p., and clean flags."""
-    flags = {name: PREDICATES[name](R) for name in StructuralProfile.__dataclass_fields__
-             if name != "qf_finite"}  # the dual flag noted: one lattice scan, not two
-    return StructuralProfile(**flags, qf_finite=replace(flags["dual_ring"], note=_QF_NOTE))
+    return StructuralProfile(**{name: PREDICATES[name](R)
+                                for name in StructuralProfile.__dataclass_fields__})
 
 
 def classify_ring(R: FiniteRing) -> ClassProfile:
@@ -467,8 +468,8 @@ PREDICATES: dict[str, Callable[[FiniteRing], Flag]] = {
     "bezout_right": partial(_bezout, side=Side.RIGHT),
     "p_injective_left": partial(_p_injective, side=Side.LEFT),
     "p_injective_right": partial(_p_injective, side=Side.RIGHT),
-    "dual_ring": _dual_ring,
-    "qf_finite": lambda R: replace(_dual_ring(R), note=_QF_NOTE),
+    "dual_ring": lambda R: _dual_ring(R, lattice_cap()),
+    "qf_finite": lambda R: replace(_dual_ring(R, lattice_cap()), note=_QF_NOTE),
     "lear_left": partial(_lear, side=Side.LEFT),
     "lear_right": partial(_lear, side=Side.RIGHT),
     "pp_left": partial(_pp, side=Side.LEFT),

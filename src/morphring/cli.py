@@ -524,7 +524,9 @@ def _check_corpus_flags(args: argparse.Namespace) -> None:
 
 def _worker_flag(row: tuple[str, str, str]) -> Flag:
     expression, predicate, _ = row
-    return PREDICATES[predicate](_build_checked(parse_ring_expr(expression)))
+    # built first, as in ``_worker_search``: building loads ``PREDICATES``
+    ring = _build_checked(parse_ring_expr(expression))
+    return PREDICATES[predicate](ring)
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:

@@ -289,14 +289,16 @@ def verify_finite_qf(R: FiniteRing) -> tuple[str, dict]:
         return "indeterminate", {"note": dual.note}
     if not dual.status:
         return _refuted("dual_ring", counterexample=dual.counterexample)
-    for check, name, side in (("all_ideals_principal", "bezout_left", {"side": "left"}),
-                              ("all_ideals_are_annihilators", "lear_left", {"side": "left"}),
-                              ("all_ideals_principal", "bezout_right", {"side": "right"}),
-                              ("all_ideals_are_annihilators", "lear_right", {"side": "right"}),
-                              ("strongly_clean", "strongly_clean", {})):
+    for check, name in (("all_ideals_principal", "bezout_left"),
+                        ("all_ideals_are_annihilators", "lear_left"),
+                        ("all_ideals_principal", "bezout_right"),
+                        ("all_ideals_are_annihilators", "lear_right")):
         flag = PREDICATES[name](R)
         if flag.status is not True:
-            return _refuted(check, **side, counterexample=flag.counterexample)
+            return _refuted(check, side=name.rpartition("_")[2], counterexample=flag.counterexample)
+    clean = PREDICATES["strongly_clean"](R)
+    if clean.status is not True:
+        return _refuted("strongly_clean", counterexample=clean.counterexample)
     details = {f"{side.value}_ideals": len(all_ideals(R, side)) for side in Side}
     if PREDICATES["semiprime"](R).status:
         if jacobson_radical(R) != 1 << R.zero:
@@ -322,10 +324,8 @@ def verify_regular_criteria(R: FiniteRing) -> tuple[str, dict]:
     if not (a == regular == rad_zero):
         return "refuted", details
 
-    for pp, side_pseudo, label in (
-        ("pp_left", pseudo_r, "left_pp_right_pseudo"),
-        ("pp_right", pseudo_l, "right_pp_left_pseudo"),
-    ):
+    for pp, side_pseudo, label in (("pp_left", pseudo_r, "left_pp_right_pseudo"),
+                                   ("pp_right", pseudo_l, "right_pp_left_pseudo")):
         antecedent = PREDICATES[pp](R).status and side_pseudo
         details[label] = antecedent
         if antecedent and not regular:
@@ -364,13 +364,11 @@ def verify_reduced_equivalences(R: FiniteRing, nmax: int = 2) -> tuple[str, dict
         if reduced and flags["strongly_regular"]:
             left, right = (PREDICATES[name](P) for name in ("left_morphic", "right_morphic"))
             if not (left.status and right.status):
-                details["check"] = "strongly_regular_truncation_morphic"
-                details["degree"] = n
-                details["counterexample"] = left.counterexample
+                details.update(check="strongly_regular_truncation_morphic", degree=n,
+                               counterexample=left.counterexample)
                 return "refuted", details
         if PREDICATES["left_pseudo_morphic"](P).status and not flags["left_pseudo_morphic"]:
-            details["check"] = "truncation_transfer"
-            details["degree"] = n
+            details.update(check="truncation_transfer", degree=n)
             return "refuted", details
         checked_n.append(n)
     details["checked_degrees"] = checked_n

@@ -1,6 +1,7 @@
 """Tests for element and ring classification."""
 
 from collections import defaultdict
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -377,6 +378,19 @@ def test_profile_groups_are_computed_once_per_ring():
     assert regularity_profile(R) is regularity_profile(R)
     assert PREDICATES["unit_regular"](R) is regularity_profile(R).unit_regular
     assert PREDICATES["left_morphic"](R) is ring_morphic_profile(R).left.morphic
+
+
+def test_dual_scan_is_shared_and_follows_the_lattice_cap(monkeypatch):
+    R = make_zmod(12)  # six ideals on each side
+    dual = PREDICATES["dual_ring"](R)
+    assert dual.status is True and PREDICATES["dual_ring"](R) is dual
+    qf = PREDICATES["qf_finite"](R)
+    assert qf.note and replace(qf, note=None) == dual
+    monkeypatch.setenv("IDEAL_LATTICE_CAP", "5")
+    for name in ("dual_ring", "qf_finite"):
+        assert PREDICATES[name](R).status is None, name
+    monkeypatch.delenv("IDEAL_LATTICE_CAP")
+    assert PREDICATES["dual_ring"](R) is dual
 
 
 @pytest.fixture(scope="module")

@@ -106,3 +106,12 @@ def test_cli_resolves_engine_names_on_first_access():
             "try:\n    cli.no_such_name\nexcept AttributeError:\n    pass\n"
             "else:\n    raise SystemExit('resolved an unknown name')")
     assert _loaded_after(code, _ENGINE) == []
+
+
+def test_pool_workers_run_in_a_fresh_interpreter():
+    # a ``spawn`` or ``forkserver`` pool worker imports ``cli`` afresh, where
+    # ``_engine()`` has not run: each worker loads what it reads first
+    code = ("import morphring.cli as cli\n"
+            "assert cli._worker_flag(('z4', 'reduced', 'false')).text == 'false'\n"
+            "assert cli._worker_search('z4') is None")
+    assert _loaded_after(code, ["numpy"]) == ["numpy"]
