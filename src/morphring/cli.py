@@ -15,7 +15,6 @@ or usage errors, 1 if any check is refuted or mismatched, otherwise 0.
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import os
 import sys
@@ -38,43 +37,6 @@ __all__ = [
 ]
 
 RingExpr = tuple
-
-# The ring engine's names this module uses.  ``_engine()`` imports them on
-# the first call that projects or builds a ring, so ``qz`` runs without
-# numpy; module attribute access (``cli.make_zmod``) loads them too.
-_ENGINE = {
-    "rings": ("BimoduleSpec", "_is_prime", "_power", "check_bimodule",
-              "direct_product", "ideal_bimodule", "make_gf", "make_zmod", "matrix_ring",
-              "opposite", "regular_bimodule", "trivial_extension", "truncated_poly"),
-    "classify": ("PREDICATES", "classify_ring"),
-    "verify": ("RING_THEOREMS", "TrivialExtensionCase", "_search_hit", "_search_report",
-               "verify_extension_heredity", "verify_triangular_example_identity"),
-}
-_engine_loaded = False
-
-
-def _engine() -> None:
-    """Bind the ring engine's names in this module, once.
-
-    A name bound already, such as a test's stand-in, is kept.
-    """
-    global _engine_loaded
-    if _engine_loaded:
-        return
-    namespace = globals()
-    for module, names in _ENGINE.items():
-        loaded = importlib.import_module(f".{module}", __package__)
-        for name in names:
-            namespace.setdefault(name, getattr(loaded, name))
-    _engine_loaded = True
-
-
-def __getattr__(name: str):
-    if any(name in names for names in _ENGINE.values()):
-        _engine()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 # Deepest constructor nesting the parser accepts: far below the interpreter's
 # recursion limit, far above any expression a capped ring needs.
@@ -108,28 +70,34 @@ class _Form:
     bare: bool = False
 
 
-# The builders look the constructors up in this module's globals at call time.
+def _rings():
+    """The ring engine, imported on the first build or order rule that needs it."""
+    from . import rings
+
+    return rings
+
+
 _RINGS: dict[str, _Form] = {
-    "z": _Form(("int",), lambda n: make_zmod(n), lambda limit, n: n, bare=True),
-    "gf": _Form(("int", "int"), lambda p, k: make_gf(p, k),
-                lambda limit, p, k: _power(p, k, limit)),
-    "prod": _Form(("ring",), lambda *rings: direct_product(rings),
+    "z": _Form(("int",), lambda n: _rings().make_zmod(n), lambda limit, n: n, bare=True),
+    "gf": _Form(("int", "int"), lambda p, k: _rings().make_gf(p, k),
+                lambda limit, p, k: _rings()._power(p, k, limit)),
+    "prod": _Form(("ring",), lambda *rings: _rings().direct_product(rings),
                   lambda limit, *orders: reduce(lambda p, o: min(p * o, limit + 1), orders, 1),
                   variadic=True),
-    "mat": _Form(("ring", "int"), lambda base, k: matrix_ring(base, k),
-                 lambda limit, order, k: _power(order, k * k, limit)),
+    "mat": _Form(("ring", "int"), lambda base, k: _rings().matrix_ring(base, k),
+                 lambda limit, order, k: _rings()._power(order, k * k, limit)),
     "tri": _Form(("ring", "int"),
-                 lambda base, k: matrix_ring(base, k, shape="lower_triangular"),
-                 lambda limit, order, k: _power(order, k * (k + 1) // 2, limit)),
-    "poly": _Form(("ring", "int"), lambda base, k: truncated_poly(base, k),
-                  lambda limit, order, k: _power(order, k, limit)),
-    "trivext": _Form(("base", "mod"), lambda base, mod: trivial_extension(base, mod),
+                 lambda base, k: _rings().matrix_ring(base, k, shape="lower_triangular"),
+                 lambda limit, order, k: _rings()._power(order, k * (k + 1) // 2, limit)),
+    "poly": _Form(("ring", "int"), lambda base, k: _rings().truncated_poly(base, k),
+                  lambda limit, order, k: _rings()._power(order, k, limit)),
+    "trivext": _Form(("base", "mod"), lambda base, mod: _rings().trivial_extension(base, mod),
                      lambda limit, base, mod: base.order * mod.order),
-    "opp": _Form(("ring",), lambda inner: opposite(inner), lambda limit, order: order),
+    "opp": _Form(("ring",), lambda inner: _rings().opposite(inner), lambda limit, order: order),
 }
 _MODULES: dict[str, _Form] = {
-    "self": _Form((), lambda base: regular_bimodule(base), bare=True),
-    "ideal": _Form(("int",), lambda base, d: ideal_bimodule(base, d)),
+    "self": _Form((), lambda base: _rings().regular_bimodule(base), bare=True),
+    "ideal": _Form(("int",), lambda base, d: _rings().ideal_bimodule(base, d)),
     "tables": _Form(("path",), lambda base, path: _load_bimodule_tables(path, base)),
 }
 _SUBTREES = {"ring": _RINGS, "base": _RINGS, "mod": _MODULES}
@@ -246,8 +214,11 @@ def _load_bimodule_tables(path: str, base: FiniteRing) -> BimoduleSpec:
 
     Format: first line ``m |R|``, then an m-by-m addition table, an
     |R|-by-m left action, and an m-by-|R| right action, all as element
-    indices.
+    indices.  The bimodule axioms are checked by ``trivial_extension``,
+    after the order cap.
     """
+    from .rings import BimoduleSpec
+
     with open(path, encoding="utf-8") as handle:
         numbers = [int(tok) for tok in handle.read().split()]
     if len(numbers) < 2:
@@ -272,14 +243,10 @@ def _load_bimodule_tables(path: str, base: FiniteRing) -> BimoduleSpec:
     zero = next((e for e in range(m) if all(add[e][x] == x for x in range(m))), None)
     if zero is None:
         raise ValueError(f"table file {path!r} has no additive identity")
-    spec = BimoduleSpec(
+    return BimoduleSpec(
         order=m, add_table=add, left_action=left, right_action=right,
         zero=zero, labels=tuple(f"m{i}" for i in range(m)),
         description=f"tables({path})")
-    check = check_bimodule(base, spec, base)
-    if not check.ok:
-        raise ValueError(f"table file {path!r} fails {check.axiom} at {check.witness}")
-    return spec
 
 
 def _arguments(expr: RingExpr, built: dict, walk: Callable) -> tuple:
@@ -314,7 +281,6 @@ def build_ring(expr: RingExpr, built: dict | None = None) -> FiniteRing:
     so that a caller that already projected the order (which builds them)
     does not build them again.
     """
-    _engine()
     built = {} if built is None else built
     return _form(_RINGS, expr).build(*_arguments(expr, built, build_ring))
 
@@ -336,7 +302,6 @@ def projected_order(expr: RingExpr, built: dict | None = None) -> int:
     the cap builds anything: its base ring and bimodule, which are kept in
     ``built`` when given.
     """
-    _engine()
     return _order(expr, {} if built is None else built, order_cap())
 
 
@@ -352,7 +317,8 @@ def _build_checked(expr: RingExpr, built: dict | None = None) -> FiniteRing:
 
 def default_corpus(max_order: int) -> list[str]:
     """The built-in expression corpus, capped at the given ring order."""
-    _engine()
+    from .rings import _is_prime
+
     primes = [p for p in range(2, 65) if _is_prime(p)]
     exprs: list[str] = []
     for n in range(2, 65):
@@ -412,6 +378,9 @@ def _report_record(expression: str, report: VerificationReport) -> dict:
 
 def _verify_suite(expr: RingExpr, ring: FiniteRing, only: str | None,
                   built: dict) -> list[VerificationReport]:
+    from .verify import (RING_THEOREMS, TrivialExtensionCase, verify_extension_heredity,
+                         verify_triangular_example_identity)
+
     available: dict[str, Callable[[], VerificationReport]] = {
         name: (lambda fn=fn: fn(ring)) for name, fn in RING_THEOREMS.items()
     }
@@ -457,6 +426,8 @@ def _ring_table(expression: str, header: tuple[str, str, str], records: list[dic
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from .classify import classify_ring
+
     expr = parse_ring_expr(args.expression)
     ring = _build_checked(expr)
     expression = serialize_ring_expr(expr)
@@ -523,15 +494,16 @@ def _check_corpus_flags(args: argparse.Namespace) -> None:
 
 
 def _worker_flag(row: tuple[str, str, str]) -> Flag:
+    from .classify import PREDICATES
+
     expression, predicate, _ = row
-    # built first, as in ``_worker_search``: building loads ``PREDICATES``
-    ring = _build_checked(parse_ring_expr(expression))
-    return PREDICATES[predicate](ring)
+    return PREDICATES[predicate](_build_checked(parse_ring_expr(expression)))
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
     _check_corpus_flags(args)
-    _engine()  # before _map: forked workers inherit the engine, not import it each
+    from . import classify  # before _map: forked workers inherit it, not import it each
+
     rows = [(e, p, s) for e, p, s in _EXAMPLE_TABLE
             if projected_order(parse_ring_expr(e)) <= args.max_order]
     records = []
@@ -554,15 +526,15 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def _worker_search(expression: str) -> dict | None:
-    # built first: in a worker that starts from a fresh import (``spawn``),
-    # building loads the engine that binds ``_search_hit``
-    ring = _build_checked(parse_ring_expr(expression))
-    return _search_hit(ring)
+    from .verify import _search_hit
+
+    return _search_hit(_build_checked(parse_ring_expr(expression)))
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
     _check_corpus_flags(args)
-    _engine()  # before _map: forked workers inherit the engine, not import it each
+    from .verify import _search_report  # before _map: forked workers inherit it, not import it each
+
     start = time.perf_counter()
     expressions = default_corpus(args.max_order)
     # serially, one ring is alive at a time: each is built as the map reaches it

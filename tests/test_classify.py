@@ -4,9 +4,11 @@ from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from morphring import (
+    BimoduleSpec,
     FiniteRing,
     OrderCapExceeded,
     Side,
@@ -24,6 +26,7 @@ from morphring import (
     opposite,
     principal_ideal,
     regularity_profile,
+    ring_from_tables,
     ring_morphic_profile,
     structural_profile,
     trivial_extension,
@@ -264,12 +267,64 @@ def test_commutation_t2():
     assert T.mul(T.mul(b, a), c) != T.zero or T.mul(T.mul(a, c), b) != T.zero
 
 
+# Q8 as signed units: element 2u + s is (-1)^s times the unit u of 1, i, j, k;
+# _Q8_UNITS[u][v] is the (unit, sign) of the product of units u and v
+_Q8_UNITS = [[(0, 0), (1, 0), (2, 0), (3, 0)],
+             [(1, 0), (0, 1), (3, 0), (2, 1)],
+             [(2, 0), (3, 1), (0, 1), (1, 0)],
+             [(3, 0), (2, 0), (1, 1), (0, 1)]]
+
+
+def _f2_q8():
+    """The group algebra F2[Q8]: element x is the sum of the group elements of its bits."""
+    g = np.arange(8)
+    units = np.array(_Q8_UNITS)[g[:, None] // 2, g[None, :] // 2]
+    group = 2 * units[..., 0] + (g[:, None] % 2 ^ g[None, :] % 2 ^ units[..., 1])
+    bits = (np.arange(256)[:, None] >> g) & 1
+    coeff = np.zeros((256, 256, 8), dtype=np.int64)
+    for a in range(8):
+        for b in range(8):
+            coeff[:, :, group[a, b]] += bits[:, a, None] * bits[None, :, b]
+    mul = ((coeff % 2) << g).sum(axis=2)
+    return ring_from_tables(np.arange(256)[:, None] ^ np.arange(256), mul, 0, 1)
+
+
+def _frobenius_trivext():
+    """F4 extended by F4 with its right action twisted by Frobenius: m . s = m s^2."""
+    F = make_gf(2, 2)
+    frob = F.mul_table[np.arange(4), np.arange(4)]
+    M = BimoduleSpec(4, F.add_table, F.mul_table, F.mul_table[:, frob], F.zero, F.labels)
+    return trivial_extension(F, M)
+
+
+def _least_symmetry_violation(R):
+    """The least ``(a, b, c)`` in row-major order with ``abc = 0`` but ``acb`` or
+    ``bac`` nonzero: the two transpositions generate every reordering."""
+    mul, zero, idx = R.mul_table, R.zero, np.arange(R.order)
+    for a in range(R.order):
+        abc = mul[mul[a][:, None], idx[None, :]]     # [b, c] = (ab)c
+        acb = mul[mul[a][None, :], idx[:, None]]     # [b, c] = (ac)b
+        bac = mul[mul[:, a][:, None], idx[None, :]]  # [b, c] = (ba)c
+        viol = (abc == zero) & ((acb != zero) | (bac != zero))
+        if viol.any():
+            b, c = np.argwhere(viol)[0]
+            return a, int(b), int(c)
+    return None
+
+
 def test_symmetric_scan_on_noncommutative_reversible_ring():
-    # the full matrix ring is semiprime and not reversible, so the scan path
-    # runs; on a genuinely reversible noncommutative ring it would be slower
-    p = commutation_profile(matrix_ring(make_zmod(2), 2))
-    assert p.symmetric.status is False
-    assert p.reversible.status is False
+    # the block scan runs only on a noncommutative reversible ring. F2[Q8] is
+    # reversible and not symmetric (Marks, JPAA 2002); the twisted extension
+    # is symmetric
+    for ring, symmetric in ((_f2_q8(), False), (_frobenius_trivext(), True)):
+        mul = ring.mul_table
+        assert not np.array_equal(mul, mul.T)
+        is_zero = mul == ring.zero
+        assert np.array_equal(is_zero, is_zero.T)
+        p = commutation_profile(ring)
+        assert p.reversible.status is True
+        assert p.symmetric.status is symmetric
+        assert p.symmetric.counterexample == _least_symmetry_violation(ring)
 
 
 def test_structural_zmod12():

@@ -12,7 +12,6 @@ from morphring.cli import (
     _MAX_DEPTH,
     ExprSyntaxError,
     _build_checked,
-    _power,
     build_ring,
     default_corpus,
     parse_ring_expr,
@@ -20,7 +19,7 @@ from morphring.cli import (
     run_command,
     serialize_ring_expr,
 )
-from morphring.rings import OrderCapExceeded, order_cap
+from morphring.rings import OrderCapExceeded, _power, order_cap
 
 RECORD_KEYS = ["expression", "predicate", "status", "witness"]
 
@@ -121,14 +120,14 @@ class TestGrammar:
     @pytest.mark.parametrize("text", ["mat(z3,8000)", "gf(2,100000000)",
                                       "trivext(mat(z3,8000),self)"])
     def test_huge_order_rejected_through_the_bound(self, monkeypatch, capsys, text):
-        import morphring.cli as cli
+        import morphring.rings as rings
 
         def refuse(*args, **kwargs):
             pytest.fail("built a ring past the order cap")
 
         for name in ("make_zmod", "make_gf", "matrix_ring", "regular_bimodule",
                      "trivial_extension"):
-            monkeypatch.setattr(cli, name, refuse)
+            monkeypatch.setattr(rings, name, refuse)
         start = time.perf_counter()
         assert projected_order(parse_ring_expr(text)) == order_cap() + 1
         assert run_command(["classify", text]) == 2
@@ -340,11 +339,33 @@ class TestTablesLoader:
         with pytest.raises(ValueError, match="expected 12"):
             build_ring(parse_ring_expr(f"trivext(z2,tables({path}))"))
 
-    def test_invalid_action_rejected(self, tmp_path):
+    def test_invalid_action_rejected(self, tmp_path, capsys):
         # Left action sends 1*m1 to m0: not a unital action.
         path = self._write(tmp_path, "2 2\n0 1\n1 0\n0 0\n0 0\n0 0\n0 1\n")
         with pytest.raises(ValueError, match="fails"):
             build_ring(parse_ring_expr(f"trivext(z2,tables({path}))"))
+        assert run_command(["classify", f"trivext(z2,tables({path}))"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error: invalid bimodule: left_action_unital fails at (1,)"
+
+    def test_bimodule_checked_once_after_the_order_cap(self, tmp_path, monkeypatch, capsys):
+        import morphring.rings as rings
+
+        calls = []
+        real = rings.check_bimodule
+        monkeypatch.setattr(rings, "check_bimodule", lambda *a: calls.append(a) or real(*a))
+        text = f"trivext(z2,tables({self._write(tmp_path, '2 2 0 1 1 0 0 0 0 1 0 0 0 1')}))"
+        assert run_command(["classify", text, "--json"]) == 0
+        assert len(calls) == 1
+        capsys.readouterr()
+        calls.clear()
+        monkeypatch.setenv("RING_ORDER_CAP", "3")
+        assert run_command(["classify", text, "--json"]) == 2
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: projected order exceeds the cap 3")
 
     def test_no_additive_identity(self, tmp_path, capsys):
         path = self._write(tmp_path, "2 2\n1 1\n1 1\n0 0\n0 1\n0 0\n0 1\n")
@@ -419,12 +440,12 @@ def test_malformed_order_cap_env_exits_2(monkeypatch, capsys, argv):
 
 @pytest.mark.parametrize("command", ["classify", "verify"])
 def test_trivext_base_and_bimodule_built_once(monkeypatch, capsys, command):
-    import morphring.cli as cli
+    import morphring.rings as rings
 
     built = []
     for name in ("make_zmod", "ideal_bimodule"):
-        real = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda *a, real=real, name=name:
+        real = getattr(rings, name)
+        monkeypatch.setattr(rings, name, lambda *a, real=real, name=name:
                             built.append(name) or real(*a))
     run_command([command, "trivext(z4,ideal(2))", "--json"])
     assert len(_records(capsys)) > 1
@@ -432,17 +453,17 @@ def test_trivext_base_and_bimodule_built_once(monkeypatch, capsys, command):
 
 
 def test_verify_trivext_builds_the_extension_once(monkeypatch, capsys):
-    import morphring.cli as cli
+    import morphring.rings as rings
     import morphring.verify as verify
 
     calls = []
-    real = cli.trivial_extension
+    real = rings.trivial_extension
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(cli, "trivial_extension", counted)
+    monkeypatch.setattr(rings, "trivial_extension", counted)
     monkeypatch.setattr(verify, "trivial_extension", counted)
     assert run_command(["verify", "trivext(z8,ideal(2))", "--json"]) == 0
     names = [r["predicate"] for r in _records(capsys)]
@@ -454,6 +475,7 @@ def test_map_bounds_the_worker_count(monkeypatch, capsys):
     import concurrent.futures
 
     import morphring.cli as cli
+    import morphring.verify as verify
 
     pools = []
 
@@ -473,10 +495,10 @@ def test_map_bounds_the_worker_count(monkeypatch, capsys):
             return map(fn, items)
 
     reports = []
-    real_report = cli._search_report
+    real_report = verify._search_report
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli, "_available_cpus", lambda: 4)
-    monkeypatch.setattr(cli, "_search_report",
+    monkeypatch.setattr(verify, "_search_report",
                         lambda *a: reports.append(real_report(*a)) or reports[-1])
     assert list(cli._map(str, [1, 2, 3], 1)) == ["1", "2", "3"]
     assert pools == []

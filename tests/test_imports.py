@@ -8,6 +8,7 @@ test process itself has imported everything.
 
 import importlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -96,22 +97,40 @@ def test_unknown_package_attribute_raises():
         exec("from morphring import no_such_name", {})
 
 
-def test_cli_resolves_engine_names_on_first_access():
-    code = ("import morphring.cli as cli\n"
-            "assert 'numpy' not in sys.modules\n"
-            "import morphring.rings as rings\n"
-            "assert cli.make_zmod is rings.make_zmod")
-    assert _loaded_after(code, ["numpy"]) == ["numpy"]
-    code = ("import morphring.cli as cli\n"
-            "try:\n    cli.no_such_name\nexcept AttributeError:\n    pass\n"
-            "else:\n    raise SystemExit('resolved an unknown name')")
-    assert _loaded_after(code, _ENGINE) == []
+def test_cli_import_loads_no_ring_engine():
+    assert _loaded_after("import morphring.cli", _ENGINE) == []
 
 
 def test_pool_workers_run_in_a_fresh_interpreter():
-    # a ``spawn`` or ``forkserver`` pool worker imports ``cli`` afresh, where
-    # ``_engine()`` has not run: each worker loads what it reads first
+    # a ``spawn`` or ``forkserver`` pool worker imports ``cli`` afresh
     code = ("import morphring.cli as cli\n"
             "assert cli._worker_flag(('z4', 'reduced', 'false')).text == 'false'\n"
             "assert cli._worker_search('z4') is None")
     assert _loaded_after(code, ["numpy"]) == ["numpy"]
+
+
+def _run_cli(argv: list[str], start_method: str | None) -> tuple[int, str, bool]:
+    """Exit status, stdout and whether a process pool started, from a fresh interpreter."""
+    script = ("import multiprocessing, sys\n"
+              f"if {start_method!r}:\n    multiprocessing.set_start_method({start_method!r})\n"
+              "import morphring.cli as cli\n"
+              "cli._available_cpus = lambda: 2\n"
+              f"status = cli.run_command({argv!r})\n"
+              "print('concurrent.futures.process' in sys.modules, file=sys.stderr)\n"
+              "sys.exit(status)")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": SRC})
+    assert "Traceback" not in done.stderr, done.stderr
+    return done.returncode, done.stdout, done.stderr.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
+@pytest.mark.parametrize("argv", [["search", "--max-order", "16"], ["corpus"]], ids=" ".join)
+def test_pool_from_fresh_workers_prints_what_a_serial_run_prints(start_method, argv):
+    if start_method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {start_method} start method on this platform")
+    serial = _run_cli([*argv, "--jobs", "1", "--json"], None)
+    pooled = _run_cli([*argv, "--jobs", "2", "--json"], start_method)
+    assert serial[2] is False and pooled[2] is True
+    assert pooled[:2] == serial[:2]
+    assert serial[0] in (0, 1) and serial[1]
