@@ -26,6 +26,7 @@ from .ideals import (
     mask_members,
     subgroup_sum,
     _bool_from_mask,
+    _is_commutative,
     _principal_pair_sums,
     _resolve,
 )
@@ -245,11 +246,6 @@ def regularity_profile(R: FiniteRing) -> RegularityProfile:
 
 
 @_per_ring
-def _is_commutative(R: FiniteRing) -> bool:
-    return bool(np.array_equal(R.mul_table, R.mul_table.T))
-
-
-@_per_ring
 def commutation_profile(R: FiniteRing) -> CommutationProfile:
     """Reduced, reversible, symmetric, semiprime, and directly finite flags."""
     n = R.order
@@ -358,10 +354,13 @@ def _lear(R: FiniteRing, side: Side) -> Flag:
 
 
 def _pp(R: FiniteRing, side: Side) -> Flag:
-    """Every element annihilator is generated by an idempotent."""
-    ring, tables = _resolve(R, side)
+    """Every element annihilator is generated by an idempotent.
+
+    ``R`` and its opposite have the same idempotents, so ``R``'s census serves both sides.
+    """
+    _, tables = _resolve(R, side)
     idempotent = np.zeros(len(tables.masks), dtype=bool)
-    idempotent[tables.pri_id[_bool_from_mask(element_census(ring).idempotents, ring.order)]] = True
+    idempotent[tables.pri_id[_bool_from_mask(element_census(R).idempotents, R.order)]] = True
     return _all_true(idempotent[tables.ann_id])
 
 

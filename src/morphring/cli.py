@@ -24,7 +24,6 @@ from functools import reduce
 from typing import Callable, Iterable, Sequence
 
 from .common import OrderCapExceeded, VerificationReport, order_cap
-from .qz import verify_qz_suite
 
 __all__ = [
     "build_ring",
@@ -214,21 +213,24 @@ def _load_bimodule_tables(path: str, base: FiniteRing) -> BimoduleSpec:
 
     Format: first line ``m |R|``, then an m-by-m addition table, an
     |R|-by-m left action, and an m-by-|R| right action, all as element
-    indices.  The bimodule axioms are checked by ``trivial_extension``,
-    after the order cap.
+    indices.  A header whose extension ``m * |R|`` exceeds ``order_cap()``
+    is refused before the body is parsed.  The bimodule axioms are checked
+    by ``trivial_extension``, after the order cap.
     """
     from .rings import BimoduleSpec
 
     with open(path, encoding="utf-8") as handle:
-        numbers = [int(tok) for tok in handle.read().split()]
-    if len(numbers) < 2:
+        head = handle.read().split(maxsplit=2)
+    if len(head) < 2:
         raise ValueError(f"table file {path!r} is missing its header")
-    m, ring_order = numbers[0], numbers[1]
+    m, ring_order = int(head[0]), int(head[1])
     if ring_order != base.order:
         raise ValueError(
             f"table file {path!r} declares ring order {ring_order}, "
             f"but the base ring has order {base.order}")
-    body = numbers[2:]
+    if m * base.order > order_cap():
+        raise _over_cap()
+    body = [int(tok) for tok in head[2].split()] if len(head) > 2 else []
     expected = m * m + base.order * m + m * base.order
     if len(body) != expected:
         raise ValueError(
@@ -300,18 +302,21 @@ def projected_order(expr: RingExpr, built: dict | None = None) -> int:
     Exact up to ``order_cap()``; past the cap the rules stop multiplying
     and the result is ``order_cap() + 1``.  Only a ``trivext`` node inside
     the cap builds anything: its base ring and bimodule, which are kept in
-    ``built`` when given.
+    ``built`` when given.  A ``tables(PATH)`` file whose header declares an
+    extension past the cap raises ``OrderCapExceeded`` instead.
     """
     return _order(expr, {} if built is None else built, order_cap())
 
 
+def _over_cap() -> OrderCapExceeded:
+    return OrderCapExceeded(
+        f"projected order exceeds the cap {order_cap()}; raise RING_ORDER_CAP to allow it")
+
+
 def _build_checked(expr: RingExpr, built: dict | None = None) -> FiniteRing:
     built = {} if built is None else built
-    cap = order_cap()
-    if projected_order(expr, built) > cap:
-        raise OrderCapExceeded(
-            f"projected order exceeds the cap {cap}; "
-            f"raise RING_ORDER_CAP to allow it")
+    if projected_order(expr, built) > order_cap():
+        raise _over_cap()
     return build_ring(expr, built)
 
 
@@ -475,14 +480,18 @@ def _available_cpus() -> int:
 
 def _map(fn: Callable, items: Sequence, jobs: int) -> Iterable:
     """``fn`` over ``items`` in order: lazily in process, or with ``jobs > 1``
-    in a pool of at most ``jobs`` workers, one per item and per usable CPU."""
+    in a pool of at most ``jobs`` workers, one per item and per usable CPU.
+
+    A pool takes the items in about four chunks per worker: fewer round
+    trips than one item each, with room left to balance the load."""
     workers = min(jobs, len(items), _available_cpus())
     if workers <= 1:
         return map(fn, items)
     from concurrent.futures import ProcessPoolExecutor  # a serial run never pays for it
 
+    chunksize = -(-len(items) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(fn, items, chunksize=chunksize))
 
 
 def _check_corpus_flags(args: argparse.Namespace) -> None:
@@ -555,6 +564,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_qz(args: argparse.Namespace) -> int:
+    from .qz import verify_qz_suite
+
     report = verify_qz_suite(args.bound)
     records = [_report_record(report.expression, report)]
 
@@ -621,4 +632,8 @@ def run_command(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
+    # The engine makes no BLAS call, so numpy's OpenBLAS need not start its
+    # worker threads; set before numpy loads, and inherited by pool workers.
+    # A value already in the environment wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(run_command(sys.argv[1:]))

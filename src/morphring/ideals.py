@@ -164,9 +164,18 @@ def _check_mask(R: FiniteRing, mask: int) -> None:
         raise ValueError(f"mask has bits beyond ring order {R.order}")
 
 
+@_per_ring
+def _is_commutative(R: FiniteRing) -> bool:
+    return bool(np.array_equal(R.mul_table, R.mul_table.T))
+
+
 def _resolve(R: FiniteRing, side: Side) -> tuple[FiniteRing, SideTables]:
-    """Ring to compute on (``R`` or its opposite) plus its left tables."""
-    ring = opposite(R) if side is Side.RIGHT else R
+    """Ring to compute on (``R`` or its opposite) plus its left tables.
+
+    A commutative ring is its own opposite, so both sides compute on ``R``
+    and share its tables.
+    """
+    ring = opposite(R) if side is Side.RIGHT and not _is_commutative(R) else R
     return ring, _side_tables(ring)
 
 

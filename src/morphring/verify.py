@@ -23,7 +23,6 @@ from .classify import (
     PREDICATES,
     _double_annihilator_failure,
     _exchange_failure,
-    _is_commutative,
     element_class,
     ring_morphic_profile,
 )
@@ -39,6 +38,7 @@ from .ideals import (
     singular_ideal,
     socle,
     subgroup_sum,
+    _is_commutative,
     _minimal_principals,
     _principal_pair_sums,
     _resolve,

@@ -377,6 +377,15 @@ class TestTablesLoader:
         assert err.startswith("error: ") and path in err
         assert "Traceback" not in err
 
+    def test_over_cap_header_refused_before_the_body(self, tmp_path, capsys):
+        # a header for a 1024-element module over z2 and no body at all
+        path = self._write(tmp_path, "1024 2\n")
+        assert run_command(["classify", f"trivext(z2,tables({path}))", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: projected order exceeds the cap {order_cap()}")
+
     def test_missing_file_exits_2(self, capsys):
         assert run_command(["classify", "trivext(z2,tables(/nonexistent))"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -477,10 +486,10 @@ def test_map_bounds_the_worker_count(monkeypatch, capsys):
     import morphring.cli as cli
     import morphring.verify as verify
 
-    pools = []
+    pools, chunks = [], []
 
     class FakePool:
-        """Records its size and maps in process; starts no process."""
+        """Records its size and chunk size and maps in process; starts no process."""
 
         def __init__(self, max_workers):
             pools.append(max_workers)
@@ -491,7 +500,8 @@ def test_map_bounds_the_worker_count(monkeypatch, capsys):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
+            chunks.append(chunksize)
             return map(fn, items)
 
     reports = []
@@ -506,6 +516,8 @@ def test_map_bounds_the_worker_count(monkeypatch, capsys):
     assert run_command(["search", "--max-order", "16", "--jobs", "100000",
                         "--json"]) == 0
     assert pools == [3, 4]
+    # about four chunks per worker: 3 items over 3 workers, then the corpus over 4
+    assert chunks == [1, -(-len(default_corpus(16)) // 16)]
     (record,) = _records(capsys)
     assert record["witness"]["rings"] == len(default_corpus(16))
     assert reports[0].elapsed > 0.0

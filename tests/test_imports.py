@@ -2,8 +2,9 @@
 
 The package re-exports its names lazily, and the command line imports the
 ring engine (numpy and the modules built on it) only for commands that
-build a ring.  Import graphs are checked in fresh interpreters, since the
-test process itself has imported everything.
+build a ring, and ``qz`` only for ``qz``.  Import graphs and thread counts
+are checked in fresh interpreters, since the test process itself has
+imported everything.
 """
 
 import importlib
@@ -65,6 +66,52 @@ def test_qz_command_loads_no_ring_engine_and_no_pool():
     code = ("from morphring.cli import run_command\n"
             "assert run_command(['qz', '--bound', '2', '--json']) == 0")
     assert _loaded_after(code, _ENGINE) == []
+
+
+@pytest.mark.parametrize("argv", [["classify", "z4", "--json"],
+                                  ["search", "--max-order", "16", "--json"]], ids=" ".join)
+def test_ring_commands_load_no_qz(argv):
+    code = f"from morphring.cli import run_command\nrun_command({argv!r})"
+    assert _loaded_after(code, ["morphring.qz"]) == []
+
+
+_TASKS = "/proc/self/task"
+
+
+def _main_in_fresh_interpreter(argv: list[str], env: dict) -> tuple[int, int | None, str | None]:
+    """Exit status, OS thread count (None without ``/proc``) and
+    ``OPENBLAS_NUM_THREADS`` after ``cli.main()``."""
+    script = ("import json, os, sys\n"
+              "from morphring.cli import main\n"
+              f"sys.argv = ['morphring', *{argv!r}]\n"
+              "try:\n    main()\nexcept SystemExit as exc:\n    status = exc.code\n"
+              f"threads = len(os.listdir({_TASKS!r})) if os.path.isdir({_TASKS!r}) else None\n"
+              "print(json.dumps([status, threads, os.environ.get('OPENBLAS_NUM_THREADS')]))")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={**env, "PYTHONPATH": SRC})
+    assert done.returncode == 0, done.stderr
+    return tuple(json.loads(done.stdout.splitlines()[-1]))
+
+
+@pytest.mark.skipif(not os.path.isdir(_TASKS), reason="no /proc task list")
+def test_main_leaves_the_blas_thread_pool_unstarted():
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    assert _main_in_fresh_interpreter(["classify", "z4", "--json"], env) == (0, 1, "1")
+
+
+def test_main_keeps_a_blas_thread_count_the_user_set():
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
+    status, _, value = _main_in_fresh_interpreter(["classify", "z4", "--json"], env)
+    assert (status, value) == (0, "2")
+
+
+@pytest.mark.parametrize("text, shared", [("z4", True), ("tri(z2,2)", False)])
+def test_right_tables_of_a_commutative_ring_are_its_left_tables(text, shared):
+    from morphring.cli import build_ring, parse_ring_expr
+    from morphring.ideals import Side, _resolve
+
+    ring = build_ring(parse_ring_expr(text))
+    assert (_resolve(ring, Side.RIGHT)[1] is _resolve(ring, Side.LEFT)[1]) is shared
 
 
 def test_package_import_loads_no_numpy():
