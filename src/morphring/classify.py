@@ -26,11 +26,11 @@ from .ideals import (
     mask_members,
     subgroup_sum,
     _bool_from_mask,
-    _is_commutative,
     _principal_pair_sums,
     _resolve,
 )
-from .rings import FiniteRing, OrderCapExceeded, _check_element, _chunk_rows, _per_ring, order_cap
+from .rings import (FiniteRing, OrderCapExceeded, _check_element, _first_violation,
+                    _is_commutative, _per_ring, order_cap)
 
 __all__ = [
     "PREDICATES",
@@ -260,34 +260,26 @@ def commutation_profile(R: FiniteRing) -> CommutationProfile:
 
     reversible = symmetric = Flag(True)
     if not _is_commutative(R):  # a commutative ring is reversible and symmetric
-        is_zero = mul == zero
-        bad = np.argwhere(is_zero & ~is_zero.T)
-        if bad.size:
+        bad = _first_violation(n, n, lambda a: (mul[a] == zero) & (mul[:, a].T != zero))
+        if bad is not None:
             # a reversibility failure ab = 0, ba != 0 breaks symmetry at the
             # triple (a, b, 1): abc = 0 but bac = ba != 0
-            a, b = (int(v) for v in bad[0])
-            reversible = Flag(False, counterexample=(a, b))
-            symmetric = Flag(False, counterexample=(a, b, one))
+            reversible = Flag(False, counterexample=bad)
+            symmetric = Flag(False, counterexample=(*bad, one))
         else:
-            step = _chunk_rows(mul)
-            for start in range(0, n, step):
-                rows = mul[start : start + step]
-                abc = mul[rows]                      # [i,b,c] = (a b) c
-                acb = abc.swapaxes(1, 2)             # [i,b,c] = (a c) b
-                bac = mul[mul[:, start : start + step].T]  # [i,b,c] = (b a) c
-                viol = (abc == zero) & ((acb != zero) | (bac != zero))
-                if viol.any():
-                    i, b, c = (int(v) for v in np.argwhere(viol)[0])
-                    symmetric = Flag(False, counterexample=(i + start, b, c))
-                    break
+            def asymmetric(a: slice) -> np.ndarray:
+                abc = mul[mul[a]]                    # [a,b,c] = (a b) c
+                bac = mul[mul[:, a].T]               # [a,b,c] = (b a) c
+                return (abc == zero) & ((abc.swapaxes(1, 2) != zero) | (bac != zero))
+            bad = _first_violation(n, n * n, asymmetric)
+            if bad is not None:
+                symmetric = Flag(False, counterexample=bad)
 
     semiprime = _for_all(range(n), lambda a: a == zero or not (mul[mul[a], a] == zero).all())
 
-    directly_finite = Flag(True)
-    for b, a in np.argwhere(mul == one):
-        if mul[a, b] != one:
-            directly_finite = Flag(False, counterexample=(int(a), int(b)))
-            break
+    # ba = 1 but ab != 1, axes [b, a]
+    bad = _first_violation(n, n, lambda b: (mul[b] == one) & (mul[:, b].T != one))
+    directly_finite = Flag(True) if bad is None else Flag(False, counterexample=bad[::-1])
 
     return CommutationProfile(reduced, reversible, symmetric, semiprime, directly_finite)
 

@@ -14,7 +14,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .rings import FiniteRing, _check_element, _distinct, _env_cap, _per_ring, opposite
+from .rings import (FiniteRing, _check_element, _distinct, _env_cap, _is_commutative, _per_ring,
+                    _row_blocks, opposite)
 
 __all__ = [
     "ElementCensus",
@@ -162,11 +163,6 @@ def _check_mask(R: FiniteRing, mask: int) -> None:
     """Raise ``ValueError`` if the mask has bits at or beyond the order (or is negative)."""
     if mask >> R.order:
         raise ValueError(f"mask has bits beyond ring order {R.order}")
-
-
-@_per_ring
-def _is_commutative(R: FiniteRing) -> bool:
-    return bool(np.array_equal(R.mul_table, R.mul_table.T))
 
 
 def _resolve(R: FiniteRing, side: Side) -> tuple[FiniteRing, SideTables]:
@@ -320,9 +316,9 @@ class ElementCensus:
 def element_census(R: FiniteRing) -> ElementCensus:
     """Census of units (two-sided inverses), idempotents, and nilpotents."""
     n = R.order
-    mul = R.mul_table
-    is_one = mul == R.one
-    units = _mask_from_bool((is_one & is_one.T).any(axis=1))
+    mul, one = R.mul_table, R.one
+    units = _mask_from_bool(np.concatenate([((mul[a] == one) & (mul[:, a].T == one)).any(axis=1)
+                                            for a in _row_blocks(n, n)]))
     idx = np.arange(n)
     idem = _mask_from_bool(mul.diagonal() == idx)
     # a is nilpotent iff a^k = 0 for some k <= n, iff a^(2^j) = 0 once 2^j >= n
@@ -337,9 +333,10 @@ def element_census(R: FiniteRing) -> ElementCensus:
 def jacobson_radical(R: FiniteRing) -> int:
     """Mask of ``J(R) = {a : 1 - xa is a unit for every x}``."""
     is_unit = _bool_from_mask(element_census(R).units, R.order)
-    # column a holds 1 - x a for every x
-    one_minus = R.add_table[R.one][R.neg_table[R.mul_table]]
-    return _mask_from_bool(is_unit[one_minus].all(axis=0))
+    one_minus_is_unit = is_unit[R.add_table[R.one][R.neg_table]]  # entry y: is 1 - y a unit
+    # a block of columns a at a time: 1 - x a is a unit for every x
+    return _mask_from_bool(np.concatenate([one_minus_is_unit[R.mul_table[:, a]].all(axis=0)
+                                           for a in _row_blocks(R.order, R.order)]))
 
 
 def is_essential(R: FiniteRing, side: Side, mask: int) -> bool:

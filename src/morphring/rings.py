@@ -225,44 +225,55 @@ def _check_element(R: FiniteRing, a: int) -> int:
     return a
 
 
-def _chunk_rows(table: np.ndarray) -> int:
-    """Rows per ``(chunk, n, n)`` block of gathers from ``table``, about 32 MB of its dtype."""
-    n = len(table)
-    return max(1, (32 << 20) // (table.itemsize * n * n))
+def _first_violation(rows: int, width: int,
+                     violated: Callable[[slice], np.ndarray]) -> tuple[int, ...] | None:
+    """The first index, in row-major order, at which a scan finds a violation, or None.
 
-
-def _first_diff3(lhs: np.ndarray, rhs: np.ndarray, offset: int) -> tuple[int, int, int]:
-    where = np.argwhere(lhs != rhs)[0]
-    return (int(where[0]) + offset, int(where[1]), int(where[2]))
-
-
-def _check_assoc(t: np.ndarray, n: int) -> tuple[int, int, int] | None:
-    """First (a, b, c) with t[t[a,b],c] != t[a,t[b,c]], or None."""
-    step = _chunk_rows(t)
-    for start in range(0, n, step):
-        rows = t[start : start + step]
-        lhs = t[rows]            # [i,b,c] = t[t[a,b], c]
-        rhs = rows[:, t]         # [i,b,c] = t[a, t[b,c]]
-        if not np.array_equal(lhs, rhs):
-            return _first_diff3(lhs, rhs, start)
+    ``violated(block)`` is the bool array of rows ``block`` of the scanned
+    array, whose rows have ``width`` entries each; the blocks come from
+    ``_row_blocks``, so each holds about ``_BLOCK_ENTRIES`` entries, and
+    the scan stops at the first block with a violation.  ``argmax`` finds
+    the first one without listing the others.
+    """
+    for block in _row_blocks(rows, width):
+        bad = violated(block)
+        if bad.any():
+            first = np.unravel_index(np.argmax(bad), bad.shape)
+            return (int(first[0]) + block.start, *map(int, first[1:]))
     return None
 
 
-def _check_abelian_group(add: np.ndarray, zero: int, prefix: str) -> AxiomCheck | None:
-    """First failing abelian-group axiom of ``add`` with identity ``zero``, or None."""
-    bad = np.nonzero(add[zero] != np.arange(len(add)))[0]
-    if bad.size:
-        return AxiomCheck(False, f"{prefix}add_identity", (int(bad[0]),))
-    no_inverse = np.nonzero(~np.any(add == zero, axis=1))[0]
-    if no_inverse.size:
-        return AxiomCheck(False, f"{prefix}add_inverse", (int(no_inverse[0]),))
-    if not np.array_equal(add, add.T):
-        where = np.argwhere(add != add.T)[0]
-        return AxiomCheck(False, f"{prefix}add_commutative", (int(where[0]), int(where[1])))
-    witness = _check_assoc(add, len(add))
-    if witness is not None:
-        return AxiomCheck(False, f"{prefix}add_associative", witness)
-    return None
+@_per_ring
+def _is_commutative(R: FiniteRing) -> bool:
+    """``R``'s multiplication table is symmetric."""
+    mul = R.mul_table
+    return _first_violation(R.order, R.order, lambda a: mul[a] != mul[:, a].T) is None
+
+
+def _axiom_check(scans: Sequence[tuple[str, int, int, Callable]]) -> AxiomCheck:
+    """The failure of the first ``(axiom, rows, width, violated)`` scan that finds one.
+
+    Each scan is a ``_first_violation`` over ``rows`` rows of ``width``
+    entries; a later scan runs only when every earlier one passed.
+    """
+    for axiom, rows, width, violated in scans:
+        witness = _first_violation(rows, width, violated)
+        if witness is not None:
+            return AxiomCheck(False, axiom, witness)
+    return AxiomCheck(True, None, None)
+
+
+def _group_axioms(add: np.ndarray, zero: int, prefix: str) -> tuple:
+    """The scans of the abelian-group axioms of ``add`` with identity ``zero``."""
+    n = len(add)
+    idx = np.arange(n)
+    return (
+        (f"{prefix}add_identity", n, 1, lambda x: add[zero, x] != idx[x]),
+        (f"{prefix}add_inverse", n, n, lambda a: ~(add[a] == zero).any(axis=1)),
+        (f"{prefix}add_commutative", n, n, lambda a: add[a] != add[:, a].T),
+        # (a+b)+c vs a+(b+c)
+        (f"{prefix}add_associative", n, n * n, lambda a: add[add[a]] != add[a][:, add]),
+    )
 
 
 def check_ring_axioms(add_table, mul_table, zero: int, one: int) -> AxiomCheck:
@@ -275,32 +286,27 @@ def check_ring_axioms(add_table, mul_table, zero: int, one: int) -> AxiomCheck:
     checked before associativity so that a broken identity row is named
     as such rather than as an associativity fallout.
     """
-    add, mul, n = _validate_tables(add_table, mul_table, zero, one)
-    group = _check_abelian_group(add, zero, "")
-    if group is not None:
-        return group
-    idx = np.arange(n)
-    if not (np.array_equal(mul[one], idx) and np.array_equal(mul[:, one], idx)):
-        bad_row = np.nonzero(mul[one] != idx)[0]
-        bad = bad_row if bad_row.size else np.nonzero(mul[:, one] != idx)[0]
-        return AxiomCheck(False, "identity", (int(bad[0]),))
-    witness = _check_assoc(mul, n)
-    if witness is not None:
-        return AxiomCheck(False, "mul_associative", witness)
+    add, mul, _ = _validate_tables(add_table, mul_table, zero, one)
+    return _ring_axioms(add, mul, zero, one)
 
-    step = _chunk_rows(mul)
-    for start in range(0, n, step):
-        rows = mul[start : start + step]
-        lhs = rows[:, add]                                   # a*(b+c)
-        rhs = add[rows[:, :, None], rows[:, None, :]]        # a*b + a*c
-        if not np.array_equal(lhs, rhs):
-            return AxiomCheck(False, "left_distributive", _first_diff3(lhs, rhs, start))
-    for start in range(0, n, step):
-        lhs = mul[add[start : start + step]]                 # (a+b)*c
-        rhs = add[mul[start : start + step][:, None, :], mul[None, :, :]]  # a*c + b*c
-        if not np.array_equal(lhs, rhs):
-            return AxiomCheck(False, "right_distributive", _first_diff3(lhs, rhs, start))
-    return AxiomCheck(True, None, None)
+
+def _ring_axioms(add: np.ndarray, mul: np.ndarray, zero: int, one: int) -> AxiomCheck:
+    """``check_ring_axioms`` on tables that passed ``_validate_tables``."""
+    n = len(add)
+    idx = np.arange(n)
+    return _axiom_check((
+        *_group_axioms(add, zero, ""),
+        ("identity", n, 1, lambda x: mul[one, x] != idx[x]),
+        ("identity", n, 1, lambda x: mul[x, one] != idx[x]),
+        # (ab)c vs a(bc)
+        ("mul_associative", n, n * n, lambda a: mul[mul[a]] != mul[a][:, mul]),
+        # a*(b+c) vs a*b + a*c
+        ("left_distributive", n, n * n,
+         lambda a: mul[a][:, add] != add[mul[a][:, :, None], mul[a][:, None, :]]),
+        # (a+b)*c vs a*c + b*c
+        ("right_distributive", n, n * n,
+         lambda a: mul[add[a]] != add[mul[a][:, None, :], mul[None, :, :]]),
+    ))
 
 
 def ring_from_tables(
@@ -313,7 +319,7 @@ def ring_from_tables(
 ) -> FiniteRing:
     """Build a ``FiniteRing`` from raw tables, validating the axioms."""
     add, mul, n = _validate_tables(add_table, mul_table, zero, one)
-    result = check_ring_axioms(add, mul, zero, one)
+    result = _ring_axioms(add, mul, zero, one)
     if not result.ok:
         raise ValueError(f"tables violate ring axiom {result.axiom} at {result.witness}")
     if labels is None:
@@ -667,46 +673,33 @@ def check_bimodule(left_ring: FiniteRing, M: BimoduleSpec, right_ring: FiniteRin
         if t.size and (t.min() < 0 or t.max() >= m):
             raise ValueError(f"{name} entries must lie in [0, {m})")
 
-    group = _check_abelian_group(add, M.zero, "module_")
-    if group is not None:
-        return group
     idx = np.arange(m)
-
+    nr, ns = left_ring.order, right_ring.order
     radd, rmul = left_ring.add_table, left_ring.mul_table
     sadd, smul = right_ring.add_table, right_ring.mul_table
-
-    checks: list[tuple[str, np.ndarray, np.ndarray]] = []
-    # r.(m1+m2) vs r.m1 + r.m2, axes [r, m1, m2]
-    checks.append(("left_action_additive_in_module",
-                   lact[:, add], add[lact[:, :, None], lact[:, None, :]]))
-    # (r1+r2).m vs r1.m + r2.m, axes [r1, r2, m]
-    checks.append(("left_action_additive_in_ring",
-                   lact[radd], add[lact[:, None, :], lact[None, :, :]]))
-    # (r1 r2).m vs r1.(r2.m), axes [r1, r2, m]
-    checks.append(("left_action_associative", lact[rmul], lact[:, lact]))
-    # (m1+m2).s vs m1.s + m2.s, axes [m1, m2, s]
-    checks.append(("right_action_additive_in_module",
-                   ract[add], add[ract[:, None, :], ract[None, :, :]]))
-    # m.(s1+s2) vs m.s1 + m.s2, axes [m, s1, s2]
-    checks.append(("right_action_additive_in_ring",
-                   ract[:, sadd], add[ract[:, :, None], ract[:, None, :]]))
-    # m.(s1 s2) vs (m.s1).s2, axes [m, s1, s2]
-    checks.append(("right_action_associative", ract[:, smul], ract[ract]))
-    # (r.m).s vs r.(m.s), axes [r, m, s]
-    checks.append(("action_compatible", ract[lact], lact[:, ract]))
-
-    for name, lhs, rhs in checks:
-        if not np.array_equal(lhs, rhs):
-            w = np.argwhere(lhs != rhs)[0]
-            return AxiomCheck(False, name, tuple(int(v) for v in w))
-
-    if not np.array_equal(lact[left_ring.one], idx):
-        bad = np.nonzero(lact[left_ring.one] != idx)[0]
-        return AxiomCheck(False, "left_action_unital", (int(bad[0]),))
-    if not np.array_equal(ract[:, right_ring.one], idx):
-        bad = np.nonzero(ract[:, right_ring.one] != idx)[0]
-        return AxiomCheck(False, "right_action_unital", (int(bad[0]),))
-    return AxiomCheck(True, None, None)
+    return _axiom_check((
+        *_group_axioms(add, M.zero, "module_"),
+        # r.(m1+m2) vs r.m1 + r.m2, axes [r, m1, m2]
+        ("left_action_additive_in_module", nr, m * m,
+         lambda r: lact[r][:, add] != add[lact[r][:, :, None], lact[r][:, None, :]]),
+        # (r1+r2).m vs r1.m + r2.m, axes [r1, r2, m]
+        ("left_action_additive_in_ring", nr, nr * m,
+         lambda r: lact[radd[r]] != add[lact[r][:, None, :], lact[None, :, :]]),
+        # (r1 r2).m vs r1.(r2.m), axes [r1, r2, m]
+        ("left_action_associative", nr, nr * m, lambda r: lact[rmul[r]] != lact[r][:, lact]),
+        # (m1+m2).s vs m1.s + m2.s, axes [m1, m2, s]
+        ("right_action_additive_in_module", m, m * ns,
+         lambda x: ract[add[x]] != add[ract[x][:, None, :], ract[None, :, :]]),
+        # m.(s1+s2) vs m.s1 + m.s2, axes [m, s1, s2]
+        ("right_action_additive_in_ring", m, ns * ns,
+         lambda x: ract[x][:, sadd] != add[ract[x][:, :, None], ract[x][:, None, :]]),
+        # m.(s1 s2) vs (m.s1).s2, axes [m, s1, s2]
+        ("right_action_associative", m, ns * ns, lambda x: ract[x][:, smul] != ract[ract[x]]),
+        # (r.m).s vs r.(m.s), axes [r, m, s]
+        ("action_compatible", nr, m * ns, lambda r: ract[lact[r]] != lact[r][:, ract]),
+        ("left_action_unital", m, 1, lambda x: lact[left_ring.one, x] != idx[x]),
+        ("right_action_unital", m, 1, lambda x: ract[x, right_ring.one] != idx[x]),
+    ))
 
 
 def regular_bimodule(R: FiniteRing) -> BimoduleSpec:
@@ -744,9 +737,9 @@ def ideal_bimodule(R: FiniteRing, d: int) -> BimoduleSpec:
     base must be commutative so that the two restricted actions agree.
     """
     _check_element(R, d)
-    mul = R.mul_table
-    if not np.array_equal(mul, mul.T):
+    if not _is_commutative(R):
         raise ValueError("ideal bimodules require a commutative base ring")
+    mul = R.mul_table
     members = _distinct(mul[:, d])
     pos = _positions(R, members)
     add = pos[R.add_table[np.ix_(members, members)]]
@@ -760,7 +753,7 @@ def ideal_bimodule(R: FiniteRing, d: int) -> BimoduleSpec:
 def trivial_extension(R: FiniteRing, M: BimoduleSpec) -> FiniteRing:
     """The ring on pairs ``(r, m)`` with ``(r1,m1)(r2,m2) = (r1 r2, r1 m2 + m1 r2)``."""
     what = f"trivial extension of order {R.order} by module of order {M.order}"
-    _require_order(R.order * M.order, what)  # before the bimodule check's cubic arrays
+    _require_order(R.order * M.order, what)  # before the bimodule check's cubic scans
     result = check_bimodule(R, M, R)
     if not result.ok:
         raise ValueError(f"invalid bimodule: {result.axiom} fails at {result.witness}")

@@ -38,7 +38,6 @@ from .ideals import (
     singular_ideal,
     socle,
     subgroup_sum,
-    _is_commutative,
     _minimal_principals,
     _principal_pair_sums,
     _resolve,
@@ -54,6 +53,7 @@ from .rings import (
     pierce_corner,
     trivial_extension,
     truncated_poly,
+    _is_commutative,
 )
 
 __all__ = [

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import morphring.rings as rings
 from morphring import (
     BimoduleSpec,
     FiniteRing,
@@ -406,9 +407,9 @@ def test_classify_poly_z2_11_peak_memory(monkeypatch):
     classify_ring(R)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    # about 8.1 MB: two n x n bool temporaries (element census, reversibility);
-    # an unpacked 2n x n side-table matrix would add 4 MB more
-    assert peak < 10 << 20, f"classify poly(z2,11) peaked at {peak / 2**20:.1f} MB"
+    # about 5.0 MB: the 4 MB intp index of one row block of gathers; an n x n
+    # bool temporary would add 4 MB more, an unpacked 2n x n side-table matrix 8 MB
+    assert peak < 7 << 20, f"classify poly(z2,11) peaked at {peak / 2**20:.1f} MB"
 
 
 def test_flag_text():
@@ -470,13 +471,34 @@ def test_every_flag_is_both_true_and_false_somewhere(corpus_statuses, name):
         assert {True, False} <= corpus_statuses[name]
         return
     assert corpus_statuses[name] == {True}
-    (x, y), value, counterexample = _CORRUPTED_Z4[name]
+    flag = PREDICATES[name](_corrupted_z4(name))
+    assert (flag.status, flag.counterexample) == (False, _CORRUPTED_Z4[name][2])
+
+
+def _corrupted_z4(name):
+    (x, y), value, _ = _CORRUPTED_Z4[name]
     z4 = make_zmod(4)
     mul = z4.mul_table.copy()
     mul[x, y] = value
-    bad = FiniteRing(z4.order, z4.add_table, mul, z4.zero, z4.one, z4.labels)
-    flag = PREDICATES[name](bad)
-    assert (flag.status, flag.counterexample) == (False, counterexample)
+    return FiniteRing(z4.order, z4.add_table, mul, z4.zero, z4.one, z4.labels)
+
+
+_BLOCK_SCAN_RINGS = {
+    **{f"z4 corrupted for {name}": lambda name=name: _corrupted_z4(name) for name in _CORRUPTED_Z4},
+    "tri(z2,2)": T2,
+    "F2[Q8]": _f2_q8,
+    "twisted trivext": _frobenius_trivext,
+}
+
+
+@pytest.mark.parametrize("name", list(_BLOCK_SCAN_RINGS))
+def test_commutation_scans_agree_across_block_sizes(monkeypatch, name):
+    # at the default size each ring is one block; at 5 entries every scan
+    # of two or three indices is one row per block
+    default, small = _BLOCK_SCAN_RINGS[name](), _BLOCK_SCAN_RINGS[name]()
+    expected = commutation_profile(default)
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 5)
+    assert commutation_profile(small) == expected
 
 
 def test_readme_lists_every_predicate():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import morphring.ideals as ideals_module
+import morphring.rings as rings_module
 from morphring import (
     LatticeOverflow,
     Side,
@@ -332,10 +333,12 @@ def test_side_tables_match_set_computations_on_corpus():
                     assert least[i] == (min(generators) if generators else -1), (text, side, m)
 
 
-def test_census_radical_and_clean_match_element_scans_on_corpus():
+def test_census_radical_and_clean_match_element_scans_on_corpus(monkeypatch):
     from morphring.classify import _strongly_clean
     from morphring.cli import build_ring, default_corpus, parse_ring_expr
 
+    # at 5 entries every census and radical block is one row
+    block_sizes = (rings_module._BLOCK_ENTRIES, 5)
     for text in default_corpus(64):
         R = build_ring(parse_ring_expr(text))
         add, mul = R.add_table.tolist(), R.mul_table.tolist()
@@ -357,12 +360,15 @@ def test_census_radical_and_clean_match_element_scans_on_corpus():
         clean = all(any(add[a][neg[e]] in units
                         and mul[e][add[a][neg[e]]] == mul[add[a][neg[e]]][e]
                         for e in idempotents) for a in elements)
-        census = element_census(R)
-        assert mask_members(census.units) == units, text
-        assert mask_members(census.idempotents) == idempotents, text
-        assert mask_members(census.nilpotents) == nilpotents, text
-        assert mask_members(jacobson_radical(R)) == radical, text
-        assert _strongly_clean(R).status is clean, text
+        for block in block_sizes:
+            monkeypatch.setattr(rings_module, "_BLOCK_ENTRIES", block)
+            R = build_ring(parse_ring_expr(text))
+            census = element_census(R)
+            assert mask_members(census.units) == units, text
+            assert mask_members(census.idempotents) == idempotents, text
+            assert mask_members(census.nilpotents) == nilpotents, text
+            assert mask_members(jacobson_radical(R)) == radical, text
+            assert _strongly_clean(R).status is clean, text
 
 
 # Reference lattice engine: cyclic extension of subgroups over add rows for

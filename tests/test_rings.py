@@ -10,6 +10,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import morphring.rings as rings
 from morphring import (
     BimoduleSpec,
     FiniteRing,
@@ -741,3 +742,157 @@ def test_constructors_match_their_definition_on_digit_tuples(name):
     rows = ring.mul_table.tolist()
     assert all(one_x == x for x, one_x in enumerate(rows[ring.one]))
     assert all(row[ring.one] == x for x, row in enumerate(rows))
+
+
+# The whole-array checks that preceded the row-block scans, kept as
+# references: every comparison is formed in full, and its witness is the
+# first entry that differs, found by argwhere.
+def _reference_check(laws):
+    for axiom, lhs, rhs in laws:
+        bad = np.argwhere(lhs != rhs)
+        if bad.size:
+            return (False, axiom, tuple(int(v) for v in bad[0]))
+    return (True, None, None)
+
+
+def _reference_group_laws(add, zero, prefix):
+    return [
+        (f"{prefix}add_identity", add[zero], np.arange(len(add))),
+        (f"{prefix}add_inverse", (add == zero).any(axis=1), True),
+        (f"{prefix}add_commutative", add, add.T),
+        (f"{prefix}add_associative", add[add], add[:, add]),
+    ]
+
+
+def _reference_ring_axioms(add, mul, zero, one):
+    idx = np.arange(len(add))
+    return _reference_check(_reference_group_laws(add, zero, "") + [
+        ("identity", mul[one], idx),
+        ("identity", mul[:, one], idx),
+        ("mul_associative", mul[mul], mul[:, mul]),
+        ("left_distributive", mul[:, add], add[mul[:, :, None], mul[:, None, :]]),
+        ("right_distributive", mul[add], add[mul[:, None, :], mul[None, :, :]]),
+    ])
+
+
+def _reference_bimodule(R, M, S):
+    add, lact, ract = M.add_table, M.left_action, M.right_action
+    idx = np.arange(M.order)
+    return _reference_check(_reference_group_laws(add, M.zero, "module_") + [
+        ("left_action_additive_in_module", lact[:, add], add[lact[:, :, None], lact[:, None, :]]),
+        ("left_action_additive_in_ring", lact[R.add_table], add[lact[:, None, :], lact[None]]),
+        ("left_action_associative", lact[R.mul_table], lact[:, lact]),
+        ("right_action_additive_in_module", ract[add], add[ract[:, None, :], ract[None]]),
+        ("right_action_additive_in_ring", ract[:, S.add_table],
+         add[ract[:, :, None], ract[:, None, :]]),
+        ("right_action_associative", ract[:, S.mul_table], ract[ract]),
+        ("action_compatible", ract[lact], lact[:, ract]),
+        ("left_action_unital", lact[R.one], idx),
+        ("right_action_unital", ract[:, S.one], idx),
+    ])
+
+
+def _corruptions(tables, orders):
+    """``tables``, then each copy with one entry of one table set to another value.
+
+    Entries of ``tables[t]`` lie below ``orders[t]``.
+    """
+    tables = [np.array(t) for t in tables]
+    yield tables
+    for t, (table, order) in enumerate(zip(tables, orders)):
+        for x, y in product(*map(range, table.shape)):
+            for value in range(order):
+                if value != table[x, y]:
+                    bad = [u.copy() for u in tables]
+                    bad[t][x, y] = value
+                    yield bad
+
+
+def _near_ring():
+    """The maps of Z3 that fix 0, added pointwise and multiplied by ``a * b = b o a``.
+
+    Associative, unital and left distributive, but not right distributive.
+    """
+    maps = [(0, u, v) for u in range(3) for v in range(3)]
+    index = {f: i for i, f in enumerate(maps)}
+    add = [[index[tuple((x + y) % 3 for x, y in zip(f, g))] for g in maps] for f in maps]
+    mul = [[index[tuple(g[f[x]] for x in range(3))] for g in maps] for f in maps]
+    return FiniteRing(9, np.array(add), np.array(mul), 0, index[(0, 1, 2)], ())
+
+
+def _incompatible_module():
+    """Columns over Z2, acted on by tri(z2,2) as ``r m`` on the left and ``s^T m`` on the right.
+
+    Each action is unital, additive and associative, but ``(r m) s != r (m s)``.
+    """
+    T = matrix_ring(make_zmod(2), 2, shape="lower_triangular")
+    mats = [np.array([[d0, 0], [d1, d2]]) for d0, d1, d2 in product(range(2), repeat=3)]
+    vecs = [np.array(v) for v in product(range(2), repeat=2)]
+    col = lambda v: int(2 * (v[0] % 2) + v[1] % 2)  # noqa: E731
+    lact = [[col(r @ m) for m in vecs] for r in mats]
+    ract = [[col(s.T @ m) for s in mats] for m in vecs]
+    add = [[x ^ y for y in range(4)] for x in range(4)]
+    return T, BimoduleSpec(4, np.array(add), np.array(lact), np.array(ract), 0, tuple("0123")), T
+
+
+# None keeps the default block size, under which every ring here is one
+# block; 5 makes every 3-index scan one row per block, and 40 gives blocks
+# of several rows that do not divide the order
+_BLOCK_SIZES = (None, 5, 40)
+
+
+@pytest.mark.parametrize("block", _BLOCK_SIZES)
+@pytest.mark.parametrize("case", [
+    lambda: make_zmod(4),
+    lambda: matrix_ring(make_zmod(2), 2, shape="lower_triangular"),
+    _near_ring,
+], ids=["z4", "tri(z2,2)", "near-ring"])
+def test_axiom_scans_match_whole_table_checks_under_every_corruption(monkeypatch, case, block):
+    R = case()
+    if block is not None:
+        monkeypatch.setattr(rings, "_BLOCK_ENTRIES", block)
+    for add, mul in _corruptions((R.add_table, R.mul_table), (R.order, R.order)):
+        expected = _reference_ring_axioms(add, mul, R.zero, R.one)
+        assert check_ring_axioms(add, mul, R.zero, R.one) == expected, expected
+
+
+# left ring, bimodule, right ring, and whether the rings' tables are
+# corrupted too (one ring at a time)
+_BIMODULE_CASES = {
+    "ideal_bimodule(z8,2)": lambda: (make_zmod(8), ideal_bimodule(make_zmod(8), 2), make_zmod(8),
+                                     False),
+    "regular_bimodule(z4)": lambda: (make_zmod(4), regular_bimodule(make_zmod(4)), make_zmod(4),
+                                     True),
+    "regular_bimodule(z2)": lambda: (make_zmod(2), regular_bimodule(make_zmod(2)), make_zmod(2),
+                                     True),
+    "incompatible": lambda: (*_incompatible_module(), False),
+}
+
+
+@pytest.mark.parametrize("block", _BLOCK_SIZES)
+@pytest.mark.parametrize("case", list(_BIMODULE_CASES))
+def test_bimodule_scans_match_whole_table_checks_under_every_corruption(monkeypatch, case, block):
+    R, M, S, rings_too = _BIMODULE_CASES[case]()
+    if block is not None:
+        monkeypatch.setattr(rings, "_BLOCK_ENTRIES", block)
+    tables = [M.add_table, M.left_action, M.right_action]
+    ring_tables = [R.add_table, R.mul_table, S.add_table, S.mul_table]
+    orders = [M.order] * 3 + [R.order] * 2 + [S.order] * 2
+    if rings_too:
+        tables += ring_tables
+    for add, lact, ract, *rest in _corruptions(tables, orders):
+        radd, rmul, sadd, smul = rest or ring_tables
+        bad = BimoduleSpec(M.order, add, lact, ract, M.zero, M.labels)
+        left = FiniteRing(R.order, radd, rmul, R.zero, R.one, R.labels)
+        right = FiniteRing(S.order, sadd, smul, S.zero, S.one, S.labels)
+        expected = _reference_bimodule(left, bad, right)
+        assert check_bimodule(left, bad, right) == expected, expected
+
+
+def test_ring_from_tables_validates_the_tables_once(monkeypatch):
+    calls = []
+    validate = rings._validate_tables
+    monkeypatch.setattr(rings, "_validate_tables", lambda *a: calls.append(a) or validate(*a))
+    R = make_zmod(6)
+    ring_from_tables(R.add_table, R.mul_table, R.zero, R.one)
+    assert len(calls) == 1
