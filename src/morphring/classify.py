@@ -30,7 +30,7 @@ from .ideals import (
     _resolve,
 )
 from .rings import (FiniteRing, OrderCapExceeded, _check_element, _first_violation,
-                    _is_commutative, _per_ring, order_cap)
+                    _is_commutative, _per_ring, _row_blocks, order_cap)
 
 __all__ = [
     "PREDICATES",
@@ -162,14 +162,6 @@ class ClassProfile:
         return flags
 
 
-def _for_all(items: Iterable, holds: Callable[..., bool]) -> Flag:
-    """True when ``holds(x)`` for every item; else the first failing ``x``."""
-    for x in items:
-        if not holds(x):
-            return Flag(False, counterexample=x)
-    return Flag(True)
-
-
 def _all_true(ok: np.ndarray) -> Flag:
     """True when every entry of ``ok`` holds; else the first failing index."""
     if ok.all():
@@ -219,13 +211,7 @@ def element_class(R: FiniteRing, side: Side, a: int) -> ElementClass:
 def _side_hierarchy(R: FiniteRing, side: Side) -> SideHierarchy:
     """Each flag is its element predicate checked over the whole ring."""
     pseudo, generalized, morphic = (w >= 0 for w in _witness_vectors(R, side))
-    return SideHierarchy(
-        side=side,
-        pseudo=_all_true(pseudo),
-        generalized=_all_true(generalized),
-        quasi=_all_true(pseudo & generalized),
-        morphic=_all_true(morphic),
-    )
+    return SideHierarchy(side, *map(_all_true, (pseudo, generalized, pseudo & generalized, morphic)))
 
 
 def ring_morphic_profile(R: FiniteRing) -> MorphicProfile:
@@ -235,14 +221,21 @@ def ring_morphic_profile(R: FiniteRing) -> MorphicProfile:
 
 @_per_ring
 def regularity_profile(R: FiniteRing) -> RegularityProfile:
-    """Von Neumann regularity and its unit and strong refinements."""
+    """Von Neumann regularity and its unit and strong refinements, read off the class tables.
+
+    ``axa = a`` iff ``Ra = Re`` for an idempotent ``e = xa``; ``aua = a`` for a unit ``u``
+    iff ``a = eu`` for an idempotent ``e = au``; and ``a ∈ a²R`` iff ``a²R = aR``.
+    """
     mul = R.mul_table
-    unit_idx = np.asarray(mask_members(element_census(R).units), dtype=np.int32)
-    return RegularityProfile(
-        regular=_for_all(range(R.order), lambda a: (mul[mul[a], a] == a).any()),
-        unit_regular=_for_all(range(R.order), lambda a: (mul[mul[a, unit_idx], a] == a).any()),
-        strongly_regular=_for_all(range(R.order), lambda a: (mul[mul[a, a]] == a).any()),
-    )
+    census = element_census(R)
+    idempotents, units = (np.array(mask_members(m)) for m in (census.idempotents, census.units))
+    unit_regular = np.zeros(R.order, dtype=bool)
+    for rows in _row_blocks(len(idempotents), len(units)):
+        unit_regular[mul[idempotents[rows, None], units]] = True
+    left, right = (_resolve(R, side)[1] for side in Side)
+    regular = _idempotent_classes(R, Side.LEFT)[left.pri_id]
+    strongly_regular = right.pri_id == right.pri_id[mul.diagonal()]
+    return RegularityProfile(*map(_all_true, (regular, unit_regular, strongly_regular)))
 
 
 @_per_ring
@@ -251,12 +244,8 @@ def commutation_profile(R: FiniteRing) -> CommutationProfile:
     n = R.order
     zero, one = R.zero, R.one
     mul = R.mul_table
-    census = element_census(R)
 
-    if census.nilpotents == 1 << zero:
-        reduced = Flag(True)
-    else:
-        reduced = Flag(False, counterexample=mask_members(census.nilpotents & ~(1 << zero))[0])
+    reduced = _all_true(~_bool_from_mask(element_census(R).nilpotents & ~(1 << zero), n))
 
     reversible = symmetric = Flag(True)
     if not _is_commutative(R):  # a commutative ring is reversible and symmetric
@@ -268,14 +257,21 @@ def commutation_profile(R: FiniteRing) -> CommutationProfile:
             symmetric = Flag(False, counterexample=(*bad, one))
         else:
             def asymmetric(a: slice) -> np.ndarray:
+                # abc = 0 but acb != 0; in a reversible ring (ba)c = 0 iff
+                # b(ac) = 0 iff (ac)b = 0, so bac needs no term of its own
                 abc = mul[mul[a]]                    # [a,b,c] = (a b) c
-                bac = mul[mul[:, a].T]               # [a,b,c] = (b a) c
-                return (abc == zero) & ((abc.swapaxes(1, 2) != zero) | (bac != zero))
+                return (abc == zero) & (abc.swapaxes(1, 2) != zero)
             bad = _first_violation(n, n * n, asymmetric)
             if bad is not None:
                 symmetric = Flag(False, counterexample=bad)
 
-    semiprime = _for_all(range(n), lambda a: a == zero or not (mul[mul[a], a] == zero).all())
+    # aRa = 0 iff aR ⊆ l(a): one mask test per distinct pair (class of aR, class of l(a))
+    left, right = (_resolve(R, side)[1] for side in Side)
+    pairs = right.pri_id.astype(np.int64) * len(left.masks) + left.ann_id
+    _, first, pair_of = np.unique(pairs, return_index=True, return_inverse=True)
+    null = np.array([right.masks[right.pri_id[a]] & ~left.masks[left.ann_id[a]] == 0
+                     for a in first.tolist()])
+    semiprime = _all_true(~null[pair_of] | (np.arange(n) == zero))
 
     # ba = 1 but ab != 1, axes [b, a]
     bad = _first_violation(n, n, lambda b: (mul[b] == one) & (mul[:, b].T != one))
@@ -315,10 +311,8 @@ def _p_injective(R: FiniteRing, side: Side) -> Flag:
 
 def _double_annihilator_failure(R: FiniteRing, side: Side, ideals: Iterable[int]) -> int | None:
     """First side ideal ``I`` with ``ann(ann(I)) != I``, the inner one on the other side, or None."""
-    for ideal in ideals:
-        if annihilator(R, side, annihilator(R, side.other, ideal)) != ideal:
-            return ideal
-    return None
+    return next((ideal for ideal in ideals
+                 if annihilator(R, side, annihilator(R, side.other, ideal)) != ideal), None)
 
 
 @_per_ring  # keyed on the cap too, as ``all_ideals`` checks it on every call
@@ -342,18 +336,24 @@ def _lear(R: FiniteRing, side: Side) -> Flag:
     except LatticeOverflow as exc:
         return Flag(None, note=str(exc))
     _, tables = _resolve(R, side)
-    return _for_all(ideals, lambda ideal: tables.ann_witness(ideal) is not None)
+    missing = next((ideal for ideal in ideals if tables.ann_witness(ideal) is None), None)
+    return Flag(True) if missing is None else Flag(False, counterexample=missing)
 
 
-def _pp(R: FiniteRing, side: Side) -> Flag:
-    """Every element annihilator is generated by an idempotent.
+def _idempotent_classes(R: FiniteRing, side: Side) -> np.ndarray:
+    """Per class id of the side tables: the class is ``Re`` for an idempotent ``e``.
 
     ``R`` and its opposite have the same idempotents, so ``R``'s census serves both sides.
     """
     _, tables = _resolve(R, side)
     idempotent = np.zeros(len(tables.masks), dtype=bool)
     idempotent[tables.pri_id[_bool_from_mask(element_census(R).idempotents, R.order)]] = True
-    return _all_true(idempotent[tables.ann_id])
+    return idempotent
+
+
+def _pp(R: FiniteRing, side: Side) -> Flag:
+    """Every element annihilator is generated by an idempotent."""
+    return _all_true(_idempotent_classes(R, side)[_resolve(R, side)[1].ann_id])
 
 
 def _strongly_clean(R: FiniteRing) -> Flag:

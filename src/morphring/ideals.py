@@ -331,12 +331,12 @@ def element_census(R: FiniteRing) -> ElementCensus:
 
 @_per_ring
 def jacobson_radical(R: FiniteRing) -> int:
-    """Mask of ``J(R) = {a : 1 - xa is a unit for every x}``."""
-    is_unit = _bool_from_mask(element_census(R).units, R.order)
-    one_minus_is_unit = is_unit[R.add_table[R.one][R.neg_table]]  # entry y: is 1 - y a unit
-    # a block of columns a at a time: 1 - x a is a unit for every x
-    return _mask_from_bool(np.concatenate([one_minus_is_unit[R.mul_table[:, a]].all(axis=0)
-                                           for a in _row_blocks(R.order, R.order)]))
+    """Mask of ``J(R)``: in a finite ring, the ``a`` whose ``Ra`` consists of nilpotents.
+
+    ``J`` of a finite ring is nilpotent and contains every nil left ideal.
+    """
+    tables, nilpotents = _side_tables(R), element_census(R).nilpotents
+    return _mask_from_bool(np.array([m & ~nilpotents == 0 for m in tables.masks])[tables.pri_id])
 
 
 def is_essential(R: FiniteRing, side: Side, mask: int) -> bool:

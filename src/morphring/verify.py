@@ -24,7 +24,6 @@ from .classify import (
     _double_annihilator_failure,
     _exchange_failure,
     element_class,
-    ring_morphic_profile,
 )
 from .common import VerificationReport
 from .ideals import (
@@ -240,19 +239,17 @@ def verify_quasi_equivalence(R: FiniteRing) -> tuple[str, dict]:
     ``r(I1 ∩ I2) = r(I1) + r(I2)`` and ``l(T1 ∩ T2) = l(T1) + l(T2)`` over
     finitely generated (≤ 2 generator) ideals.
     """
-    profile = ring_morphic_profile(R)
-    pseudo_both = bool(profile.left.pseudo.status and profile.right.pseudo.status)
-    quasi_both = bool(profile.left.quasi.status and profile.right.quasi.status)
+    pseudo_l, pseudo_r, quasi_l, quasi_r, morphic_l = (PREDICATES[name](R) for name in (
+        *_PSEUDO_BOTH, "left_quasi_morphic", "right_quasi_morphic", "left_morphic"))
+    pseudo_both = bool(pseudo_l.status and pseudo_r.status)
+    quasi_both = bool(quasi_l.status and quasi_r.status)
     details: dict = {"pseudo_both": pseudo_both, "quasi_both": quasi_both}
     if pseudo_both != quasi_both:
-        details["counterexample"] = {
-            "left": profile.left.quasi.counterexample,
-            "right": profile.right.quasi.counterexample,
-        }
+        details["counterexample"] = {"left": quasi_l.counterexample, "right": quasi_r.counterexample}
         return "refuted", details
     if _is_commutative(R) and pseudo_both:
-        if not profile.left.morphic.status:
-            details["counterexample"] = profile.left.morphic.counterexample
+        if not morphic_l.status:
+            details["counterexample"] = morphic_l.counterexample
             details["check"] = "commutative_pseudo_implies_morphic"
             return "refuted", details
         details["commutative_morphic"] = True

@@ -232,6 +232,69 @@ def test_regularity_full_matrix_ring():
     assert all(M.mul(M.mul(E12, E12), x) != E12 for x in M.elements)
 
 
+# The element definitions that the class-table identities of
+# ``regularity_profile`` and ``commutation_profile`` replace, one element at a time.
+def _element_definitions(R):
+    mul, zero, one = R.mul_table, R.zero, R.one
+    units = np.flatnonzero(((mul == one) & (mul.T == one)).any(axis=1))
+    return {
+        "regular": lambda a: (mul[mul[a], a] == a).any(),                  # axa = a
+        "unit_regular": lambda a: (mul[mul[a, units], a] == a).any(),      # aua = a, u a unit
+        "strongly_regular": lambda a: (mul[mul[a, a]] == a).any(),         # a²x = a
+        "semiprime": lambda a: a == zero or (mul[mul[a], a] != zero).any(),  # aRa != 0
+    }
+
+
+@pytest.mark.parametrize("block", [None, 5], ids=["default blocks", "5 entries per block"])
+def test_class_table_flags_match_element_definitions(monkeypatch, block):
+    # at 5 entries every block of the E·U gather is one idempotent row
+    if block is not None:
+        monkeypatch.setattr(rings, "_BLOCK_ENTRIES", block)
+    for text in default_corpus(128):
+        ring = build_ring(parse_ring_expr(text))
+        for R in (ring, opposite(ring)):
+            flags = {**vars(regularity_profile(R)), "semiprime": commutation_profile(R).semiprime}
+            for name, holds in _element_definitions(R).items():
+                first = next((a for a in R.elements if not holds(a)), None)
+                assert (flags[name].status, flags[name].counterexample) == (first is None, first), \
+                    (text, R is ring, name)
+
+
+def test_strongly_regular_reads_the_right_ideals():
+    # a ∈ a²R is the right-ideal condition a²R = aR. On a finite ring it holds
+    # at an element exactly when Ra² = Ra does (Drazin, Amer. Math. Monthly
+    # 65, 1958: the least such powers agree), so only a table that is not
+    # associative tells the sides apart: z4 with 0·2 = 2, where 2R = 0R = {0, 2}
+    # but R2 = {0, 2} != R0 = {0}
+    z4 = make_zmod(4)
+    mul = z4.mul_table.copy()
+    mul[0, 2] = 2
+    R = FiniteRing(4, z4.add_table, mul, z4.zero, z4.one, z4.labels)
+    for ring, first in ((R, None), (opposite(R), 2)):
+        holds = _element_definitions(ring)["strongly_regular"]
+        assert next((a for a in ring.elements if not holds(a)), None) == first
+        flag = regularity_profile(ring).strongly_regular
+        assert (flag.status, flag.counterexample) == (first is None, first)
+
+
+def test_regularity_and_commutation_of_gf_2_12_read_the_tables():
+    import time
+
+    from morphring.ideals import _resolve
+
+    R = make_gf(2, 12)
+    for side in Side:
+        _resolve(R, side)
+    element_census(R)
+    start = time.perf_counter()
+    profiles = regularity_profile(R), commutation_profile(R)
+    elapsed = time.perf_counter() - start
+    assert all(flag.status for profile in profiles for flag in vars(profile).values())
+    # about 0.04 s reading the class tables; n gathers of n products per
+    # element flag, as element loops, took about 0.9 s
+    assert elapsed < 0.2, f"regularity and commutation of gf(2,12) took {elapsed:.2f} s"
+
+
 def test_regular_implies_quasi():
     for R in (make_zmod(6), make_gf(2, 2), matrix_ring(make_zmod(2), 2)):
         assert regularity_profile(R).regular.status
@@ -314,18 +377,21 @@ def _least_symmetry_violation(R):
 
 
 def test_symmetric_scan_on_noncommutative_reversible_ring():
-    # the block scan runs only on a noncommutative reversible ring. F2[Q8] is
-    # reversible and not symmetric (Marks, JPAA 2002); the twisted extension
-    # is symmetric
-    for ring, symmetric in ((_f2_q8(), False), (_frobenius_trivext(), True)):
+    # the block scan runs only on a noncommutative reversible ring. F2[Q8] and
+    # its opposite are reversible and not symmetric (Marks, JPAA 2002); the
+    # twisted extension is symmetric. The scan tests abc = 0 against acb
+    # alone; the reference tests bac as well, which a reversible ring makes
+    # redundant
+    for ring, violation in ((_f2_q8(), (5, 17, 86)), (opposite(_f2_q8()), (5, 17, 85)),
+                            (_frobenius_trivext(), None)):
         mul = ring.mul_table
         assert not np.array_equal(mul, mul.T)
         is_zero = mul == ring.zero
         assert np.array_equal(is_zero, is_zero.T)
         p = commutation_profile(ring)
         assert p.reversible.status is True
-        assert p.symmetric.status is symmetric
-        assert p.symmetric.counterexample == _least_symmetry_violation(ring)
+        assert p.symmetric.status is (violation is None)
+        assert p.symmetric.counterexample == violation == _least_symmetry_violation(ring)
 
 
 def test_structural_zmod12():

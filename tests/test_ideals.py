@@ -337,10 +337,15 @@ def test_census_radical_and_clean_match_element_scans_on_corpus(monkeypatch):
     from morphring.classify import _strongly_clean
     from morphring.cli import build_ring, default_corpus, parse_ring_expr
 
-    # at 5 entries every census and radical block is one row
+    # at 5 entries every census block is one row
     block_sizes = (rings_module._BLOCK_ENTRIES, 5)
-    for text in default_corpus(64):
-        R = build_ring(parse_ring_expr(text))
+
+    def built(text, flip):
+        ring = build_ring(parse_ring_expr(text))
+        return opposite(ring) if flip else ring
+
+    for text, flip in ((text, flip) for text in default_corpus(64) for flip in (False, True)):
+        R = built(text, flip)
         add, mul = R.add_table.tolist(), R.mul_table.tolist()
         elements = range(R.order)
         units = [a for a in elements
@@ -362,13 +367,13 @@ def test_census_radical_and_clean_match_element_scans_on_corpus(monkeypatch):
                         for e in idempotents) for a in elements)
         for block in block_sizes:
             monkeypatch.setattr(rings_module, "_BLOCK_ENTRIES", block)
-            R = build_ring(parse_ring_expr(text))
+            R = built(text, flip)
             census = element_census(R)
-            assert mask_members(census.units) == units, text
-            assert mask_members(census.idempotents) == idempotents, text
-            assert mask_members(census.nilpotents) == nilpotents, text
-            assert mask_members(jacobson_radical(R)) == radical, text
-            assert _strongly_clean(R).status is clean, text
+            assert mask_members(census.units) == units, (text, flip)
+            assert mask_members(census.idempotents) == idempotents, (text, flip)
+            assert mask_members(census.nilpotents) == nilpotents, (text, flip)
+            assert mask_members(jacobson_radical(R)) == radical, (text, flip)
+            assert _strongly_clean(R).status is clean, (text, flip)
 
 
 # Reference lattice engine: cyclic extension of subgroups over add rows for

@@ -336,6 +336,43 @@ def test_finite_qf_refutes_with_the_failing_flag(monkeypatch, _, name, fault, de
         "finite_dual_ring_battery", "refuted", details)
 
 
+# Each theorem check refutes under a named fault: one PREDICATES entry that
+# reads a wrong verdict.  Rows: (test id, check, entry, fault, expected details).
+_THEOREM_FAULTS = [
+    ("regular_criteria, z4 semiprime",
+     lambda: verify_regular_criteria(Z4), "semiprime", Flag(True),
+     {"semiprime_pseudo": True, "regular": False, "radical_zero": False}),
+    ("regular_criteria, z6 not regular",
+     lambda: verify_regular_criteria(Z6), "regular", Flag(False, counterexample=2),
+     {"semiprime_pseudo": True, "regular": False, "radical_zero": True}),
+    ("regular_criteria, z4 left p.p.",
+     lambda: verify_regular_criteria(Z4), "pp_left", Flag(True),
+     {"semiprime_pseudo": False, "regular": False, "radical_zero": False,
+      "left_pp_right_pseudo": True, "check": "left_pp_right_pseudo"}),
+    ("pseudo_quasi_equivalence, z12 not right quasi",
+     lambda: verify_quasi_equivalence(Z12), "right_quasi_morphic", Flag(False, counterexample=3),
+     {"pseudo_both": True, "quasi_both": False, "counterexample": {"left": None, "right": 3}}),
+    ("pseudo_quasi_equivalence, z12 not left morphic",
+     lambda: verify_quasi_equivalence(Z12), "left_morphic", Flag(False, counterexample=2),
+     {"pseudo_both": True, "quasi_both": True, "counterexample": 2,
+      "check": "commutative_pseudo_implies_morphic"}),
+    ("triangular_example_identity, tri left pseudo",
+     verify_triangular_example_identity, "left_pseudo_morphic", Flag(True),
+     {"headline_claims": False, "identity_diverges": {"row": True, "transpose": True}}),
+]
+
+
+@pytest.mark.parametrize("_, check, name, fault, details", _THEOREM_FAULTS,
+                         ids=[f[0] for f in _THEOREM_FAULTS])
+def test_theorem_checks_refute_under_a_wrong_flag(monkeypatch, _, check, name, fault, details):
+    verified = check()
+    assert verified.status == "verified"
+    monkeypatch.setitem(PREDICATES, name, lambda R: fault)
+    report = check()
+    assert (report.theorem, report.status, report.details) == (
+        verified.theorem, "refuted", details)
+
+
 def test_reduced_collapse_refuted_names_flags_by_record(monkeypatch):
     assert verify_reduced_equivalences(Z6).status == "verified"
     monkeypatch.setitem(PREDICATES, "unit_regular", lambda R: Flag(False))
