@@ -10,6 +10,7 @@ opposite ring.  All witnesses are least-index, so profiles are canonical.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterable
@@ -26,7 +27,6 @@ from .ideals import (
     mask_members,
     subgroup_sum,
     _bool_from_mask,
-    _principal_pair_sums,
     _resolve,
 )
 from .rings import (FiniteRing, OrderCapExceeded, _check_element, _first_violation,
@@ -285,18 +285,20 @@ def _bezout(R: FiniteRing, side: Side) -> Flag:
 
     In a finite ring every side ideal is a sum of principal ones, and the
     principal ideals are among the ideals, so this holds exactly when the
-    lattice has no more ideals than there are principal ones.  Otherwise
-    the pairwise principal-sum closure names the canonical counterexample;
-    pairwise suffices, as sums fold two generators at a time.
+    lattice has no more ideals than there are principal ones.  The one
+    cached lattice is read at a cap of at least that count, so an overflow
+    also decides it.  Otherwise the pairwise principal-sum closure names
+    the canonical counterexample; pairwise suffices, as sums fold two
+    generators at a time.
     """
     ring, tables = _resolve(R, side)
-    try:
-        all_ideals(R, side, cap=len(tables.principal_masks))
-    except LatticeOverflow:
-        m1, m2 = next((m1, m2) for m1, m2, total in _principal_pair_sums(ring, tables)
-                      if tables.pri_witness(total) is None)
-        return Flag(False, counterexample=(tables.pri_witness(m1), tables.pri_witness(m2)))
-    return Flag(True)
+    masks = tables.principal_masks
+    with suppress(LatticeOverflow):
+        if len(all_ideals(R, side, max(len(masks), lattice_cap()))) == len(masks):
+            return Flag(True)
+    m1, m2 = next((m1, m2) for i, m1 in enumerate(masks) for m2 in masks[i + 1 :]
+                  if tables.pri_witness(subgroup_sum(ring, m1, m2)) is None)
+    return Flag(False, counterexample=(tables.pri_witness(m1), tables.pri_witness(m2)))
 
 
 def _p_injective(R: FiniteRing, side: Side) -> Flag:

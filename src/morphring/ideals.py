@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -212,15 +212,11 @@ def subgroup_sum(R: FiniteRing, m1: int, m2: int) -> int:
     ``H + <g>`` by coset doubling: translating ``H + {0, ..., k-1}g`` by
     ``kg`` gives ``H + {0, ..., 2k-1}g``, until ``kg`` already lies in it.
     """
+    _check_mask(R, m1 | m2)
     if m2 & ~m1 == 0:
         return m1
     if m1 & ~m2 == 0:
         return m2
-    key = (m1, m2) if m1 <= m2 else (m2, m1)
-    memo = R._cache.setdefault("subgroup_sums", {})
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
     add = R.add_table
     res = _bool_from_mask(m1, R.order)
     todo = _bool_from_mask(m2, R.order)
@@ -229,16 +225,7 @@ def subgroup_sum(R: FiniteRing, m1: int, m2: int) -> int:
         while not res[shift]:
             res[add[np.flatnonzero(res), shift]] = True
             shift = int(add[shift, shift])
-    result = memo[key] = _mask_from_bool(res)
-    return result
-
-
-def _principal_pair_sums(ring: FiniteRing, tables: SideTables) -> Iterator[tuple[int, int, int]]:
-    """``(m1, m2, m1 + m2)`` for each pair ``m1 < m2`` of distinct principal ideals, in order."""
-    masks = tables.principal_masks
-    for i, m1 in enumerate(masks):
-        for m2 in masks[i + 1 :]:
-            yield m1, m2, subgroup_sum(ring, m1, m2)
+    return _mask_from_bool(res)
 
 
 def fg_ideal(R: FiniteRing, side: Side, generators: Sequence[int]) -> int:
@@ -276,17 +263,17 @@ def all_ideals(R: FiniteRing, side: Side, cap: int | None = None) -> list[int]:
     ``LatticeOverflow`` if more than ``cap`` ideals appear (default:
     ``lattice_cap()``); never silently truncates.  A ``cap`` equal to the
     number of principal ideals overflows exactly when some ideal is not
-    principal.  A complete lattice is cached on the ring and checked
-    against the cap of every call; each call gets a fresh list.
+    principal.  A complete lattice, or the largest cap that overflowed, is
+    kept on the ring and checked against every later cap; calls get fresh lists.
     """
     ring, tables = _resolve(R, side)
     if cap is None:
         cap = lattice_cap()
     overflow = f"more than {cap} {side.value} ideals; raise IDEAL_LATTICE_CAP"
     cached = ring._cache.get("ideals")
+    if cap <= ring._cache.get("ideals_overflow", -1) or cached is not None and len(cached) > cap:
+        raise LatticeOverflow(overflow)
     if cached is not None:
-        if len(cached) > cap:
-            raise LatticeOverflow(overflow)
         return list(cached)
     zero_mask = 1 << ring.zero
     generators = sorted((m for m in tables.principal_masks if m != zero_mask),
@@ -298,6 +285,7 @@ def all_ideals(R: FiniteRing, side: Side, cap: int | None = None) -> list[int]:
         for ideal in list(found):
             found.add(subgroup_sum(ring, ideal, gen))
             if len(found) > cap:
+                ring._cache["ideals_overflow"] = cap
                 raise LatticeOverflow(overflow)
     ring._cache["ideals"] = tuple(sorted(found))
     return list(ring._cache["ideals"])

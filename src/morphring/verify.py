@@ -21,6 +21,7 @@ import numpy as np
 
 from .classify import (
     PREDICATES,
+    _bezout,
     _double_annihilator_failure,
     _exchange_failure,
     element_class,
@@ -38,7 +39,6 @@ from .ideals import (
     socle,
     subgroup_sum,
     _minimal_principals,
-    _principal_pair_sums,
     _resolve,
 )
 from .rings import (
@@ -53,6 +53,7 @@ from .rings import (
     trivial_extension,
     truncated_poly,
     _is_commutative,
+    _per_ring,
 )
 
 __all__ = [
@@ -105,11 +106,14 @@ def _refuted(check: str, **payload) -> tuple[str, dict]:
     return "refuted", {"check": check, **payload}
 
 
+@_per_ring
 def _fg_masks(R: FiniteRing, side: Side) -> list[int]:
-    """Distinct ideals generated by at most two elements."""
+    """Distinct ideals generated by at most two elements: on a Bézout side, the principal ones."""
     ring, tables = _resolve(R, side)
-    sums = {total for _, _, total in _principal_pair_sums(ring, tables)}
-    return sorted(sums.union(tables.principal_masks))
+    masks = tables.principal_masks
+    if _bezout(R, side).status:
+        return masks
+    return sorted({subgroup_sum(ring, m1, m2) for i, m1 in enumerate(masks) for m2 in masks[i:]})
 
 
 @_theorem("annihilator_chain_equivalence")
@@ -139,14 +143,15 @@ def verify_lemma_equivalences(R: FiniteRing) -> tuple[str, dict]:
 
 
 def _witness_failure(kind: str, tables: SideTables, mul: np.ndarray, own: np.ndarray,
-                     least: np.ndarray, other: np.ndarray,
+                     least: np.ndarray, other: np.ndarray, holds: Callable[[int, int, int], bool],
                      join: Callable[[int, int], int]) -> tuple[int, dict | None]:
     """One kind of witness identity over all pairs ``(a1, a2)``, in row-major order.
 
     With ``b_i = least[own[a_i]]`` and ``c = least[own[a2 b1]]``, products in
-    ``mul``, checks ``join(masks[own[a1]], masks[own[a2]]) = masks[other[b1 c]]``.
-    A row depends on ``a1`` only through ``own[a1]``, so one row per class is
-    checked, led by its least element, and one join per pair of classes formed.
+    ``mul``, checks ``holds(A1, A2, S)``, that ``join(A1, A2) = S``, for ``Ai =
+    masks[own[ai]]`` and ``S = masks[other[b1 c]]``.  A row depends on ``a1``
+    only through ``own[a1]``, so one row per class is checked, led by its
+    least element, and ``holds`` called once per distinct triple of classes.
     Returns the number of pairs checked and the first failure's details, or None.
     """
     masks, count = tables.masks, len(tables.masks)
@@ -157,17 +162,19 @@ def _witness_failure(kind: str, tables: SideTables, mul: np.ndarray, own: np.nda
     c = least[own[mul[valid[None, :], b[a1][:, None]]]]
     i, j = np.nonzero(c >= 0)
     a1, a2, c = a1[i], valid[j], c[i, j]
-    pairs, pair_of = np.unique(own[a1].astype(np.int64) * count + own[a2], return_inverse=True)
-    joined = [join(masks[key // count], masks[key % count]) for key in pairs.tolist()]
     rhs = other[mul[b[a1], c]]
-    bad = np.flatnonzero(np.array([tables.index.get(m, -1) for m in joined])[pair_of] != rhs)
+    key = (own[a1].astype(np.int64) * count + own[a2]) * count + rhs
+    triples, triple_of = np.unique(key, return_inverse=True)
+    each = np.frompyfunc(lambda x, y, z: holds(masks[x], masks[y], masks[z]), 3, 1)
+    ok = each(*np.unravel_index(triples, (count,) * 3)).astype(bool)
+    bad = np.flatnonzero(~ok[triple_of])
     checked = int(weight[i].sum())
     if not bad.size:
         return checked, None
     f = bad[0]
     return checked, {"kind": kind, "pair": [int(a1[f]), int(a2[f])],
                      "witnesses": [int(b[a1[f]]), int(b[a2[f]]), int(c[f])],
-                     "lhs": joined[pair_of[f]], "rhs": masks[rhs[f]]}
+                     "lhs": join(masks[own[a1[f]]], masks[own[a2[f]]]), "rhs": masks[rhs[f]]}
 
 
 @_theorem("sum_intersection_witnesses")
@@ -178,15 +185,28 @@ def verify_witness_identities(R: FiniteRing) -> tuple[str, dict]:
     l(c)`` it follows that ``Ra1 + Ra2 = l(b1 c)``; dually from ``l(a_i) =
     R b_i`` and ``l(b1 a2) = Rc`` that ``l(a1) ∩ l(a2) = R(c b1)``.  Pairs
     lacking any witness are skipped and counted.  The first failing pair in
-    row-major order is reported, its sum before its intersection.
+    row-major order is reported, its sum before its intersection.  Sums are
+    decided by counting: subgroups ``S ⊇ A ∪ B`` with ``|S|·|A ∩ B| = |A|·|B|``
+    have ``S = A + B``.  On tables that are not a ring, each mask is tested
+    once for being a subgroup, and a triple touching one that is not is
+    decided by the formed sum.
     """
     ring, tables = _resolve(R, Side.LEFT)
+    zero = 1 << ring.zero
+    subgroup = functools.cache(lambda m: subgroup_sum(ring, zero, m & ~zero) == m)
+
+    def sum_holds(m1: int, m2: int, s: int) -> bool:
+        if subgroup(m1) and subgroup(m2) and subgroup(s):
+            return ((m1 | m2) & ~s == 0
+                    and s.bit_count() * (m1 & m2).bit_count() == m1.bit_count() * m2.bit_count())
+        return subgroup_sum(ring, m1, m2) == s
+
     checked_sum, failed_sum = _witness_failure(
         "sum", tables, R.mul_table, tables.pri_id, tables.ann_least, tables.ann_id,
-        lambda m1, m2: subgroup_sum(ring, m1, m2))
+        sum_holds, functools.partial(subgroup_sum, ring))
     checked_meet, failed_meet = _witness_failure(
         "intersection", tables, R.mul_table.T, tables.ann_id, tables.pri_least, tables.pri_id,
-        int.__and__)
+        lambda m1, m2, s: m1 & m2 == s, int.__and__)
     failures = [f for f in (failed_sum, failed_meet) if f]
     if failures:
         return "refuted", min(failures, key=lambda f: f["pair"])

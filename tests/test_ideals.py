@@ -14,6 +14,7 @@ from morphring import (
     Side,
     all_ideals,
     annihilator,
+    direct_product,
     element_census,
     element_class,
     fg_ideal,
@@ -125,8 +126,9 @@ def test_is_ideal():
 
 def test_element_and_mask_arguments_are_checked():
     # Each call misbehaved without a check: a negative generator wrapped
-    # around to the last element, a large one raised IndexError, and the
-    # annihilator of a mask or element past the order raised OverflowError.
+    # around to the last element, a large one raised IndexError, the
+    # annihilator of a mask or element past the order raised OverflowError,
+    # and so did a sum with such a mask, where a sum with -1 returned -1.
     R = make_zmod(4)
     bad_calls = [
         (fg_ideal, [-1], "element index -1 out of range [0, 4)"),
@@ -143,6 +145,9 @@ def test_element_and_mask_arguments_are_checked():
         for function, argument, text in bad_calls:
             with pytest.raises(ValueError, match=re.escape(text)):
                 function(R, side, argument)
+    for m1, m2 in ((1 << 10, 1), (-1, 3), (1, 1 << 10), (3, -1)):
+        with pytest.raises(ValueError, match=re.escape("mask has bits beyond ring order 4")):
+            subgroup_sum(R, m1, m2)
     for function in (ideal_bimodule, pierce_corner):
         with pytest.raises(ValueError, match=re.escape("element index 5 out of range [0, 4)")):
             function(R, 5)
@@ -198,6 +203,35 @@ def test_all_ideals_overflow_is_loud(monkeypatch):
     with pytest.raises(LatticeOverflow, match="^more than 5 left ideals; raise IDEAL_LATTICE_CAP$"):
         all_ideals(R, Side.LEFT, cap=5)
     assert len(all_ideals(R, Side.LEFT, cap=6)) == 6
+
+
+def test_lattice_overflow_is_recorded(monkeypatch):
+    # z2^5 has 32 ideals, each principal
+    R = direct_product([make_zmod(2)] * 5)
+    with pytest.raises(LatticeOverflow):
+        all_ideals(R, Side.LEFT, cap=10)
+    real, sums = ideals_module.subgroup_sum, []
+    monkeypatch.setattr(ideals_module, "subgroup_sum",
+                        lambda *args: sums.append(args) or real(*args))
+    for cap in (10, 3):  # at or below the cap that overflowed: no second enumeration
+        with pytest.raises(LatticeOverflow,
+                           match=f"^more than {cap} right ideals; raise IDEAL_LATTICE_CAP$"):
+            all_ideals(R, Side.RIGHT, cap=cap)  # commutative: the left lattice
+    assert sums == []
+    assert len(all_ideals(R, Side.LEFT, cap=32)) == 32
+    assert sums
+
+
+def test_bezout_reads_the_one_lattice(monkeypatch):
+    from morphring.classify import _bezout
+
+    # tri(z2,3) is not Bezout on either side; its lattices fit the default cap
+    R = matrix_ring(make_zmod(2), 3, shape="lower_triangular")
+    rings = (R, opposite(R))
+    flags = [_bezout(R, side) for side in Side]
+    assert [(flag.status, flag.counterexample) for flag in flags] == list(map(_ref_bezout, rings))
+    monkeypatch.setattr(ideals_module, "subgroup_sum", None)  # no second enumeration
+    assert [all_ideals(R, side) for side in Side] == list(map(_ref_all_ideals, rings))
 
 
 def test_element_census_zmod4():

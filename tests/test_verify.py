@@ -2,6 +2,7 @@
 
 import hashlib
 import operator
+import time
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from morphring import (
     make_zmod,
     mask_of,
     matrix_ring,
-    principal_ideal,
     regular_bimodule,
     ring_morphic_profile,
     search_counterexample,
@@ -115,8 +115,8 @@ def test_witness_identities_full_coverage_matrix_ring():
 # Reference element-pair checks for the two checks that work over class ids:
 # every l(b) and Ra as a mask per element, with first-generator dicts, all
 # read off the raw table, and each witness identity evaluated on every pair
-# of elements at once.  Sums go through ``verify.subgroup_sum`` so that a
-# fault patched into it reaches both versions.
+# of elements at once.  The reference forms every sum with
+# ``verify.subgroup_sum``, where the check decides sums by counting.
 
 
 def _row_masks(member):
@@ -216,17 +216,45 @@ def test_class_id_checks_match_element_pair_loops_on_corpus():
         assert _agrees_with_reference(build_ring(parse_ring_expr(text))).status == "verified", text
 
 
-def test_patched_sum_fault_reported_at_the_same_pair(monkeypatch):
-    real = verify_module.subgroup_sum
-    target = (principal_ideal(Z12, Side.LEFT, 4), principal_ideal(Z12, Side.LEFT, 6))
+def _subgroups(R):
+    """Per left class mask: it is an additive subgroup."""
+    zero = 1 << R.zero
+    return [verify_module.subgroup_sum(R, zero, m & ~zero) == m
+            for m in verify_module._resolve(R, Side.LEFT)[1].masks]
 
-    def faulty(ring, m1, m2):
-        return real(ring, m1, m2) ^ (1 << 1) if (m1, m2) == target else real(ring, m1, m2)
 
-    monkeypatch.setattr(verify_module, "subgroup_sum", faulty)
-    report = _agrees_with_reference(make_zmod(12))
-    assert report.status == "refuted"
-    assert (report.details["kind"], report.details["pair"]) == ("sum", [4, 6])
+def _patched(ring, entry, value):
+    mul = ring.mul_table.copy()
+    mul[entry] = value
+    return FiniteRing(ring.order, ring.add_table, mul, ring.zero, ring.one, ring.labels)
+
+
+def test_patched_sum_fault_reported_at_the_same_pair():
+    # z12 with 2·2 patched to 2 is no ring, but each of its class masks is
+    # still a subgroup, so the counting rule, not a formed sum, decides
+    # every triple; it must refute at the pair where the formed sums do.
+    bad = _patched(Z12, (2, 2), 2)
+    assert all(_subgroups(bad))
+    report = _agrees_with_reference(bad)
+    assert (report.status, report.details) == ("refuted", {
+        "kind": "sum", "pair": [6, 2], "witnesses": [2, 6, 6],
+        "lhs": mask_of(range(0, 12, 2)), "rhs": mask_of(range(12))})
+
+
+@pytest.mark.parametrize("entry, value, subgroups, details", [
+    # every class mask is a subgroup of z2^3, which is not cyclic: l(b1 c) = {0, 3}
+    # has the size of Ra1 + Ra2 = {0, 1} but not its members
+    ((5, 4), 6, True, {"kind": "sum", "pair": [0, 1], "witnesses": [5, 4, 4], "lhs": 3, "rhs": 9}),
+    # some class mask is no subgroup: counting would refute the sum of pair
+    # [1, 2], which the formed sum satisfies, before its intersection fails
+    ((6, 2), 4, False,
+     {"kind": "intersection", "pair": [1, 2], "witnesses": [4, 2, 5], "lhs": 21, "rhs": 85}),
+], ids=["inclusion", "subgroups"])
+def test_counting_rule_needs_inclusion_and_subgroups(entry, value, subgroups, details):
+    bad = _patched(T2, entry, value)
+    assert all(_subgroups(bad)) is subgroups
+    report = _agrees_with_reference(bad)
+    assert (report.status, report.details) == ("refuted", details)
 
 
 @pytest.mark.parametrize("ring", [Z12, T2], ids=["z12", "tri(z2,2)"])
@@ -426,6 +454,33 @@ def test_ring_theorems_table():
     assert verify_module.RING_THEOREMS["reduced_ring_collapse"] is verify_reduced_equivalences
     assert verify_reduced_equivalences.__name__ == "verify_reduced_equivalences"
     assert verify_reduced_equivalences(Z6, nmax=3).details["checked_degrees"] == [2, 3]
+
+
+def test_theorem_checks_on_nine_z2_within_bound(monkeypatch):
+    # z2^9 has 512 left classes, so 262,144 class pairs per witness identity,
+    # each decided by counting; forming every sum took 5.6 to 6.8 s on 2 vCPUs
+    monkeypatch.delenv("RING_ORDER_CAP", raising=False)
+    R = direct_product([make_zmod(2)] * 9)
+    start = time.perf_counter()
+    statuses = {check(R).status for check in verify_module.RING_THEOREMS.values()}
+    elapsed = time.perf_counter() - start
+    assert statuses == {"verified"}
+    assert elapsed < 2.5, f"{elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("factors, digest", [
+    (7, "e9d2fba01551484a8ac04e3ce70ee00a72097f5adc06c88f26e38e94641ee022"),
+    (8, "a9e8d03c6baeff57327b7ba0bc76d2d4b78e674d291c2ee7b40fe3bb0e2445f9"),
+    (9, "020dc1b2abdda68369f3e06c9ecdf4acff1ba363a0df18ed18aaacd1da97efe0"),
+])
+def test_verify_of_boolean_rings_is_pinned(monkeypatch, capsys, factors, digest):
+    # SHA-256 of the stdout recorded when every sum was formed
+    from morphring.cli import run_command
+
+    for name in ("RING_ORDER_CAP", "IDEAL_LATTICE_CAP"):
+        monkeypatch.delenv(name, raising=False)
+    assert run_command(["verify", "prod(" + ",".join(["z2"] * factors) + ")", "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_regular_criteria():
