@@ -30,7 +30,6 @@ from .common import VerificationReport
 from .ideals import (
     LatticeOverflow,
     Side,
-    SideTables,
     all_ideals,
     annihilator,
     jacobson_radical,
@@ -38,6 +37,7 @@ from .ideals import (
     singular_ideal,
     socle,
     subgroup_sum,
+    _bool_from_mask,
     _minimal_principals,
     _resolve,
 )
@@ -52,6 +52,7 @@ from .rings import (
     pierce_corner,
     trivial_extension,
     truncated_poly,
+    _first_violation,
     _is_commutative,
     _per_ring,
 )
@@ -142,39 +143,38 @@ def verify_lemma_equivalences(R: FiniteRing) -> tuple[str, dict]:
     return "verified", {"elements": R.order, "satisfying_both": int(pred2.sum())}
 
 
-def _witness_failure(kind: str, tables: SideTables, mul: np.ndarray, own: np.ndarray,
-                     least: np.ndarray, other: np.ndarray, holds: Callable[[int, int, int], bool],
-                     join: Callable[[int, int], int]) -> tuple[int, dict | None]:
+def _witness_failure(kind: str, masks: list[int], mul: np.ndarray, own: np.ndarray,
+                     least: np.ndarray, other: np.ndarray, holds: Callable[..., np.ndarray],
+                     join: Callable[[int, int], int]) -> int | dict:
     """One kind of witness identity over all pairs ``(a1, a2)``, in row-major order.
 
     With ``b_i = least[own[a_i]]`` and ``c = least[own[a2 b1]]``, products in
-    ``mul``, checks ``holds(A1, A2, S)``, that ``join(A1, A2) = S``, for ``Ai =
-    masks[own[ai]]`` and ``S = masks[other[b1 c]]``.  A row depends on ``a1``
-    only through ``own[a1]``, so one row per class is checked, led by its
-    least element, and ``holds`` called once per distinct triple of classes.
-    Returns the number of pairs checked and the first failure's details, or None.
+    ``mul``, checks ``holds(x, y, z)``, that ``join(A1, A2) = S`` for the class
+    id arrays ``x = own[a1]``, ``y = own[a2]`` and ``z = other[b1 c]``, ``-1``
+    for a pair with no ``c``, which is skipped.  A row depends on ``a1`` only
+    through ``own[a1]``: one row per class, led by its least element, is checked.
+    Returns the number of pairs checked if all hold, else the first failure's details.
     """
-    masks, count = tables.masks, len(tables.masks)
     b = least[own]
     valid = np.flatnonzero(b >= 0)
     a1 = valid[np.sort(np.unique(own[valid], return_index=True)[1])]
-    weight = np.bincount(own[valid], minlength=count)[own[a1]]
-    c = least[own[mul[valid[None, :], b[a1][:, None]]]]
-    i, j = np.nonzero(c >= 0)
-    a1, a2, c = a1[i], valid[j], c[i, j]
-    rhs = other[mul[b[a1], c]]
-    key = (own[a1].astype(np.int64) * count + own[a2]) * count + rhs
-    triples, triple_of = np.unique(key, return_inverse=True)
-    each = np.frompyfunc(lambda x, y, z: holds(masks[x], masks[y], masks[z]), 3, 1)
-    ok = each(*np.unravel_index(triples, (count,) * 3)).astype(bool)
-    bad = np.flatnonzero(~ok[triple_of])
-    checked = int(weight[i].sum())
-    if not bad.size:
-        return checked, None
-    f = bad[0]
-    return checked, {"kind": kind, "pair": [int(a1[f]), int(a2[f])],
-                     "witnesses": [int(b[a1[f]]), int(b[a2[f]]), int(c[f])],
-                     "lhs": join(masks[own[a1[f]]], masks[own[a2[f]]]), "rhs": masks[rhs[f]]}
+    weight = np.bincount(own[valid], minlength=len(masks))[own[a1]]
+    checked = []  # per block of rows
+
+    def violated(rows: slice) -> np.ndarray:
+        b1 = b[a1[rows], None]
+        c = least[own[mul[valid, b1]]]
+        checked.append(int(((c >= 0).sum(axis=1) * weight[rows]).sum()))
+        z = np.where(c >= 0, other[mul[b1, c]], -1)
+        return (z >= 0) & ~holds(own[a1[rows], None], own[valid], z)
+
+    first = _first_violation(len(a1), len(valid), violated)
+    if first is None:
+        return sum(checked)
+    x, y = int(a1[first[0]]), int(valid[first[1]])
+    c = int(least[own[mul[y, b[x]]]])
+    return {"kind": kind, "pair": [x, y], "witnesses": [int(b[x]), int(b[y]), c],
+            "lhs": join(masks[own[x]], masks[own[y]]), "rhs": masks[other[mul[b[x], c]]]}
 
 
 @_theorem("sum_intersection_witnesses")
@@ -185,35 +185,41 @@ def verify_witness_identities(R: FiniteRing) -> tuple[str, dict]:
     l(c)`` it follows that ``Ra1 + Ra2 = l(b1 c)``; dually from ``l(a_i) =
     R b_i`` and ``l(b1 a2) = Rc`` that ``l(a1) ∩ l(a2) = R(c b1)``.  Pairs
     lacking any witness are skipped and counted.  The first failing pair in
-    row-major order is reported, its sum before its intersection.  Sums are
-    decided by counting: subgroups ``S ⊇ A ∪ B`` with ``|S|·|A ∩ B| = |A|·|B|``
-    have ``S = A + B``.  On tables that are not a ring, each mask is tested
-    once for being a subgroup, and a triple touching one that is not is
-    decided by the formed sum.
+    row-major order is reported, its sum before its intersection.  With
+    ``meet[x, y] = |A ∩ B|`` over the class masks, ``S = A ∩ B`` iff
+    ``|A ∩ S| = |B ∩ S| = |A ∩ B| = |S|``; subgroups ``S ⊇ A ∪ B`` with
+    ``|S|·|A ∩ B| = |A|·|B|`` are ``A + B``.  On tables that are not a ring,
+    a pair touching a mask that is not a subgroup is decided by the formed sum.
     """
     ring, tables = _resolve(R, Side.LEFT)
+    masks = tables.masks
+    bits = np.array([_bool_from_mask(m, ring.order) for m in masks], dtype=np.float32)
+    meet = (bits @ bits.T).astype(np.int32)  # exact: each partial sum is an integer < 2**24
+    size = meet.diagonal().astype(np.int64)  # |S|·|A ∩ B| overflows int32
     zero = 1 << ring.zero
-    subgroup = functools.cache(lambda m: subgroup_sum(ring, zero, m & ~zero) == m)
+    group = np.array([subgroup_sum(ring, zero, m & ~zero) == m for m in masks])
 
-    def sum_holds(m1: int, m2: int, s: int) -> bool:
-        if subgroup(m1) and subgroup(m2) and subgroup(s):
-            return ((m1 | m2) & ~s == 0
-                    and s.bit_count() * (m1 & m2).bit_count() == m1.bit_count() * m2.bit_count())
-        return subgroup_sum(ring, m1, m2) == s
+    def sum_holds(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        holds = ((meet[z, x] == size[x]) & (meet[z, y] == size[y])
+                 & (size[z] * meet[x, y] == size[x] * size[y]))
+        odd = (z >= 0) & ~(group[x] & group[y] & group[z])  # only on tables that are not a ring
+        triples = zip(*([masks[i] for i in v[odd].tolist()] for v in np.broadcast_arrays(x, y, z)))
+        holds[odd] = [subgroup_sum(ring, m1, m2) == s for m1, m2, s in triples]
+        return holds
 
-    checked_sum, failed_sum = _witness_failure(
-        "sum", tables, R.mul_table, tables.pri_id, tables.ann_least, tables.ann_id,
+    sums = _witness_failure(
+        "sum", masks, R.mul_table, tables.pri_id, tables.ann_least, tables.ann_id,
         sum_holds, functools.partial(subgroup_sum, ring))
-    checked_meet, failed_meet = _witness_failure(
-        "intersection", tables, R.mul_table.T, tables.ann_id, tables.pri_least, tables.pri_id,
-        lambda m1, m2, s: m1 & m2 == s, int.__and__)
-    failures = [f for f in (failed_sum, failed_meet) if f]
+    meets = _witness_failure(
+        "intersection", masks, R.mul_table.T, tables.ann_id, tables.pri_least, tables.pri_id,
+        lambda x, y, z: (meet[x, z] == size[z]) & (meet[y, z] == size[z]) & (meet[x, y] == size[z]),
+        int.__and__)
+    failures = [f for f in (sums, meets) if isinstance(f, dict)]
     if failures:
         return "refuted", min(failures, key=lambda f: f["pair"])
     pairs = R.order * R.order
-    return "verified", {"checked_sum": checked_sum, "skipped_sum": pairs - checked_sum,
-                        "checked_intersection": checked_meet,
-                        "skipped_intersection": pairs - checked_meet}
+    return "verified", {"checked_sum": sums, "skipped_sum": pairs - sums,
+                        "checked_intersection": meets, "skipped_intersection": pairs - meets}
 
 
 @_theorem("pseudo_morphic_consequences")
@@ -435,13 +441,12 @@ class CornerCase:
     def claims(self) -> tuple[str, FiniteRing, list | str]:
         """The claims, or the note saying why the corollary does not apply."""
         R, e = self.ring, self.idempotent
-        if R.mul(e, e) != e:
-            raise ValueError(f"element {e} is not idempotent")
+        eRe = pierce_corner(R, e)  # raises unless e is an idempotent element of R
         f = R.sub(R.one, e)
         expression = f"{_expr(R)} corner e={e}"
         if any(R.mul(R.mul(f, x), e) != R.zero for x in R.elements):
             return expression, R, "(1-e)Re != 0; the corner corollary does not apply"
-        eRe, fRf = pierce_corner(R, e), pierce_corner(R, f)
+        fRf = pierce_corner(R, f)
         return expression, R, [
             ("generalized_to_both_corners", "left_generalized_morphic", (eRe, fRf)),
             ("left_pseudo_to_complement_corner", "left_pseudo_morphic", (fRf,)),

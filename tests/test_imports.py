@@ -97,6 +97,8 @@ def _main_in_fresh_interpreter(argv: list[str], env: dict) -> tuple[int, int | N
 def test_main_leaves_the_blas_thread_pool_unstarted():
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     assert _main_in_fresh_interpreter(["classify", "z4", "--json"], env) == (0, 1, "1")
+    # verify runs the engine's one BLAS call, the intersection-count matmul
+    assert _main_in_fresh_interpreter(["verify", "tri(z2,2)", "--json"], env) == (0, 1, "1")
 
 
 def test_main_keeps_a_blas_thread_count_the_user_set():

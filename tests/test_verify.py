@@ -3,6 +3,7 @@
 import hashlib
 import operator
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,17 +242,35 @@ def test_patched_sum_fault_reported_at_the_same_pair():
         "lhs": mask_of(range(0, 12, 2)), "rhs": mask_of(range(12))})
 
 
-@pytest.mark.parametrize("entry, value, subgroups, details", [
+Z2_2, Z2_3 = (direct_product([make_zmod(2)] * k) for k in (2, 3))
+
+
+# Each corruption refutes first at a pair where one conjunct of the counting
+# rule alone fails, so dropping that conjunct moves or loses the refutation.
+@pytest.mark.parametrize("ring, patches, subgroups, details", [
     # every class mask is a subgroup of z2^3, which is not cyclic: l(b1 c) = {0, 3}
     # has the size of Ra1 + Ra2 = {0, 1} but not its members
-    ((5, 4), 6, True, {"kind": "sum", "pair": [0, 1], "witnesses": [5, 4, 4], "lhs": 3, "rhs": 9}),
+    (T2, {(5, 4): 6}, True,
+     {"kind": "sum", "pair": [0, 1], "witnesses": [5, 4, 4], "lhs": 3, "rhs": 9}),
     # some class mask is no subgroup: counting would refute the sum of pair
     # [1, 2], which the formed sum satisfies, before its intersection fails
-    ((6, 2), 4, False,
+    (T2, {(6, 2): 4}, False,
      {"kind": "intersection", "pair": [1, 2], "witnesses": [4, 2, 5], "lhs": 21, "rhs": 85}),
-], ids=["inclusion", "subgroups"])
-def test_counting_rule_needs_inclusion_and_subgroups(entry, value, subgroups, details):
-    bad = _patched(T2, entry, value)
+    # Ra1 = {0, 1} is not in l(b1 c) = {0, 2, 4, 6}, which holds Ra2 = {0, 2}
+    (Z2_3, {(6, 5): 1}, True,
+     {"kind": "sum", "pair": [1, 2], "witnesses": [6, 5, 5], "lhs": 15, "rhs": 85}),
+    # R(c b1) = {0, 2} lies in l(a1) = {0, 2, 4, 6} but not in l(a2) = {0, 1, 4, 5}
+    (Z2_3, {(5, 6): 2}, True,
+     {"kind": "intersection", "pair": [1, 2], "witnesses": [6, 5, 5], "lhs": 17, "rhs": 5}),
+    # R(c b1) = {0, 3} lies in l(a2) = {0, 1, 3} but not in l(a1) = {0, 1}; this
+    # takes three entries: no one- or two-entry corruption of z2^2, z4 or z6 shows it
+    (Z2_2, {(2, 0): 3, (2, 3): 1, (3, 1): 0}, False,
+     {"kind": "intersection", "pair": [2, 0], "witnesses": [1, 3, 3], "lhs": 3, "rhs": 9}),
+], ids=["inclusion", "subgroups", "sum_a1_in_s", "meet_s_in_a2", "meet_s_in_a1"])
+def test_counting_rule_needs_inclusion_and_subgroups(ring, patches, subgroups, details):
+    bad = ring
+    for entry, value in patches.items():
+        bad = _patched(bad, entry, value)
     assert all(_subgroups(bad)) is subgroups
     report = _agrees_with_reference(bad)
     assert (report.status, report.details) == ("refuted", details)
@@ -468,6 +487,27 @@ def test_theorem_checks_on_nine_z2_within_bound(monkeypatch):
     assert elapsed < 2.5, f"{elapsed:.2f} s"
 
 
+def test_witness_identities_on_ten_z2_within_bounds(monkeypatch):
+    # z2^10 has 1,024 left classes, so 2^20 pairs per witness identity, all
+    # read off one intersection-count table a row block at a time; one Python
+    # call per class triple took 1.6 to 2.8 s on 2 vCPUs and peaked at 97 MB
+    monkeypatch.delenv("RING_ORDER_CAP", raising=False)
+    start = time.perf_counter()
+    report = verify_witness_identities(direct_product([make_zmod(2)] * 10))
+    elapsed = time.perf_counter() - start
+    assert report.details == {"checked_sum": 1 << 20, "skipped_sum": 0,
+                              "checked_intersection": 1 << 20, "skipped_intersection": 0}
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
+    R = direct_product([make_zmod(2)] * 10)  # a fresh ring: no tables cached on it
+    tracemalloc.start()
+    try:
+        verify_witness_identities(R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 << 20, f"peaked at {peak / 2**20:.1f} MB"
+
+
 @pytest.mark.parametrize("factors, digest", [
     (7, "e9d2fba01551484a8ac04e3ce70ee00a72097f5adc06c88f26e38e94641ee022"),
     (8, "a9e8d03c6baeff57327b7ba0bc76d2d4b78e674d291c2ee7b40fe3bb0e2445f9"),
@@ -630,6 +670,10 @@ def test_heredity_refuted_when_a_consequent_fails(monkeypatch, case, fails_on, c
 def test_heredity_corner_rejects_non_idempotent():
     with pytest.raises(ValueError, match="idempotent"):
         verify_extension_heredity(CornerCase(Z4, 3))
+    # an index outside the ring is rejected as such, before any product is read
+    for e in (6, -1):
+        with pytest.raises(ValueError, match=r"element index -?\d+ out of range \[0, 6\)"):
+            verify_extension_heredity(CornerCase(Z6, e))
 
 
 def test_raw_flags_agree_with_classifier():
