@@ -211,6 +211,10 @@ def subgroup_sum(R: FiniteRing, m1: int, m2: int) -> int:
     Each member ``g`` of ``m2`` outside the running sum ``H`` extends it to
     ``H + <g>`` by coset doubling: translating ``H + {0, ..., k-1}g`` by
     ``kg`` gives ``H + {0, ..., 2k-1}g``, until ``kg`` already lies in it.
+    The running sum starts from ``m1`` and zero, each member of ``m2`` is
+    taken once, and a pass that adds nothing ends its doubling, so the call
+    returns on any masks; on masks that are not subgroups the result need
+    not be closed.
     """
     _check_mask(R, m1 | m2)
     if m2 & ~m1 == 0:
@@ -218,12 +222,16 @@ def subgroup_sum(R: FiniteRing, m1: int, m2: int) -> int:
     if m1 & ~m2 == 0:
         return m2
     add = R.add_table
-    res = _bool_from_mask(m1, R.order)
+    res = _bool_from_mask(m1 | 1 << R.zero, R.order)
     todo = _bool_from_mask(m2, R.order)
     while (rest := todo & ~res).any():
         shift = int(rest.argmax())
+        todo[shift] = False
         while not res[shift]:
-            res[add[np.flatnonzero(res), shift]] = True
+            members = np.flatnonzero(res)
+            res[add[members, shift]] = True
+            if np.count_nonzero(res) == members.size:
+                break
             shift = int(add[shift, shift])
     return _mask_from_bool(res)
 

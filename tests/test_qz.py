@@ -257,6 +257,13 @@ def test_te_morphic_witness_totality(n, num, den):
     assert te_product(wn, wq, n, q) == (0, QFrac(0, 1))
 
 
+@given(st.integers(-10**4, 10**4), st.integers(-10**4, 10**4), st.integers(1, 10**4),
+       st.integers(-10**4, 10**4), st.integers(-10**4, 10**4), st.integers(1, 10**4))
+def test_te_product_matches_the_module_action(n1, num1, den1, n2, num2, den2):
+    q1, q2 = QFrac(num1, den1), QFrac(num2, den2)
+    assert te_product(n1, q1, n2, q2) == (n1 * n2, q2.scale(n1) + q1.scale(n2))
+
+
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 50),
        st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 50))
 def test_te_product_in_principal_ideal(n1, num1, den1, n2, num2, den2):
@@ -350,6 +357,28 @@ def test_grid_mask_and_sumset_match_set_computations():
                                        for y in subgroups[d2])
                 got = _sumset(_grid_mask(d1, grid), _grid_mask(d2, grid), grid)
                 assert got == expected, (d1, d2, grid)
+
+
+def _plain_sumset(m1, m2, grid):
+    members = [x for x in range(grid) if m1 >> x & 1]
+    return _plain_mask((x + y) % grid for x in members
+                       for y in range(grid) if m2 >> y & 1)
+
+
+def test_sumset_matches_set_computation_on_every_small_mask_pair():
+    # Arbitrary masks, not only subgroups: empty ones, grid 1, and pairs of
+    # equal bit count, where neither mask is the denser.
+    for grid in range(1, 6):
+        for m1 in range(1 << grid):
+            for m2 in range(1 << grid):
+                assert _sumset(m1, m2, grid) == _plain_sumset(m1, m2, grid), (m1, m2, grid)
+
+
+@given(st.integers(1, 130).flatmap(lambda grid: st.tuples(
+    st.integers(0, (1 << grid) - 1), st.integers(0, (1 << grid) - 1), st.just(grid))))
+def test_sumset_matches_set_computation_on_arbitrary_masks(args):
+    m1, m2, grid = args
+    assert _sumset(m1, m2, grid) == _sumset(m2, m1, grid) == _plain_sumset(m1, m2, grid)
 
 
 def test_qz_cli_reports_witness_ideals_fault(monkeypatch, capsys):
@@ -465,7 +494,8 @@ def test_helper_ideals_are_the_directly_built_values(n, num, den):
 
 
 # SHA-256 of ``qz --bound B`` stdout, human and --json, recorded before the
-# interning rewrite; every run exits 0.
+# interning rewrite (bound 64: before the int-keyed ideal lookups and the
+# one-shift sumset); every run exits 0.
 _QZ_STDOUT_SHA256 = {
     (2, False): "8c50cbc9b47202344ac3a4b3c3b1c6936227674703a5f9fc8ae779d3aed3caa1",
     (2, True): "9f125f86f3811a3fa8c4dc97f2fc07b6036801c64ce092d5f6a8ca5ceb6d9829",
@@ -475,6 +505,8 @@ _QZ_STDOUT_SHA256 = {
     (12, True): "ba3010af50542441fa412e32ebb15698e46bdb89938f01114cf0abec97adbcf5",
     (48, False): "094c92bdd1e8f862db14a9459c6f37cb1a7b1526049e9631224e94af64102a91",
     (48, True): "3cfda2b7caf773f1644f2b13df21136a7631e8336886d202cfe42447e502e5e0",
+    (64, False): "ea024b2e263ce8a51d8397702dfab578ba5fd382f006b3f84a3d2083bc849408",
+    (64, True): "20271532301ad45f0087c21323889fe86ba56c524542fd829e9f2b62e2be220f",
 }
 
 

@@ -1,7 +1,9 @@
 """Theorem-checker tests with hand-frozen oracle values."""
 
+import contextlib
 import hashlib
 import operator
+import signal
 import time
 import tracemalloc
 
@@ -240,6 +242,32 @@ def test_patched_sum_fault_reported_at_the_same_pair():
     assert (report.status, report.details) == ("refuted", {
         "kind": "sum", "pair": [6, 2], "witnesses": [2, 6, 6],
         "lhs": mask_of(range(0, 12, 2)), "rhs": mask_of(range(12))})
+
+
+@contextlib.contextmanager
+def _alarm(seconds):
+    def expire(*_):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (0, 3)])
+@pytest.mark.parametrize("value", [1, 2, 3])
+def test_sums_return_on_masks_that_are_not_subgroups(entry, value):
+    # z4 with 0·0 = 2 is no ring, and its class masks need not hold zero.
+    # A sum whose first mask lacks zero once cycled forever in its doubling
+    # step; these six two-entry corruptions hung the check and the reference.
+    with _alarm(10):
+        assert verify_module.subgroup_sum(Z4, 0b0010, 0b0100) == 0b1111
+        bad = _patched(_patched(Z4, (0, 0), 2), entry, value)
+        assert _agrees_with_reference(bad).status == "refuted"
 
 
 Z2_2, Z2_3 = (direct_product([make_zmod(2)] * k) for k in (2, 3))
