@@ -280,21 +280,26 @@ def commutation_profile(R: FiniteRing) -> CommutationProfile:
     return CommutationProfile(reduced, reversible, symmetric, semiprime, directly_finite)
 
 
+def _fg_ideals(R: FiniteRing, side: Side) -> list[int]:
+    """Every side ideal, each finitely generated in a finite ring: the lattice at a cap
+    no lower than the principal count, so only a side that is not Bézout can overflow."""
+    return all_ideals(R, side, max(len(_resolve(R, side)[1].principal_masks), lattice_cap()))
+
+
 def _bezout(R: FiniteRing, side: Side) -> Flag:
     """Every finitely generated side ideal is principal.
 
     In a finite ring every side ideal is a sum of principal ones, and the
     principal ideals are among the ideals, so this holds exactly when the
-    lattice has no more ideals than there are principal ones.  The one
-    cached lattice is read at a cap of at least that count, so an overflow
-    also decides it.  Otherwise the pairwise principal-sum closure names
-    the canonical counterexample; pairwise suffices, as sums fold two
-    generators at a time.
+    lattice has no more ideals than there are principal ones; an overflow
+    of ``_fg_ideals`` also decides it.  Otherwise the pairwise
+    principal-sum closure names the canonical counterexample; pairwise
+    suffices, as sums fold two generators at a time.
     """
     ring, tables = _resolve(R, side)
     masks = tables.principal_masks
     with suppress(LatticeOverflow):
-        if len(all_ideals(R, side, max(len(masks), lattice_cap()))) == len(masks):
+        if len(_fg_ideals(R, side)) == len(masks):
             return Flag(True)
     m1, m2 = next((m1, m2) for i, m1 in enumerate(masks) for m2 in masks[i + 1 :]
                   if tables.pri_witness(subgroup_sum(ring, m1, m2)) is None)

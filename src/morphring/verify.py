@@ -21,9 +21,9 @@ import numpy as np
 
 from .classify import (
     PREDICATES,
-    _bezout,
     _double_annihilator_failure,
     _exchange_failure,
+    _fg_ideals,
     element_class,
 )
 from .common import VerificationReport
@@ -54,7 +54,6 @@ from .rings import (
     truncated_poly,
     _first_violation,
     _is_commutative,
-    _per_ring,
 )
 
 __all__ = [
@@ -105,16 +104,6 @@ _COLLAPSING = (*_PSEUDO_BOTH, "left_quasi_morphic", "right_quasi_morphic", "left
 
 def _refuted(check: str, **payload) -> tuple[str, dict]:
     return "refuted", {"check": check, **payload}
-
-
-@_per_ring
-def _fg_masks(R: FiniteRing, side: Side) -> list[int]:
-    """Distinct ideals generated by at most two elements: on a Bézout side, the principal ones."""
-    ring, tables = _resolve(R, side)
-    masks = tables.principal_masks
-    if _bezout(R, side).status:
-        return masks
-    return sorted({subgroup_sum(ring, m1, m2) for i, m1 in enumerate(masks) for m2 in masks[i:]})
 
 
 @_theorem("annihilator_chain_equivalence")
@@ -226,17 +215,20 @@ def verify_witness_identities(R: FiniteRing) -> tuple[str, dict]:
 def verify_pseudo_consequences(R: FiniteRing) -> tuple[str, dict]:
     """Consequences of left pseudo-morphicity (vacuous otherwise).
 
-    Asserts: double annihilator ``lr(I) = I`` on principal and 2-generated
-    left ideals; ``lr(a) = Ra`` for every element; the Jacobson radical
-    equals the right singular ideal; right socle contained in left socle;
-    and minimality transfer from ``aR`` to ``Ra``.
+    Asserts: double annihilator ``lr(I) = I`` on every left ideal, each
+    finitely generated in a finite ring; ``lr(a) = Ra`` for every element;
+    the Jacobson radical equals the right singular ideal; right socle
+    contained in left socle; and minimality transfer from ``aR`` to ``Ra``.
     """
     if not PREDICATES["left_pseudo_morphic"](R).status:
         return "vacuous", {"note": "ring is not left pseudo-morphic"}
     p_injective = PREDICATES["p_injective_right"](R)
     if not p_injective.status:
         return _refuted("lr(a)=Ra", element=p_injective.counterexample)
-    fg = _fg_masks(R, Side.LEFT)
+    try:
+        fg = _fg_ideals(R, Side.LEFT)
+    except LatticeOverflow as exc:
+        return "indeterminate", {"note": str(exc)}
     double = _double_annihilator_failure(R, Side.LEFT, fg)
     if double is not None:
         return _refuted("lr(I)=I", ideal=double)
@@ -263,7 +255,7 @@ def verify_quasi_equivalence(R: FiniteRing) -> tuple[str, dict]:
     Additionally: a commutative pseudo-morphic ring is morphic, and a
     quasi-morphic ring satisfies the annihilator exchange laws
     ``r(I1 ∩ I2) = r(I1) + r(I2)`` and ``l(T1 ∩ T2) = l(T1) + l(T2)`` over
-    finitely generated (≤ 2 generator) ideals.
+    all one-sided ideals, each finitely generated in a finite ring.
     """
     pseudo_l, pseudo_r, quasi_l, quasi_r, morphic_l = (PREDICATES[name](R) for name in (
         *_PSEUDO_BOTH, "left_quasi_morphic", "right_quasi_morphic", "left_morphic"))
@@ -281,8 +273,8 @@ def verify_quasi_equivalence(R: FiniteRing) -> tuple[str, dict]:
         details["commutative_morphic"] = True
     if quasi_both:
         for side in Side:
-            masks = _fg_masks(R, side)
             try:
+                masks = _fg_ideals(R, side)
                 failure = _exchange_failure(R, side, masks)
             except LatticeOverflow as exc:
                 details["note"] = str(exc)

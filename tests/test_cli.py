@@ -400,6 +400,15 @@ CLASSIFY_CORPUS_128_SHA256 = "cc789e75f5c6e4cb38a9a0ae09fe14cb3e103369fb6e65bfc5
 VERIFY_CORPUS_128_SHA256 = "f087075628d6656ae29e41df93b8ba4873bc184cf022d60e597f72fe7bc51b64"
 
 
+# The same two digests over the 84 rings of ``default_corpus(512)`` that are
+# not in ``default_corpus(128)``, recorded before the f.g. theorem checks
+# read the side lattice.
+CORPUS_512_REST_SHA256 = {
+    "classify": "e98fa1bc1ddd1e91aab43b91b7387d2757ba053b634ab23aec6b923b3a0aa311",
+    "verify": "b46fd9acfd3f1af280030b0f2ed2c9da4076911592e0e71cc499a529992551a7",
+}
+
+
 def test_classify_records_golden_over_corpus_128(capsys):
     digest = hashlib.sha256()
     for text in default_corpus(128):
@@ -414,6 +423,18 @@ def test_verify_records_golden_over_corpus_128(capsys):
         assert run_command(["verify", text, "--json"]) == 0, text
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == VERIFY_CORPUS_128_SHA256
+
+
+@pytest.mark.parametrize("command", sorted(CORPUS_512_REST_SHA256))
+def test_records_golden_over_the_rest_of_corpus_512(capsys, command):
+    small = set(default_corpus(128))
+    rest = [text for text in default_corpus(512) if text not in small]
+    assert len(rest) == 84
+    digest = hashlib.sha256()
+    for text in rest:
+        assert run_command([command, text, "--json"]) == 0, text
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == CORPUS_512_REST_SHA256[command]
 
 
 # classify and verify --json over four rings whose lattices overflow a small

@@ -326,6 +326,63 @@ def test_pseudo_consequences_z4():
     assert report.details == {"fg_ideals": 3, "minimal_right_principals": 1}
 
 
+def _tri3_reaching_the_ideal_loops(monkeypatch):
+    """``tri(z2,3)`` with the hypotheses of both f.g. checks patched true.
+
+    Each side has 26 principal ideals and 40 ideals; the ideals generated by
+    at most two elements number 39, as one ideal needs three generators.
+    """
+    for name in ("left_pseudo_morphic", "right_pseudo_morphic", "left_quasi_morphic",
+                 "right_quasi_morphic", "p_injective_right"):
+        monkeypatch.setitem(PREDICATES, name, lambda R: Flag(True))
+    R = matrix_ring(make_zmod(2), 3, shape="lower_triangular")
+    for side in Side:
+        principal = verify_module._resolve(R, side)[1].principal_masks
+        two = {verify_module.subgroup_sum(R, m1, m2) for m1 in principal for m2 in principal}
+        assert (len(principal), len(two)) == (26, 39) and two < set(all_ideals(R, side))
+    return R
+
+
+def test_pseudo_consequences_read_every_left_ideal(monkeypatch):
+    R = _tri3_reaching_the_ideal_loops(monkeypatch)
+    seen = []
+    real = verify_module._double_annihilator_failure
+    monkeypatch.setattr(verify_module, "_double_annihilator_failure",
+                        lambda R, side, ideals: seen.append(ideals) or real(R, side, ideals))
+    report = verify_pseudo_consequences(R)
+    assert seen == [all_ideals(R, Side.LEFT)] and len(seen[0]) == 40
+    # tri(z2,3) is not left pseudo-morphic, so the real check refutes
+    assert (report.status, report.details) == ("refuted", {"check": "lr(I)=I", "ideal": 5})
+
+
+def test_exchange_laws_run_over_every_ideal(monkeypatch):
+    R = _tri3_reaching_the_ideal_loops(monkeypatch)
+    seen = {}
+
+    def passing(R, side, ideals):  # so that both sides report their pair counts
+        seen[side] = ideals
+
+    monkeypatch.setattr(verify_module, "_exchange_failure", passing)
+    report = verify_quasi_equivalence(R)
+    assert seen == {side: all_ideals(R, side) for side in Side}
+    assert report.status == "verified"
+    assert report.details["exchange_pairs_left"] == report.details["exchange_pairs_right"] == 820
+
+
+def test_fg_checks_overflow_past_the_principal_count(monkeypatch):
+    R = _tri3_reaching_the_ideal_loops(monkeypatch)
+    monkeypatch.setenv("IDEAL_LATTICE_CAP", "5")
+    note = "more than 26 left ideals; raise IDEAL_LATTICE_CAP"
+    report = verify_pseudo_consequences(R)
+    assert (report.status, report.details) == ("indeterminate", {"note": note})
+    report = verify_quasi_equivalence(R)
+    assert (report.status, report.details["note"]) == ("indeterminate", note)
+    # a Bézout side is complete at any cap: its lattice is its principal ideals
+    boolean = direct_product([make_zmod(2)] * 6)
+    report = verify_pseudo_consequences(boolean)
+    assert (report.status, report.details["fg_ideals"]) == ("verified", 64)
+
+
 def test_pseudo_consequences_more_rings():
     for ring in (Z6, Z12, P2, M2, make_gf(3, 2)):
         assert verify_pseudo_consequences(ring).status == "verified"
