@@ -184,19 +184,13 @@ def annihilator(R: FiniteRing, side: Side, S: int | Iterable[int]) -> int:
     ring, tables = _resolve(R, side)
     target = S if isinstance(S, int) else mask_of(_check_element(ring, s) for s in S)
     _check_mask(ring, target)
-    full = (1 << ring.order) - 1
-    if target == 0:
-        return full
     memo = tables.ann_of_mask
-    cached = memo.get(target)
-    if cached is not None:
-        return cached
-    masks = tables.masks
-    result = full
-    for i in _distinct(tables.ann_id[_bool_from_mask(target, ring.order)]).tolist():
-        result &= masks[i]
-    memo[target] = result
-    return result
+    if target not in memo:
+        result = (1 << ring.order) - 1
+        for i in _distinct(tables.ann_id[_bool_from_mask(target, ring.order)]).tolist():
+            result &= tables.masks[i]
+        memo[target] = result
+    return memo[target]
 
 
 def principal_ideal(R: FiniteRing, side: Side, a: int) -> int:
@@ -214,7 +208,9 @@ def subgroup_sum(R: FiniteRing, m1: int, m2: int) -> int:
     The running sum starts from ``m1`` and zero, each member of ``m2`` is
     taken once, and a pass that adds nothing ends its doubling, so the call
     returns on any masks; on masks that are not subgroups the result need
-    not be closed.
+    not be closed.  A mask that contains the other is returned unchanged, so
+    the result may lack zero: on ``z4``, ``(0b0010, 0b0010)`` gives
+    ``0b0010`` but ``(0b0010, 0b1000)`` gives ``0b1111``.
     """
     _check_mask(R, m1 | m2)
     if m2 & ~m1 == 0:
@@ -361,9 +357,10 @@ def _minimal_principals(tables: SideTables) -> np.ndarray:
 
 
 def socle(R: FiniteRing, side: Side) -> int:
-    """Mask of the sum of all minimal side ideals ({0} if there are none)."""
-    ring, tables = _resolve(R, side)
-    result = 1 << ring.zero
-    for i in np.flatnonzero(_minimal_principals(tables)).tolist():
-        result = subgroup_sum(ring, result, tables.masks[i])
-    return result
+    """Mask of the sum of all minimal side ideals: ``r(J)`` on the left, ``l(J)`` on the right.
+
+    ``J`` kills every simple module, so the left socle lies in ``r(J)``; ``J·r(J) = 0`` makes
+    ``r(J)`` a module over the semisimple ``R/J``, so it lies in the socle.  On a table that
+    is not a ring this is still the other-side annihilator of ``jacobson_radical``'s mask.
+    """
+    return annihilator(R, side.other, jacobson_radical(R))

@@ -294,7 +294,12 @@ Z2_2, Z2_3 = (direct_product([make_zmod(2)] * k) for k in (2, 3))
     # takes three entries: no one- or two-entry corruption of z2^2, z4 or z6 shows it
     (Z2_2, {(2, 0): 3, (2, 3): 1, (3, 1): 0}, False,
      {"kind": "intersection", "pair": [2, 0], "witnesses": [1, 3, 3], "lhs": 3, "rhs": 9}),
-], ids=["inclusion", "subgroups", "sum_a1_in_s", "meet_s_in_a2", "meet_s_in_a1"])
+    # l(b1 c) = {0, 1, 2, 4} is no subgroup, yet it holds Ra1 = {0, 2} and Ra2 =
+    # {0, 4} and has the size of their sum {0, 2, 4, 6}: counting alone passes it
+    (Z2_3, {(1, 1): 0, (6, 1): 1}, False,
+     {"kind": "sum", "pair": [2, 4], "witnesses": [5, 3, 3], "lhs": 85, "rhs": 23}),
+], ids=["inclusion", "subgroups", "sum_a1_in_s", "meet_s_in_a2", "meet_s_in_a1",
+        "sum_needs_subgroups"])
 def test_counting_rule_needs_inclusion_and_subgroups(ring, patches, subgroups, details):
     bad = ring
     for entry, value in patches.items():
@@ -795,6 +800,19 @@ def test_search_consumes_a_generator_in_one_pass():
     report = search_counterexample(stream())
     assert seen == corpus
     assert report.to_record() == search_counterexample(corpus).to_record()
+
+
+def test_search_hit_is_revalidated_by_raw_scans(monkeypatch):
+    # z4 is morphic; a classifier that wrongly calls it not left quasi-morphic
+    # makes it a hit, which the raw scans then show to be left generalized
+    # morphic, so it is reported but not confirmed
+    monkeypatch.setitem(PREDICATES, "left_quasi_morphic", lambda R: Flag(False, counterexample=0))
+    report = search_counterexample([Z4])
+    assert report.status == "verified"
+    assert report.details["hits"] == [{
+        "expression": Z4.construction, "quasi_counterexample": 0,
+        "raw_revalidation": {"left_pseudo": True, "left_generalized": True},
+        "confirmed": False}]
 
 
 def test_triangular_example_identity():
