@@ -14,8 +14,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rings import (FiniteRing, _check_element, _distinct, _env_cap, _is_commutative, _per_ring,
-                    _row_blocks, opposite)
+from .rings import (FiniteRing, _check_element, _columns, _distinct, _env_cap, _gather,
+                    _is_commutative, _per_ring, _row_blocks, opposite)
 
 __all__ = [
     "ElementCensus",
@@ -133,21 +133,18 @@ def _packed_rows(bits: np.ndarray) -> np.ndarray:
     return np.packbits(bits, axis=1, bitorder="little")[:, ::-1]
 
 
-def _principal_bits(mul: np.ndarray) -> np.ndarray:
-    """Bool matrix whose row ``a`` is the members of ``Ra = {x a : x in R}``."""
-    bits = np.zeros(mul.shape, dtype=bool)
-    bits[np.arange(len(mul))[None, :], mul] = True
-    return bits
-
-
 @_per_ring
 def _side_tables(R: FiniteRing) -> SideTables:
     """The left ``SideTables`` of ``R``, built once and cached on it."""
     n = R.order
-    mul = R.mul_table
-    # rows b: l(b) = {x : x b = 0}, then rows n + a: Ra; each half is
-    # packed before the next is formed, so one n x n bool matrix lives at a time
-    packed = np.concatenate([_packed_rows(mul.T == R.zero), _packed_rows(_principal_bits(mul))])
+    annihilators, principals = [], []
+    for rows in _row_blocks(n, n):
+        cols = _columns(R.mul_table, rows)  # row i: x a for every x, a = rows.start + i
+        annihilators.append(_packed_rows(cols == R.zero))  # l(a) = {x : x a = 0}
+        members = np.zeros(cols.shape, dtype=bool)          # Ra, set within each row
+        members.reshape(-1)[np.arange(0, members.size, n)[:, None] + cols] = True
+        principals.append(_packed_rows(members))
+    packed = np.concatenate(annihilators + principals)  # rows b: l(b), then rows n + a: Ra
     distinct, ids = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
                               return_inverse=True)
     masks = [int.from_bytes(row.tobytes(), "big") for row in distinct]
@@ -309,14 +306,14 @@ def element_census(R: FiniteRing) -> ElementCensus:
     """Census of units (two-sided inverses), idempotents, and nilpotents."""
     n = R.order
     mul, one = R.mul_table, R.one
-    units = _mask_from_bool(np.concatenate([((mul[a] == one) & (mul[:, a].T == one)).any(axis=1)
-                                            for a in _row_blocks(n, n)]))
+    units = _mask_from_bool(np.concatenate([
+        ((mul[a] == one) & (_columns(mul, a) == one)).any(axis=1) for a in _row_blocks(n, n)]))
     idx = np.arange(n)
     idem = _mask_from_bool(mul.diagonal() == idx)
     # a is nilpotent iff a^k = 0 for some k <= n, iff a^(2^j) = 0 once 2^j >= n
     power = idx
     for _ in range(max(1, (n - 1).bit_length())):
-        power = mul[power, power]
+        power = _gather(mul, power, power)
     nilp = _mask_from_bool(power == R.zero)
     return ElementCensus(units, idem, nilp)
 

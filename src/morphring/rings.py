@@ -194,6 +194,26 @@ def _row_blocks(rows: int, width: int) -> Iterator[slice]:
     return (slice(start, min(start + step, rows)) for start in range(0, rows, step))
 
 
+def _gather(table: np.ndarray, rows, cols) -> np.ndarray:
+    """``table[rows, cols]`` for broadcast index arrays, as one flat ``take``; a transposed
+    view is read through its base with the index arrays swapped, so no table is copied."""
+    if not table.flags.c_contiguous and table.T.flags.c_contiguous:
+        table, rows, cols = table.T, cols, rows
+    flat = np.add(np.multiply(rows, table.shape[1], dtype=np.intp), cols, dtype=np.intp)
+    return table.reshape(-1).take(flat)
+
+
+def _columns(table: np.ndarray, rows: slice) -> np.ndarray:
+    """``table[:, rows].T``, C-contiguous, copied in strips of 64 source rows that stay in
+    cache; the columns of a transposed view are rows of its base, read with no copy."""
+    if not table.flags.c_contiguous and table.T.flags.c_contiguous:
+        return table.T[rows]
+    out = np.empty((table[0, rows].size, len(table)), dtype=table.dtype)
+    for start in range(0, len(table), 64):
+        out[:, start:start + 64] = table[start:start + 64, rows].T
+    return out
+
+
 def _validate_tables(add_table, mul_table, zero: int, one: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Structural validation; returns numpy views and the order."""
     add = np.asarray(add_table)
@@ -247,7 +267,7 @@ def _first_violation(rows: int, width: int,
 def _is_commutative(R: FiniteRing) -> bool:
     """``R``'s multiplication table is symmetric."""
     mul = R.mul_table
-    return _first_violation(R.order, R.order, lambda a: mul[a] != mul[:, a].T) is None
+    return _first_violation(R.order, R.order, lambda a: mul[a] != _columns(mul, a)) is None
 
 
 def _axiom_check(scans: Sequence[tuple[str, int, int, Callable]]) -> AxiomCheck:
@@ -270,7 +290,7 @@ def _group_axioms(add: np.ndarray, zero: int, prefix: str) -> tuple:
     return (
         (f"{prefix}add_identity", n, 1, lambda x: add[zero, x] != idx[x]),
         (f"{prefix}add_inverse", n, n, lambda a: ~(add[a] == zero).any(axis=1)),
-        (f"{prefix}add_commutative", n, n, lambda a: add[a] != add[:, a].T),
+        (f"{prefix}add_commutative", n, n, lambda a: add[a] != _columns(add, a)),
         # (a+b)+c vs a+(b+c)
         (f"{prefix}add_associative", n, n * n, lambda a: add[add[a]] != add[a][:, add]),
     )
@@ -302,10 +322,10 @@ def _ring_axioms(add: np.ndarray, mul: np.ndarray, zero: int, one: int) -> Axiom
         ("mul_associative", n, n * n, lambda a: mul[mul[a]] != mul[a][:, mul]),
         # a*(b+c) vs a*b + a*c
         ("left_distributive", n, n * n,
-         lambda a: mul[a][:, add] != add[mul[a][:, :, None], mul[a][:, None, :]]),
+         lambda a: mul[a][:, add] != _gather(add, mul[a][:, :, None], mul[a][:, None, :])),
         # (a+b)*c vs a*c + b*c
         ("right_distributive", n, n * n,
-         lambda a: mul[add[a]] != add[mul[a][:, None, :], mul[None, :, :]]),
+         lambda a: mul[add[a]] != _gather(add, mul[a][:, None, :], mul)),
     ))
 
 
@@ -559,9 +579,9 @@ def _structure_ring(parts: Sequence, rules: Sequence[tuple[int, int, int, object
             # products[t][a, y]: digit t of a times the one-digit element y in digit q
             products = list(zero)
             for i, t, table in rules_at[q]:
-                products[t] = parts[t][products[t], table[digits[i]]]
+                products[t] = _gather(parts[t], products[t], table[digits[i]])
             columns = np.broadcast_to(index(products), (len(block), m))
-            gathered = add[columns[:, :, None], block[:, None, :size]]
+            gathered = _gather(add, columns[:, :, None], block[:, None, :size])
             block[:, : m * size] = gathered.reshape(len(block), -1)
     labels = tuple(map(label, itertools.product(*map(range, orders))))
     return FiniteRing(n, _frozen(add), _frozen(mul), int(index(zero)), int(index(one)),
@@ -681,18 +701,18 @@ def check_bimodule(left_ring: FiniteRing, M: BimoduleSpec, right_ring: FiniteRin
         *_group_axioms(add, M.zero, "module_"),
         # r.(m1+m2) vs r.m1 + r.m2, axes [r, m1, m2]
         ("left_action_additive_in_module", nr, m * m,
-         lambda r: lact[r][:, add] != add[lact[r][:, :, None], lact[r][:, None, :]]),
+         lambda r: lact[r][:, add] != _gather(add, lact[r][:, :, None], lact[r][:, None, :])),
         # (r1+r2).m vs r1.m + r2.m, axes [r1, r2, m]
         ("left_action_additive_in_ring", nr, nr * m,
-         lambda r: lact[radd[r]] != add[lact[r][:, None, :], lact[None, :, :]]),
+         lambda r: lact[radd[r]] != _gather(add, lact[r][:, None, :], lact)),
         # (r1 r2).m vs r1.(r2.m), axes [r1, r2, m]
         ("left_action_associative", nr, nr * m, lambda r: lact[rmul[r]] != lact[r][:, lact]),
         # (m1+m2).s vs m1.s + m2.s, axes [m1, m2, s]
         ("right_action_additive_in_module", m, m * ns,
-         lambda x: ract[add[x]] != add[ract[x][:, None, :], ract[None, :, :]]),
+         lambda x: ract[add[x]] != _gather(add, ract[x][:, None, :], ract)),
         # m.(s1+s2) vs m.s1 + m.s2, axes [m, s1, s2]
         ("right_action_additive_in_ring", m, ns * ns,
-         lambda x: ract[x][:, sadd] != add[ract[x][:, :, None], ract[x][:, None, :]]),
+         lambda x: ract[x][:, sadd] != _gather(add, ract[x][:, :, None], ract[x][:, None, :])),
         # m.(s1 s2) vs (m.s1).s2, axes [m, s1, s2]
         ("right_action_associative", m, ns * ns, lambda x: ract[x][:, smul] != ract[ract[x]]),
         # (r.m).s vs r.(m.s), axes [r, m, s]

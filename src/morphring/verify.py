@@ -53,6 +53,7 @@ from .rings import (
     trivial_extension,
     truncated_poly,
     _first_violation,
+    _gather,
     _is_commutative,
 )
 
@@ -152,9 +153,9 @@ def _witness_failure(kind: str, masks: list[int], mul: np.ndarray, own: np.ndarr
 
     def violated(rows: slice) -> np.ndarray:
         b1 = b[a1[rows], None]
-        c = least[own[mul[valid, b1]]]
+        c = least[own[_gather(mul, valid, b1)]]
         checked.append(int(((c >= 0).sum(axis=1) * weight[rows]).sum()))
-        z = np.where(c >= 0, other[mul[b1, c]], -1)
+        z = np.where(c >= 0, other[_gather(mul, b1, c)], -1)
         return (z >= 0) & ~holds(own[a1[rows], None], own[valid], z)
 
     first = _first_violation(len(a1), len(valid), violated)
@@ -175,7 +176,7 @@ def verify_witness_identities(R: FiniteRing) -> tuple[str, dict]:
     R b_i`` and ``l(b1 a2) = Rc`` that ``l(a1) ∩ l(a2) = R(c b1)``.  Pairs
     lacking any witness are skipped and counted.  The first failing pair in
     row-major order is reported, its sum before its intersection.  With
-    ``meet[x, y] = |A ∩ B|`` over the class masks, ``S = A ∩ B`` iff
+    ``meet(x, y) = |A ∩ B|`` over the class masks, ``S = A ∩ B`` iff
     ``|A ∩ S| = |B ∩ S| = |A ∩ B| = |S|``; subgroups ``S ⊇ A ∪ B`` with
     ``|S|·|A ∩ B| = |A|·|B|`` are ``A + B``.  On tables that are not a ring,
     a pair touching a mask that is not a subgroup is decided by the formed sum.
@@ -183,14 +184,15 @@ def verify_witness_identities(R: FiniteRing) -> tuple[str, dict]:
     ring, tables = _resolve(R, Side.LEFT)
     masks = tables.masks
     bits = np.array([_bool_from_mask(m, ring.order) for m in masks], dtype=np.float32)
-    meet = (bits @ bits.T).astype(np.int32)  # exact: each partial sum is an integer < 2**24
-    size = meet.diagonal().astype(np.int64)  # |S|·|A ∩ B| overflows int32
+    counts = (bits @ bits.T).astype(np.int32)  # exact: each partial sum is an integer < 2**24
+    size = counts.diagonal().astype(np.int64)  # |S|·|A ∩ B| overflows int32
+    meet = functools.partial(_gather, counts)  # meet(x, y) = |A ∩ B| for class id arrays
     zero = 1 << ring.zero
     group = np.array([subgroup_sum(ring, zero, m & ~zero) == m for m in masks])
 
     def sum_holds(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        holds = ((meet[z, x] == size[x]) & (meet[z, y] == size[y])
-                 & (size[z] * meet[x, y] == size[x] * size[y]))
+        holds = ((meet(z, x) == size[x]) & (meet(z, y) == size[y])
+                 & (size[z] * meet(x, y) == size[x] * size[y]))
         odd = (z >= 0) & ~(group[x] & group[y] & group[z])  # only on tables that are not a ring
         triples = zip(*([masks[i] for i in v[odd].tolist()] for v in np.broadcast_arrays(x, y, z)))
         holds[odd] = [subgroup_sum(ring, m1, m2) == s for m1, m2, s in triples]
@@ -201,7 +203,7 @@ def verify_witness_identities(R: FiniteRing) -> tuple[str, dict]:
         sum_holds, functools.partial(subgroup_sum, ring))
     meets = _witness_failure(
         "intersection", masks, R.mul_table.T, tables.ann_id, tables.pri_least, tables.pri_id,
-        lambda x, y, z: (meet[x, z] == size[z]) & (meet[y, z] == size[z]) & (meet[x, y] == size[z]),
+        lambda x, y, z: (meet(x, z) == size[z]) & (meet(y, z) == size[z]) & (meet(x, y) == size[z]),
         int.__and__)
     failures = [f for f in (sums, meets) if isinstance(f, dict)]
     if failures:
@@ -272,7 +274,8 @@ def verify_quasi_equivalence(R: FiniteRing) -> tuple[str, dict]:
             return "refuted", details
         details["commutative_morphic"] = True
     if quasi_both:
-        for side in Side:
+        # a commutative ring's right pass would repeat its left one on the same lattice
+        for side in (Side.LEFT,) if _is_commutative(R) else Side:
             try:
                 masks = _fg_ideals(R, side)
                 failure = _exchange_failure(R, side, masks)
@@ -285,6 +288,7 @@ def verify_quasi_equivalence(R: FiniteRing) -> tuple[str, dict]:
                 details["counterexample"] = {"ideals": [m1, m2], "lhs": lhs, "rhs": rhs}
                 return "refuted", details
             details[f"exchange_pairs_{side.value}"] = len(masks) * (len(masks) + 1) // 2
+        details.setdefault("exchange_pairs_right", details["exchange_pairs_left"])
     return "verified", details
 
 

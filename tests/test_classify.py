@@ -13,6 +13,7 @@ from morphring import (
     FiniteRing,
     OrderCapExceeded,
     Side,
+    all_ideals,
     annihilator,
     classify_ring,
     commutation_profile,
@@ -528,6 +529,31 @@ def test_pseudo_morphic_iff_every_ideal_an_annihilator():
             assert PREDICATES[f"lear_{side.value}"](R).status is pseudo, (text, side)
             tally[pseudo] += 1
     assert tally == {True: 322, False: 156}
+
+
+def test_ikeda_nakayama_is_read_off_a_dual_ring(monkeypatch):
+    # l and r are inverse anti-isomorphisms of a dual ring's two lattices,
+    # so its exchange laws hold with no pair loop; other rings run the loop
+    import morphring.classify as classify_module
+
+    exchange, calls = classify_module._exchange_failure, []
+    monkeypatch.setattr(classify_module, "_exchange_failure",
+                        lambda *args: calls.append(args[1]) or exchange(*args))
+    assert classify_ring(make_zmod(12)).structural.ikeda_nakayama_left.status
+    assert calls == []
+    assert not classify_ring(T2()).structural.dual_ring.status
+    assert calls == [Side.LEFT, Side.RIGHT]
+    tally = defaultdict(int)
+    for text in default_corpus(512):
+        R = build_ring(parse_ring_expr(text))
+        dual = PREDICATES["dual_ring"](R).status
+        for side in Side:
+            failure = exchange(R, side, all_ideals(R, side))
+            flag = PREDICATES[f"ikeda_nakayama_{side.value}"](R)
+            assert (flag.status, flag.counterexample) == (
+                failure is None, failure and failure[:2]), (text, side)
+            tally[dual, flag.status] += 1
+    assert tally == {(True, True): 362, (False, False): 116}
 
 
 @pytest.fixture(scope="module")

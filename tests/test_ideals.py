@@ -334,11 +334,14 @@ def test_triple_annihilator_identity():
             assert annihilator(R, Side.RIGHT, annihilator(R, Side.LEFT, right)) == right
 
 
-def test_side_tables_match_set_computations_on_corpus():
+def test_side_tables_match_set_computations_on_corpus(monkeypatch):
     from morphring.cli import build_ring, default_corpus, parse_ring_expr
     from morphring.ideals import _resolve
 
-    for text in default_corpus(64):
+    # at 5 entries every column block of the side tables is one column
+    for text, block in ((text, block) for text in default_corpus(64)
+                        for block in (rings_module._BLOCK_ENTRIES, 5)):
+        monkeypatch.setattr(rings_module, "_BLOCK_ENTRIES", block)
         R = build_ring(parse_ring_expr(text))
         rows = R.mul_table.tolist()
         elements = range(R.order)

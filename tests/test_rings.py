@@ -896,3 +896,65 @@ def test_ring_from_tables_validates_the_tables_once(monkeypatch):
     R = make_zmod(6)
     ring_from_tables(R.add_table, R.mul_table, R.zero, R.one)
     assert len(calls) == 1
+
+
+def _kernel_inputs():
+    """Tables of every kind the two kernels read, none with a side that divides by 64."""
+    rng = np.random.default_rng(5)
+    square = rng.integers(0, 150, size=(150, 150)).astype(np.uint16)
+    action = rng.integers(0, 70, size=(200, 70)).astype(np.uint16)
+    return {
+        "c-contiguous": square,
+        "transposed view": square.T,
+        "rectangular action": action,
+        "transposed action": action.T,
+        "row slice": square[7:140],
+        "row slice of a transposed view": square.T[7:140],
+        "opposite ring": opposite(matrix_ring(make_zmod(2), 2, shape="lower_triangular")).mul_table,
+    }
+
+
+@pytest.mark.parametrize("block", (None, 5))
+@pytest.mark.parametrize("kind", list(_kernel_inputs()))
+def test_kernels_equal_fancy_and_transposed_reads(monkeypatch, kind, block):
+    table = _kernel_inputs()[kind]
+    if block is not None:
+        monkeypatch.setattr(rings, "_BLOCK_ENTRIES", block)
+    rows, width = table.shape
+    for cols in rings._row_blocks(width, rows):
+        got = rings._columns(table, cols)
+        assert got.flags.c_contiguous and np.array_equal(got, table[:, cols].T)
+    rng = np.random.default_rng(rows)
+    for block_rows in rings._row_blocks(rows, width):
+        r = np.arange(rows)[block_rows]
+        c = rng.integers(0, width, size=(r.size, 3, width))
+        assert np.array_equal(rings._gather(table, r[:, None, None], c),
+                              table[r[:, None, None], c])
+        assert np.array_equal(rings._gather(table, r, c[:, 0, 0]), table[r, c[:, 0, 0]])
+
+
+def test_kernels_read_a_transposed_view_through_its_base():
+    base = np.arange(1 << 20, dtype=np.uint16).reshape(1024, 1024)
+    view = base.T
+    assert np.shares_memory(rings._columns(view, slice(3, 70)), base)
+    rows, cols = np.arange(1024)[:, None], np.arange(8)
+    tracemalloc.start()
+    got = rings._gather(view, rows, cols)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert np.array_equal(got, view[rows, cols])
+    assert peak < base.nbytes // 8  # the index and the result, not a copy of the 2 MB table
+
+
+def test_side_tables_and_build_of_poly_z2_11_stay_within_8_mb():
+    from morphring.ideals import _side_tables
+    tracemalloc.start()
+    R = truncated_poly(make_zmod(2), 11)
+    build_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    _side_tables(R)
+    tables_peak = tracemalloc.get_traced_memory()[1] - before
+    tracemalloc.stop()
+    assert tables_peak <= 8_000_000
+    assert build_peak <= R.add_table.nbytes + R.mul_table.nbytes + 8_000_000

@@ -374,6 +374,20 @@ def test_exchange_laws_run_over_every_ideal(monkeypatch):
     assert report.details["exchange_pairs_left"] == report.details["exchange_pairs_right"] == 820
 
 
+@pytest.mark.parametrize("ring, passes", [
+    (lambda: make_zmod(12), 1),
+    (lambda: matrix_ring(make_zmod(2), 2), 2),
+], ids=["z12", "mat(z2,2)"])
+def test_commutative_ring_runs_one_exchange_pass(monkeypatch, ring, passes):
+    # on a commutative ring both sides compute on R, so the right pass would repeat the left
+    R, exchange, calls = ring(), verify_module._exchange_failure, []
+    monkeypatch.setattr(verify_module, "_exchange_failure",
+                        lambda *args: calls.append(args[1]) or exchange(*args))
+    report = verify_quasi_equivalence(R)
+    assert (report.status, calls) == ("verified", [Side.LEFT, Side.RIGHT][:passes])
+    assert report.details["exchange_pairs_left"] == report.details["exchange_pairs_right"]
+
+
 def test_fg_checks_overflow_past_the_principal_count(monkeypatch):
     R = _tri3_reaching_the_ideal_loops(monkeypatch)
     monkeypatch.setenv("IDEAL_LATTICE_CAP", "5")
