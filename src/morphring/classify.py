@@ -404,9 +404,9 @@ def _exchange_failure(R: FiniteRing, side: Side,
 
 
 def _ikeda_nakayama(R: FiniteRing, side: Side) -> Flag:
-    """For side ideals: ann(I1 ∩ I2) = ann(I1) + ann(I2) on the other side.  A dual ring has
-    it: with ``T = r(I1) + r(I2)``, ``l(T) = lr(I1) ∩ lr(I2) = I1 ∩ I2``, so ``r(I1 ∩ I2) =
-    rl(T) = T`` (the left side; the right is the mirror), and no pair loop is needed."""
+    """For side ideals: ann(I1 ∩ I2) = ann(I1) + ann(I2) on the other side.  A dual ring has it
+    with no pair loop: ``T = r(I1) + r(I2)`` has ``l(T) = lr(I1) ∩ lr(I2) = I1 ∩ I2``, so
+    ``r(I1 ∩ I2) = rl(T) = T`` (the right side mirrors it); this assumes tables that are a ring."""
     if _dual_ring(R, lattice_cap()).status:
         return Flag(True)
     try:

@@ -195,8 +195,9 @@ def _row_blocks(rows: int, width: int) -> Iterator[slice]:
 
 
 def _gather(table: np.ndarray, rows, cols) -> np.ndarray:
-    """``table[rows, cols]`` for broadcast index arrays, as one flat ``take``; a transposed
-    view is read through its base with the index arrays swapped, so no table is copied."""
+    """``table[rows, cols]`` for broadcast index arrays, as one flat ``take`` (a negative index
+    reads an unrelated cell, which the caller must mask); a transposed view is read through
+    its base with the index arrays swapped, so no table is copied."""
     if not table.flags.c_contiguous and table.T.flags.c_contiguous:
         table, rows, cols = table.T, cols, rows
     flat = np.add(np.multiply(rows, table.shape[1], dtype=np.intp), cols, dtype=np.intp)
@@ -544,8 +545,8 @@ def _structure_ring(parts: Sequence, rules: Sequence[tuple[int, int, int, object
     ``2 n**2`` entries in all.  Rows of ``mul`` are independent, so it is
     filled a block of rows at a time, each block through every level in
     place; the level sums of ``add`` run a block of part ``q``'s rows at a
-    time.  Index arithmetic runs in ``int32`` and is cast to ``uint16`` on
-    store, so a temporary holds about ``_BLOCK_ENTRIES`` entries at most.
+    time.  Digit sums run in ``int32`` and each gather forms an ``intp`` index
+    of about ``_BLOCK_ENTRIES`` entries; values are cast to ``uint16`` on store.
     """
     orders = [len(part) for part in parts]
     n = math.prod(orders)

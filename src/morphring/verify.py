@@ -274,8 +274,7 @@ def verify_quasi_equivalence(R: FiniteRing) -> tuple[str, dict]:
             return "refuted", details
         details["commutative_morphic"] = True
     if quasi_both:
-        # a commutative ring's right pass would repeat its left one on the same lattice
-        for side in (Side.LEFT,) if _is_commutative(R) else Side:
+        for side in (Side.LEFT,) if _is_commutative(R) else Side:  # R = R^op: one pass
             try:
                 masks = _fg_ideals(R, side)
                 failure = _exchange_failure(R, side, masks)

@@ -339,8 +339,8 @@ def test_side_tables_match_set_computations_on_corpus(monkeypatch):
     from morphring.ideals import _resolve
 
     # at 5 entries every column block of the side tables is one column
-    for text, block in ((text, block) for text in default_corpus(64)
-                        for block in (rings_module._BLOCK_ENTRIES, 5)):
+    block_sizes = (rings_module._BLOCK_ENTRIES, 5)
+    for text, block in ((text, block) for text in default_corpus(64) for block in block_sizes):
         monkeypatch.setattr(rings_module, "_BLOCK_ENTRIES", block)
         R = build_ring(parse_ring_expr(text))
         rows = R.mul_table.tolist()
