@@ -292,17 +292,32 @@ def _bezout(R: FiniteRing, side: Side) -> Flag:
     In a finite ring every side ideal is a sum of principal ones, and the
     principal ideals are among the ideals, so this holds exactly when the
     lattice has no more ideals than there are principal ones; an overflow
-    of ``_fg_ideals`` also decides it.  Otherwise the pairwise
-    principal-sum closure names the canonical counterexample; pairwise
-    suffices, as sums fold two generators at a time.
+    of ``_fg_ideals`` also decides it.  Otherwise the first pair of
+    principal ideals whose sum is not principal is the canonical
+    counterexample; pairs suffice, as sums fold two generators at a time.
+    Each pair ``(A, B)`` is decided by counting, which assumes a ring, so
+    that ``A`` and ``B`` are subgroups: a principal ``P ⊇ A ∪ B`` contains
+    ``A + B``, and is it exactly when ``|P|·|A ∩ B| = |A|·|B|``, so only
+    the principal ideals of that size are searched and no sum is formed.
     """
-    ring, tables = _resolve(R, side)
+    _, tables = _resolve(R, side)
     masks = tables.principal_masks
     with suppress(LatticeOverflow):
         if len(_fg_ideals(R, side)) == len(masks):
             return Flag(True)
+    by_size: dict[int, list[int]] = {}
+    for m in masks:
+        by_size.setdefault(m.bit_count(), []).append(m)
+
+    def principal_sum(m1: int, m2: int) -> bool:
+        union, meet = m1 | m2, (m1 & m2).bit_count()
+        if not meet:  # no common zero: the tables are not a ring
+            return False
+        size = m1.bit_count() * m2.bit_count() // meet
+        return any(p & union == union for p in by_size.get(size, ()))
+
     m1, m2 = next((m1, m2) for i, m1 in enumerate(masks) for m2 in masks[i + 1 :]
-                  if tables.pri_witness(subgroup_sum(ring, m1, m2)) is None)
+                  if not principal_sum(m1, m2))
     return Flag(False, counterexample=(tables.pri_witness(m1), tables.pri_witness(m2)))
 
 

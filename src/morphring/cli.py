@@ -217,7 +217,7 @@ def _load_bimodule_tables(path: str, base: FiniteRing) -> BimoduleSpec:
     is refused before the body is parsed.  The bimodule axioms are checked
     by ``trivial_extension``, after the order cap.
     """
-    from .rings import BimoduleSpec
+    from .rings import BimoduleSpec, _Labels
 
     with open(path, encoding="utf-8") as handle:
         head = handle.read().split(maxsplit=2)
@@ -247,7 +247,7 @@ def _load_bimodule_tables(path: str, base: FiniteRing) -> BimoduleSpec:
         raise ValueError(f"table file {path!r} has no additive identity")
     return BimoduleSpec(
         order=m, add_table=add, left_action=left, right_action=right,
-        zero=zero, labels=tuple(f"m{i}" for i in range(m)),
+        zero=zero, labels=_Labels(lambda d: f"m{d[0]}", (m,)),
         description=f"tables({path})")
 
 
@@ -535,14 +535,14 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def _worker_search(expression: str) -> dict | None:
-    from .verify import _search_hit
+    from .search import _search_hit
 
     return _search_hit(_build_checked(parse_ring_expr(expression)))
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
     _check_corpus_flags(args)
-    from .verify import _search_report  # before _map: forked workers inherit it, not import it each
+    from .search import _search_report  # before _map: forked workers inherit it, not import it each
 
     start = time.perf_counter()
     expressions = default_corpus(args.max_order)

@@ -17,9 +17,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -77,6 +79,64 @@ class AxiomCheck(NamedTuple):
     witness: tuple[int, ...] | None
 
 
+class _Labels(Sequence):
+    """Element labels, each formed when it is read.
+
+    Element ``i`` has the digit tuple of ``i`` in the mixed radix ``orders``,
+    first digit most significant (the encoding of ``_structure_ring``), and
+    ``name`` turns that tuple into its label.  No command prints a label, so
+    building a ring forms none.  The sequence compares equal to the tuple of
+    its labels, hashes as it and pickles as it.  A constructor's ``name``
+    closes over its factors' labels, never the factors, so no table is kept
+    alive by another ring's labels.
+    """
+
+    __slots__ = ("_name", "_orders", "_len")
+
+    def __init__(self, name: Callable[[tuple], str], orders: Sequence[int]) -> None:
+        self._name, self._orders, self._len = name, tuple(orders), math.prod(orders)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(self._len))))
+        i = operator.index(i)
+        if not -self._len <= i < self._len:
+            raise IndexError("label index out of range")
+        i %= self._len
+        digits = []
+        for m in reversed(self._orders):
+            i, digit = divmod(i, m)
+            digits.append(digit)
+        return self._name(tuple(reversed(digits)))
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self._name, itertools.product(*map(range, self._orders)))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, _Labels)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
+
+
+def _numerals(n: int) -> _Labels:
+    """The labels ``"0", ..., "n-1"``."""
+    return _Labels(lambda d: str(d[0]), (n,))
+
+
+def _member_labels(labels: Sequence[str], members: list[int]) -> _Labels:
+    """The labels of the elements ``members``, in that order."""
+    return _Labels(lambda d: labels[members[d[0]]], (len(members),))
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteRing:
     """An associative ring with identity, given by Cayley tables.
@@ -87,10 +147,12 @@ class FiniteRing:
     ``order`` is at most 65,536.  The opposite ring's ``mul_table`` is the
     transposed view of this one's.
     ``construction`` is the canonical expression text that built the ring,
-    when one exists.  Two rings are equal when their tables,
-    distinguished elements, labels and construction agree.  ``_cache``
-    holds derived tables (annihilator masks, the opposite ring) and the
-    results of ``_per_ring`` functions, built lazily by other modules.
+    when one exists.  ``labels`` names the elements; the constructors give
+    a read-only sequence that forms each label when it is read.  Two rings
+    are equal when their tables, distinguished elements, labels and
+    construction agree.  ``_cache`` holds derived tables (annihilator
+    masks, the opposite ring) and the results of ``_per_ring`` functions,
+    built lazily by other modules.
     """
 
     order: int
@@ -98,7 +160,7 @@ class FiniteRing:
     mul_table: np.ndarray
     zero: int
     one: int
-    labels: tuple[str, ...]
+    labels: Sequence[str]
     construction: str | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -344,7 +406,7 @@ def ring_from_tables(
     if not result.ok:
         raise ValueError(f"tables violate ring axiom {result.axiom} at {result.witness}")
     if labels is None:
-        labels = tuple(str(i) for i in range(n))
+        labels = _numerals(n)
     else:
         labels = tuple(labels)
         if len(labels) != n:
@@ -385,8 +447,7 @@ def make_zmod(n: int) -> FiniteRing:
         np.remainder(idx[rows, None] + idx, n, out=add[rows], casting="unsafe")
         np.remainder(idx[rows, None] * idx, n, out=mul[rows], casting="unsafe")
     one = 1 if n > 1 else 0
-    labels = tuple(str(i) for i in range(n))
-    return FiniteRing(n, _frozen(add), _frozen(mul), 0, one, labels, f"z{n}")
+    return FiniteRing(n, _frozen(add), _frozen(mul), 0, one, _numerals(n), f"z{n}")
 
 
 def _is_prime(p: int) -> bool:
@@ -494,6 +555,7 @@ def make_gf(p: int, k: int) -> FiniteRing:
     if k < 1:
         raise ValueError(f"degree must be positive, got {k}")
     Zp = make_zmod(p)
+    labels = Zp.labels
     f = _least_irreducible(p, k)
     powers = [_poly_mod([0] * m + [1], f, p) for m in range(2 * k - 1)]  # x**m mod f
     scaled = {r: Zp.mul_table[r, Zp.mul_table] for power in powers for r in power if r > 1}
@@ -504,7 +566,7 @@ def make_gf(p: int, k: int) -> FiniteRing:
              for t, r in enumerate(powers[c + d]) if r]
     return _structure_ring(
         [Zp.add_table] * k, rules, [0] * k, [0] * (k - 1) + [1],
-        lambda d: _poly_label(d[::-1], Zp.labels, 0, 1, "x", True), f"gf({p},{k})", what)
+        lambda d: _poly_label(d[::-1], labels, 0, 1, "x", True), f"gf({p},{k})", what)
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +586,10 @@ def _structure_ring(parts: Sequence, rules: Sequence[tuple[int, int, int, object
     ``(i, j, t, table)`` says that digit ``i`` of the left factor times
     digit ``j`` of the right factor adds ``table[x_i, y_j]`` into digit
     ``t`` of the product.  ``zero`` and ``one`` are digit tuples, and
-    ``label`` names an element from its digit tuple.  ``what`` names the
-    ring when its order is past the cap.
+    ``label`` names an element from its digit tuple; the ring's ``labels``
+    call it when a label is read, so it must close over the labels of the
+    parts, never over a ring.  ``what`` names the ring when its order is
+    past the cap.
 
     Precondition: every rule table is biadditive, so it sends a zero
     digit on either side to the zero of part ``t``.  The callers ensure
@@ -584,9 +648,8 @@ def _structure_ring(parts: Sequence, rules: Sequence[tuple[int, int, int, object
             columns = np.broadcast_to(index(products), (len(block), m))
             gathered = _gather(add, columns[:, :, None], block[:, None, :size])
             block[:, : m * size] = gathered.reshape(len(block), -1)
-    labels = tuple(map(label, itertools.product(*map(range, orders))))
     return FiniteRing(n, _frozen(add), _frozen(mul), int(index(zero)), int(index(one)),
-                      labels, construction)
+                      _Labels(label, orders), construction)
 
 
 def direct_product(rings: Sequence[FiniteRing]) -> FiniteRing:
@@ -595,11 +658,12 @@ def direct_product(rings: Sequence[FiniteRing]) -> FiniteRing:
     if not rings:
         raise ValueError("direct product needs at least one factor")
     names = [r.construction for r in rings]
+    factors = [r.labels for r in rings]
     return _structure_ring(
         [r.add_table for r in rings],
         [(t, t, t, r.mul_table) for t, r in enumerate(rings)],
         [r.zero for r in rings], [r.one for r in rings],
-        lambda d: "(" + ",".join(r.labels[x] for r, x in zip(rings, d)) + ")",
+        lambda d: "(" + ",".join(labels[x] for labels, x in zip(factors, d)) + ")",
         None if None in names else "prod(" + ",".join(names) + ")", "direct product")
 
 
@@ -621,10 +685,11 @@ def matrix_ring(R: FiniteRing, k: int, shape: str = "full") -> FiniteRing:
     rules = [(where[(i, l)], where[(l, j)], t, R.mul_table)
              for t, (i, j) in enumerate(pos) for l in range(k)
              if (i, l) in where and (l, j) in where]
-    zl = R.labels[R.zero]
+    labels, zero = R.labels, R.zero
 
     def lab(digits: tuple[int, ...]) -> str:
-        entry = {ij: R.labels[d] for ij, d in zip(pos, digits)}
+        entry = {ij: labels[d] for ij, d in zip(pos, digits)}
+        zl = labels[zero]
         rows = ("[" + ",".join(entry.get((i, j), zl) for j in range(k)) + "]" for i in range(k))
         return "[" + ",".join(rows) + "]"
 
@@ -644,12 +709,18 @@ def truncated_poly(R: FiniteRing, n: int) -> FiniteRing:
     # digit n-1-i holds coefficient i, so the constant term is least significant
     rules = [(n - 1 - i, n - 1 - (d - i), n - 1 - d, R.mul_table)
              for d in range(n) for i in range(d + 1)]
-    var = "x" if not any("x" in lbl for lbl in R.labels) else "y"
-    simple = all(lbl.isdigit() for lbl in R.labels)
+    labels, zero, one = R.labels, R.zero, R.one
+
+    @functools.cache
+    def style() -> tuple[str, bool]:
+        """The variable, ``y`` when a coefficient label holds ``x``, and whether all are numeric."""
+        return ("y" if any("x" in lbl for lbl in labels) else "x",
+                all(lbl.isdigit() for lbl in labels))
+
     construction = f"poly({R.construction},{n})" if R.construction else None
     return _structure_ring(
-        [R.add_table] * n, rules, [R.zero] * n, [R.zero] * (n - 1) + [R.one],
-        lambda d: _poly_label(d[::-1], R.labels, R.zero, R.one, var, simple), construction, what)
+        [R.add_table] * n, rules, [zero] * n, [zero] * (n - 1) + [one],
+        lambda d: _poly_label(d[::-1], labels, zero, one, *style()), construction, what)
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +745,7 @@ class BimoduleSpec:
     left_action: np.ndarray
     right_action: np.ndarray
     zero: int
-    labels: tuple[str, ...]
+    labels: Sequence[str]
     description: str | None = None
 
 
@@ -733,7 +804,7 @@ def zero_bimodule(R: FiniteRing) -> BimoduleSpec:
     """The one-element bimodule over ``R``."""
     zeros = _frozen(np.zeros((R.order, 1), dtype=_TABLE_DTYPE))
     return BimoduleSpec(1, _frozen([[0]]), zeros, zeros.T,
-                        0, (R.labels[R.zero],), "ideal(0)")
+                        0, _member_labels(R.labels, [R.zero]), "ideal(0)")
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -766,7 +837,7 @@ def ideal_bimodule(R: FiniteRing, d: int) -> BimoduleSpec:
     add = pos[R.add_table[np.ix_(members, members)]]
     lact = pos[mul[:, members]]
     ract = pos[mul[members, :]]
-    labels = tuple(R.labels[v] for v in members.tolist())
+    labels = _member_labels(R.labels, members.tolist())
     return BimoduleSpec(members.size, _frozen(add), _frozen(lact), _frozen(ract),
                         int(pos[R.zero]), labels, f"ideal({d})")
 
@@ -782,11 +853,12 @@ def trivial_extension(R: FiniteRing, M: BimoduleSpec) -> FiniteRing:
         f"trivext({R.construction},{M.description})"
         if R.construction and M.description else None
     )
+    ring_labels, module_labels = R.labels, M.labels
     return _structure_ring(
         [R.add_table, M.add_table],
         [(0, 0, 0, R.mul_table), (0, 1, 1, M.left_action), (1, 0, 1, M.right_action)],
         (R.zero, M.zero), (R.one, M.zero),
-        lambda d: f"({R.labels[d[0]]},{M.labels[d[1]]})", construction, what)
+        lambda d: f"({ring_labels[d[0]]},{module_labels[d[1]]})", construction, what)
 
 
 def formal_triangular(R: FiniteRing, S: FiniteRing, V: BimoduleSpec) -> FiniteRing:
@@ -799,12 +871,13 @@ def formal_triangular(R: FiniteRing, S: FiniteRing, V: BimoduleSpec) -> FiniteRi
     result = check_bimodule(R, V, S)
     if not result.ok:
         raise ValueError(f"invalid bimodule: {result.axiom} fails at {result.witness}")
+    rl, vl, sl = R.labels, V.labels, S.labels
     return _structure_ring(
         [R.add_table, V.add_table, S.add_table],
         [(0, 0, 0, R.mul_table), (0, 1, 1, V.left_action), (1, 2, 1, V.right_action),
          (2, 2, 2, S.mul_table)],
         (R.zero, V.zero, S.zero), (R.one, V.zero, S.one),
-        lambda d: f"[[{R.labels[d[0]]},{V.labels[d[1]]}],[0,{S.labels[d[2]]}]]", None, what)
+        lambda d: f"[[{rl[d[0]]},{vl[d[1]]}],[0,{sl[d[2]]}]]", None, what)
 
 
 def pierce_corner(R: FiniteRing, e: int) -> FiniteRing:
@@ -816,9 +889,9 @@ def pierce_corner(R: FiniteRing, e: int) -> FiniteRing:
     members = _distinct(mul[mul[e], e])
     pos = _positions(R, members)
     corner = np.ix_(members, members)
-    labels = tuple(R.labels[v] for v in members.tolist())
     return FiniteRing(members.size, _frozen(pos[R.add_table[corner]]),
-                      _frozen(pos[mul[corner]]), int(pos[R.zero]), int(pos[e]), labels, None)
+                      _frozen(pos[mul[corner]]), int(pos[R.zero]), int(pos[e]),
+                      _member_labels(R.labels, members.tolist()), None)
 
 
 def opposite(R: FiniteRing) -> FiniteRing:

@@ -1,0 +1,101 @@
+"""The open-question falsifier: a left pseudo-morphic ring that is not left quasi-morphic.
+
+``search`` scans a corpus of rings for one, re-validates any hit with raw
+set scans, and fingerprints the corpus with SHA-256.  The module needs the
+classifier and the ring type only, so a search process never compiles the
+theorem checks of ``verify``.  The fingerprint uses the interpreter's
+built-in SHA-256, so no search loads OpenSSL's ``libcrypto`` through
+``hashlib``, which is used only when the built-in module is missing.
+"""
+
+from __future__ import annotations
+
+import time
+from typing import Iterable
+
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
+from .classify import PREDICATES
+from .common import VerificationReport
+from .rings import FiniteRing
+
+__all__ = ["search_counterexample"]
+
+
+def _expr(R: FiniteRing) -> str:
+    return R.construction or f"<order-{R.order} ring>"
+
+
+def _raw_left_flags(R: FiniteRing) -> tuple[bool, bool]:
+    """(pseudo, generalized) by raw set scans, bypassing all cached tables."""
+    n = R.order
+    mul = R.mul_table.tolist()
+    pri = [frozenset(mul[x][a] for x in range(n)) for a in range(n)]
+    ann = [
+        frozenset(x for x in range(n) if mul[x][a] == R.zero)
+        for a in range(n)
+    ]
+    ann_set, pri_set = set(ann), set(pri)
+    pseudo = all(p in ann_set for p in pri)
+    generalized = all(a in pri_set for a in ann)
+    return pseudo, generalized
+
+
+def _search_hit(R: FiniteRing) -> dict | None:
+    """Hit record if ``R`` looks left pseudo- but not quasi-morphic, else None.
+
+    Any hit is re-validated with raw scans independent of the classifier's
+    caches before being reported.
+    """
+    quasi = PREDICATES["left_quasi_morphic"](R)
+    if not PREDICATES["left_pseudo_morphic"](R).status or quasi.status:
+        return None
+    raw_pseudo, raw_generalized = _raw_left_flags(R)
+    return {
+        "expression": _expr(R),
+        "quasi_counterexample": quasi.counterexample,
+        "raw_revalidation": {
+            "left_pseudo": raw_pseudo,
+            "left_generalized": raw_generalized,
+        },
+        "confirmed": raw_pseudo and not raw_generalized,
+    }
+
+
+def _search_report(expressions: list[str], hits: Iterable[dict | None],
+                   start: float) -> VerificationReport:
+    """The search report over ``expressions``, given each ring's hit or None.
+
+    ``hits`` is consumed before ``expressions`` is read, so it may fill
+    that list as it goes.
+    """
+    hits = [hit for hit in hits if hit]
+    fingerprint = sha256("\n".join(sorted(expressions)).encode()).hexdigest()
+    status = "refuted" if any(h["confirmed"] for h in hits) else "verified"
+    details = {"rings": len(expressions), "fingerprint": fingerprint, "hits": hits}
+    return VerificationReport("pseudo_not_quasi_search",
+                              f"corpus[{len(expressions)}]", status, details,
+                              time.perf_counter() - start)
+
+
+def search_counterexample(rings: Iterable[FiniteRing]) -> VerificationReport:
+    """Search for a left pseudo-morphic ring that is not left quasi-morphic.
+
+    This is the open-question falsifier.  ``rings`` is consumed in one
+    pass, so a generator keeps a single ring alive at a time.  A clean run
+    reports the corpus size and a fingerprint of the sorted expression list.
+    """
+    start = time.perf_counter()
+    expressions: list[str] = []
+
+    def hit(R: FiniteRing) -> dict | None:
+        expressions.append(_expr(R))
+        return _search_hit(R)
+
+    return _search_report(expressions, map(hit, rings), start)

@@ -6,16 +6,17 @@ a ``VerificationReport`` with status ``verified``, ``refuted``, ``vacuous``
 budget was hit).  Refuted reports always carry a counterexample that can be
 re-checked directly against the ideal engine.  Finiteness hypotheses that
 are automatic here (noetherian, finite Goldie dimension, direct finiteness)
-are instantiated as dropped and noted where relevant.
+are instantiated as dropped and noted where relevant.  The corpus search
+for a pseudo- but not quasi-morphic ring lives in ``search``;
+``search_counterexample`` is re-exported here.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -56,6 +57,7 @@ from .rings import (
     _gather,
     _is_commutative,
 )
+from .search import _expr, search_counterexample
 
 __all__ = [
     "RING_THEOREMS",
@@ -74,10 +76,6 @@ __all__ = [
     "verify_triangular_example_identity",
     "verify_witness_identities",
 ]
-
-
-def _expr(R: FiniteRing) -> str:
-    return R.construction or f"<order-{R.order} ring>"
 
 
 # The theorem checks run on every ring, by name, in definition order.
@@ -482,75 +480,6 @@ def verify_extension_heredity(
     status = "refuted" if failures else "verified" if checked else "vacuous"
     return VerificationReport("extension_heredity", expression, status, details,
                               time.perf_counter() - start)
-
-
-def _raw_left_flags(R: FiniteRing) -> tuple[bool, bool]:
-    """(pseudo, generalized) by raw set scans, bypassing all cached tables."""
-    n = R.order
-    mul = R.mul_table.tolist()
-    pri = [frozenset(mul[x][a] for x in range(n)) for a in range(n)]
-    ann = [
-        frozenset(x for x in range(n) if mul[x][a] == R.zero)
-        for a in range(n)
-    ]
-    ann_set, pri_set = set(ann), set(pri)
-    pseudo = all(p in ann_set for p in pri)
-    generalized = all(a in pri_set for a in ann)
-    return pseudo, generalized
-
-
-def _search_hit(R: FiniteRing) -> dict | None:
-    """Hit record if ``R`` looks left pseudo- but not quasi-morphic, else None.
-
-    Any hit is re-validated with raw scans independent of the classifier's
-    caches before being reported.
-    """
-    quasi = PREDICATES["left_quasi_morphic"](R)
-    if not PREDICATES["left_pseudo_morphic"](R).status or quasi.status:
-        return None
-    raw_pseudo, raw_generalized = _raw_left_flags(R)
-    return {
-        "expression": _expr(R),
-        "quasi_counterexample": quasi.counterexample,
-        "raw_revalidation": {
-            "left_pseudo": raw_pseudo,
-            "left_generalized": raw_generalized,
-        },
-        "confirmed": raw_pseudo and not raw_generalized,
-    }
-
-
-def _search_report(expressions: list[str], hits: Iterable[dict | None],
-                   start: float) -> VerificationReport:
-    """The search report over ``expressions``, given each ring's hit or None.
-
-    ``hits`` is consumed before ``expressions`` is read, so it may fill
-    that list as it goes.
-    """
-    hits = [hit for hit in hits if hit]
-    fingerprint = hashlib.sha256("\n".join(sorted(expressions)).encode()).hexdigest()
-    status = "refuted" if any(h["confirmed"] for h in hits) else "verified"
-    details = {"rings": len(expressions), "fingerprint": fingerprint, "hits": hits}
-    return VerificationReport("pseudo_not_quasi_search",
-                              f"corpus[{len(expressions)}]", status, details,
-                              time.perf_counter() - start)
-
-
-def search_counterexample(rings: Iterable[FiniteRing]) -> VerificationReport:
-    """Search for a left pseudo-morphic ring that is not left quasi-morphic.
-
-    This is the open-question falsifier.  ``rings`` is consumed in one
-    pass, so a generator keeps a single ring alive at a time.  A clean run
-    reports the corpus size and a fingerprint of the sorted expression list.
-    """
-    start = time.perf_counter()
-    expressions: list[str] = []
-
-    def hit(R: FiniteRing) -> dict | None:
-        expressions.append(_expr(R))
-        return _search_hit(R)
-
-    return _search_report(expressions, map(hit, rings), start)
 
 
 def verify_triangular_example_identity() -> VerificationReport:

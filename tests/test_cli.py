@@ -505,7 +505,7 @@ def test_map_bounds_the_worker_count(monkeypatch, capsys):
     import concurrent.futures
 
     import morphring.cli as cli
-    import morphring.verify as verify
+    import morphring.search as search
 
     pools, chunks = [], []
 
@@ -526,10 +526,10 @@ def test_map_bounds_the_worker_count(monkeypatch, capsys):
             return map(fn, items)
 
     reports = []
-    real_report = verify._search_report
+    real_report = search._search_report
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli, "_available_cpus", lambda: 4)
-    monkeypatch.setattr(verify, "_search_report",
+    monkeypatch.setattr(search, "_search_report",
                         lambda *a: reports.append(real_report(*a)) or reports[-1])
     assert list(cli._map(str, [1, 2, 3], 1)) == ["1", "2", "3"]
     assert pools == []

@@ -2,9 +2,10 @@
 
 The package re-exports its names lazily, and the command line imports the
 ring engine (numpy and the modules built on it) only for commands that
-build a ring, and ``qz`` only for ``qz``.  Import graphs and thread counts
-are checked in fresh interpreters, since the test process itself has
-imported everything.
+build a ring, and ``qz`` only for ``qz``.  No command loads OpenSSL's
+``_hashlib``, and ``search`` does not load the theorem checks of ``verify``.
+Import graphs and thread counts are checked in fresh interpreters, since
+the test process itself has imported everything.
 """
 
 import importlib
@@ -73,6 +74,45 @@ def test_qz_command_loads_no_ring_engine_and_no_pool():
 def test_ring_commands_load_no_qz(argv):
     code = f"from morphring.cli import run_command\nrun_command({argv!r})"
     assert _loaded_after(code, ["morphring.qz"]) == []
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["search", "--max-order", "16", "--json"], ["morphring.verify", "_hashlib"]),
+    (["verify", "tri(z2,2)", "--json"], ["_hashlib"]),
+], ids=["search", "verify"])
+def test_ring_commands_load_no_openssl_and_search_no_theorem_checks(argv, unloaded):
+    code = f"from morphring.cli import run_command\nassert run_command({argv!r}) == 0"
+    assert _loaded_after(code, unloaded) == []
+
+
+@pytest.mark.parametrize("max_order", [64, 512])
+def test_search_fingerprint_is_the_sha256_of_the_sorted_corpus(max_order):
+    code = ("import io\n"
+            "from contextlib import redirect_stdout\n"
+            "from morphring.cli import default_corpus, run_command\n"
+            "with redirect_stdout(io.StringIO()) as out:\n"
+            f"    assert run_command(['search', '--max-order', '{max_order}', '--json']) == 0\n"
+            "fingerprint = json.loads(out.getvalue())['witness']['fingerprint']\n"
+            "assert '_hashlib' not in sys.modules\n"
+            "import hashlib\n"
+            f"text = '\\n'.join(sorted(default_corpus({max_order})))\n"
+            "assert fingerprint == hashlib.sha256(text.encode()).hexdigest()")
+    assert _loaded_after(code, ["_hashlib"]) == ["_hashlib"]  # only once the test imported it
+
+
+def test_search_without_a_builtin_sha256_prints_the_same_record(capsys):
+    from morphring.cli import run_command
+
+    assert run_command(["search", "--max-order", "16", "--json"]) == 0
+    expected = capsys.readouterr().out
+    code = ("import io\n"
+            "from contextlib import redirect_stdout\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "from morphring.cli import run_command\n"
+            "with redirect_stdout(io.StringIO()) as out:\n"
+            "    assert run_command(['search', '--max-order', '16', '--json']) == 0\n"
+            f"assert out.getvalue() == {expected!r}")
+    assert _loaded_after(code, ["_hashlib"]) == ["_hashlib"]  # the hashlib fallback ran
 
 
 _TASKS = "/proc/self/task"

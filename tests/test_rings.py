@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import pickle
 import time
 import tracemalloc
 import weakref
@@ -611,6 +612,53 @@ def test_tables_above_order_256_match_recorded_digests():
             digest.update(np.ascontiguousarray(table, dtype="<i4").tobytes())
         digest.update("\n".join(R.labels).encode())
         assert digest.hexdigest() == expected, text
+
+
+def test_building_a_ring_names_no_element(monkeypatch):
+    from morphring.cli import build_ring, parse_ring_expr
+
+    named = []
+    init = rings._Labels.__init__
+
+    def spy(self, name, orders):
+        init(self, lambda digits: named.append(digits) or name(digits), orders)
+
+    monkeypatch.setattr(rings._Labels, "__init__", spy)
+    monkeypatch.setenv("RING_ORDER_CAP", "2048")
+    for text in ("poly(z2,11)", "trivext(z64,ideal(8))", "mat(z2,3)", "prod(tri(z2,2),z8)"):
+        R = build_ring(parse_ring_expr(text))
+        assert named == [], text
+        R.label(R.order - 1)  # the spy sees a label formed when it is read
+        assert named, text
+        named.clear()
+
+
+@pytest.mark.parametrize("build", [lambda base: direct_product([base, make_zmod(3)]),
+                                   lambda base: trivial_extension(base, ideal_bimodule(base, 2))],
+                         ids=["prod", "trivext"])
+def test_a_composite_ring_keeps_no_factor_alive(build):
+    factor = make_zmod(4)
+    R = build(factor)
+    ref = weakref.ref(factor)
+    del factor
+    gc.collect()
+    assert ref() is None
+    assert R.labels[-1] == "(3,2)"
+
+
+def test_labels_read_like_the_tuple_and_pickle_as_it():
+    Z4 = make_zmod(4)
+    R = direct_product([matrix_ring(make_zmod(2), 2, shape="lower_triangular"),
+                        trivial_extension(Z4, ideal_bimodule(Z4, 2))])
+    eager = tuple(R.labels)
+    assert len(eager) == R.order == 64 and eager[9] == R.labels[9] == "([[0,0],[0,1]],(0,2))"
+    assert R.labels == eager and eager == R.labels and hash(R.labels) == hash(eager)
+    assert R.labels[-3:] == eager[-3:] and R.labels.index(eager[40]) == 40
+    assert R.labels != list(eager)
+    with pytest.raises(IndexError):
+        R.labels[64]
+    copy = pickle.loads(pickle.dumps(R))
+    assert copy == R and type(copy.labels) is tuple and copy.labels == eager
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from morphring import (
     verify_witness_identities,
 )
 from morphring.classify import PREDICATES
-from morphring.verify import _raw_left_flags
+from morphring.search import _raw_left_flags
 
 Z4 = make_zmod(4)
 Z6 = make_zmod(6)
