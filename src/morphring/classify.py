@@ -240,7 +240,11 @@ def regularity_profile(R: FiniteRing) -> RegularityProfile:
 
 @_per_ring
 def commutation_profile(R: FiniteRing) -> CommutationProfile:
-    """Reduced, reversible, symmetric, semiprime, and directly finite flags."""
+    """Reduced, reversible, symmetric, semiprime, and directly finite flags.
+
+    A finite ring is directly finite, so that flag needs no scan: if ``ab = 1``, then
+    ``x ↦ bx`` is injective, hence onto, so ``bc = 1`` for some ``c``, ``a = abc = c``.
+    """
     n = R.order
     zero, one = R.zero, R.one
     mul = R.mul_table
@@ -273,11 +277,7 @@ def commutation_profile(R: FiniteRing) -> CommutationProfile:
                      for a in first.tolist()])
     semiprime = _all_true(~null[pair_of] | (np.arange(n) == zero))
 
-    # ba = 1 but ab != 1, axes [b, a]
-    bad = _first_violation(n, n, lambda b: (mul[b] == one) & (_columns(mul, b) != one))
-    directly_finite = Flag(True) if bad is None else Flag(False, counterexample=bad[::-1])
-
-    return CommutationProfile(reduced, reversible, symmetric, semiprime, directly_finite)
+    return CommutationProfile(reduced, reversible, symmetric, semiprime, Flag(True))
 
 
 def _fg_ideals(R: FiniteRing, side: Side) -> list[int]:
@@ -294,11 +294,11 @@ def _bezout(R: FiniteRing, side: Side) -> Flag:
     lattice has no more ideals than there are principal ones; an overflow
     of ``_fg_ideals`` also decides it.  Otherwise the first pair of
     principal ideals whose sum is not principal is the canonical
-    counterexample; pairs suffice, as sums fold two generators at a time.
-    Each pair ``(A, B)`` is decided by counting, which assumes a ring, so
-    that ``A`` and ``B`` are subgroups: a principal ``P ⊇ A ∪ B`` contains
-    ``A + B``, and is it exactly when ``|P|·|A ∩ B| = |A|·|B|``, so only
-    the principal ideals of that size are searched and no sum is formed.
+    counterexample; pairs suffice, as sums fold two generators at a time, and
+    one exists, else every sum of principal ideals, so every ideal, would be
+    principal.  A pair ``(A, B)`` of subgroups is decided by counting: a
+    principal ``P ⊇ A ∪ B`` contains ``A + B``, and is it exactly when
+    ``|P|·|A ∩ B| = |A|·|B|``, so only principal ideals of that size are searched.
     """
     _, tables = _resolve(R, side)
     masks = tables.principal_masks
@@ -310,10 +310,7 @@ def _bezout(R: FiniteRing, side: Side) -> Flag:
         by_size.setdefault(m.bit_count(), []).append(m)
 
     def principal_sum(m1: int, m2: int) -> bool:
-        union, meet = m1 | m2, (m1 & m2).bit_count()
-        if not meet:  # no common zero: the tables are not a ring
-            return False
-        size = m1.bit_count() * m2.bit_count() // meet
+        union, size = m1 | m2, m1.bit_count() * m2.bit_count() // (m1 & m2).bit_count()
         return any(p & union == union for p in by_size.get(size, ()))
 
     m1, m2 = next((m1, m2) for i, m1 in enumerate(masks) for m2 in masks[i + 1 :]
@@ -379,15 +376,12 @@ def _pp(R: FiniteRing, side: Side) -> Flag:
 
 
 def _strongly_clean(R: FiniteRing) -> Flag:
-    """Every ``a`` is ``e + u`` with ``e`` idempotent, ``u`` a unit, ``eu = ue``."""
-    census = element_census(R)
-    is_unit = _bool_from_mask(census.units, R.order)
-    add, mul, neg = R.add_table, R.mul_table, R.neg_table
-    clean = np.zeros(R.order, dtype=bool)
-    for e in mask_members(census.idempotents):
-        u = add[:, neg[e]]                       # a - e for every a
-        clean |= is_unit[u] & (mul[e, u] == mul[u, e])
-    return _all_true(clean)
+    """Every ``a`` is ``e + u`` with ``e`` idempotent, ``u`` a unit, ``eu = ue``: true in
+    every finite ring, so no scan (Fitting's lemma; Nicholson, Comm. Algebra 27, 1999).
+    The powers of ``a`` end in a group whose identity is a power ``f``, so ``af`` is a unit
+    of ``fRf`` and ``a(1 - f)`` is nilpotent: ``e = 1 - f`` and ``u = a - e = af + (a(1 - f)
+    - e)``, a unit of ``fRf`` plus one of ``eRe``, commute."""
+    return Flag(True)
 
 
 def _exchange_failure(R: FiniteRing, side: Side,
@@ -421,7 +415,7 @@ def _exchange_failure(R: FiniteRing, side: Side,
 def _ikeda_nakayama(R: FiniteRing, side: Side) -> Flag:
     """For side ideals: ann(I1 ∩ I2) = ann(I1) + ann(I2) on the other side.  A dual ring has it
     with no pair loop: ``T = r(I1) + r(I2)`` has ``l(T) = lr(I1) ∩ lr(I2) = I1 ∩ I2``, so
-    ``r(I1 ∩ I2) = rl(T) = T`` (the right side mirrors it); this assumes tables that are a ring."""
+    ``r(I1 ∩ I2) = rl(T) = T`` (the right side mirrors it)."""
     if _dual_ring(R, lattice_cap()).status:
         return Flag(True)
     try:

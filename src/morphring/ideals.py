@@ -202,12 +202,8 @@ def subgroup_sum(R: FiniteRing, m1: int, m2: int) -> int:
     Each member ``g`` of ``m2`` outside the running sum ``H`` extends it to
     ``H + <g>`` by coset doubling: translating ``H + {0, ..., k-1}g`` by
     ``kg`` gives ``H + {0, ..., 2k-1}g``, until ``kg`` already lies in it.
-    The running sum starts from ``m1`` and zero, each member of ``m2`` is
-    taken once, and a pass that adds nothing ends its doubling, so the call
-    returns on any masks; on masks that are not subgroups the result need
-    not be closed.  A mask that contains the other is returned unchanged, so
-    the result may lack zero: on ``z4``, ``(0b0010, 0b0010)`` gives
-    ``0b0010`` but ``(0b0010, 0b1000)`` gives ``0b1111``.
+    The running sum starts from ``m1`` and zero, so each translate by an
+    element outside it adds that element, and the call returns on any masks.
     """
     _check_mask(R, m1 | m2)
     if m2 & ~m1 == 0:
@@ -219,12 +215,8 @@ def subgroup_sum(R: FiniteRing, m1: int, m2: int) -> int:
     todo = _bool_from_mask(m2, R.order)
     while (rest := todo & ~res).any():
         shift = int(rest.argmax())
-        todo[shift] = False
         while not res[shift]:
-            members = np.flatnonzero(res)
-            res[add[members, shift]] = True
-            if np.count_nonzero(res) == members.size:
-                break
+            res[add[np.flatnonzero(res), shift]] = True
             shift = int(add[shift, shift])
     return _mask_from_bool(res)
 
@@ -303,11 +295,12 @@ class ElementCensus:
 
 @_per_ring
 def element_census(R: FiniteRing) -> ElementCensus:
-    """Census of units (two-sided inverses), idempotents, and nilpotents."""
+    """Census of units (a right inverse suffices: finite rings are directly finite),
+    idempotents and nilpotents."""
     n = R.order
     mul, one = R.mul_table, R.one
-    units = _mask_from_bool(np.concatenate([
-        ((mul[a] == one) & (_columns(mul, a) == one)).any(axis=1) for a in _row_blocks(n, n)]))
+    units = _mask_from_bool(np.concatenate([(mul[a] == one).any(axis=1)
+                                            for a in _row_blocks(n, n)]))
     idx = np.arange(n)
     idem = _mask_from_bool(mul.diagonal() == idx)
     # a is nilpotent iff a^k = 0 for some k <= n, iff a^(2^j) = 0 once 2^j >= n
@@ -357,7 +350,6 @@ def socle(R: FiniteRing, side: Side) -> int:
     """Mask of the sum of all minimal side ideals: ``r(J)`` on the left, ``l(J)`` on the right.
 
     ``J`` kills every simple module, so the left socle lies in ``r(J)``; ``J·r(J) = 0`` makes
-    ``r(J)`` a module over the semisimple ``R/J``, so it lies in the socle.  On a table that
-    is not a ring this is still the other-side annihilator of ``jacobson_radical``'s mask.
+    ``r(J)`` a module over the semisimple ``R/J``, so it lies in the socle.
     """
     return annihilator(R, side.other, jacobson_radical(R))

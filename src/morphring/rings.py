@@ -146,6 +146,10 @@ class FiniteRing:
     ``(order, order)``; they are the only stored form of the tables, and
     ``order`` is at most 65,536.  The opposite ring's ``mul_table`` is the
     transposed view of this one's.
+    Every ``FiniteRing`` is a ring: a direct call checks its tables as
+    ``check_ring_axioms`` does, raises ``ValueError`` at the first violated
+    axiom and keeps read-only ``uint16`` copies.  The constructors,
+    ``pierce_corner``, ``opposite`` and unpickling check and copy nothing.
     ``construction`` is the canonical expression text that built the ring,
     when one exists.  ``labels`` names the elements; the constructors give
     a read-only sequence that forms each label when it is read.  Two rings
@@ -163,6 +167,15 @@ class FiniteRing:
     labels: Sequence[str]
     construction: str | None = None
     _cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        add, mul, n = _validate_tables(self.add_table, self.mul_table, self.zero, self.one)
+        if (self.order, len(self.labels)) != (n, n):
+            raise ValueError(f"order {self.order}, {len(self.labels)} labels: tables of order {n}")
+        if not (check := _ring_axioms(add, mul, self.zero, self.one)).ok:
+            raise ValueError(f"tables violate ring axiom {check.axiom} at {check.witness}")
+        object.__setattr__(self, "add_table", _frozen(add))
+        object.__setattr__(self, "mul_table", _frozen(mul))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteRing):
@@ -213,6 +226,15 @@ class FiniteRing:
     def __repr__(self) -> str:  # keep reprs short; tables can be huge
         name = self.construction or "<tables>"
         return f"FiniteRing(order={self.order}, construction={name!r})"
+
+
+def _ring(order: int, add: np.ndarray, mul: np.ndarray, zero: int, one: int,
+          labels: Sequence[str], construction: str | None = None) -> FiniteRing:
+    """``FiniteRing`` on read-only ``uint16`` tables proved to be a ring: no check, no copy."""
+    R = object.__new__(FiniteRing)
+    R.__dict__.update(order=order, add_table=add, mul_table=mul, zero=zero, one=one,
+                      labels=labels, construction=construction, _cache={})
+    return R
 
 
 def _per_ring(compute: Callable) -> Callable:
@@ -278,7 +300,7 @@ def _columns(table: np.ndarray, rows: slice) -> np.ndarray:
 
 
 def _validate_tables(add_table, mul_table, zero: int, one: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Structural validation; returns numpy views and the order."""
+    """Structural validation; returns ``uint16`` copies of the tables and the order."""
     add = np.asarray(add_table)
     mul = np.asarray(mul_table)
     if add.ndim != 2 or add.shape[0] != add.shape[1]:
@@ -400,18 +422,10 @@ def ring_from_tables(
     labels: Sequence[str] | None = None,
     construction: str | None = None,
 ) -> FiniteRing:
-    """Build a ``FiniteRing`` from raw tables, validating the axioms."""
-    add, mul, n = _validate_tables(add_table, mul_table, zero, one)
-    result = _ring_axioms(add, mul, zero, one)
-    if not result.ok:
-        raise ValueError(f"tables violate ring axiom {result.axiom} at {result.witness}")
-    if labels is None:
-        labels = _numerals(n)
-    else:
-        labels = tuple(labels)
-        if len(labels) != n:
-            raise ValueError(f"expected {n} labels, got {len(labels)}")
-    return FiniteRing(n, _frozen(add), _frozen(mul), zero, one, labels, construction)
+    """``FiniteRing`` on raw tables, which checks them; the labels default to numerals."""
+    n = len(add_table)
+    labels = _numerals(n) if labels is None else tuple(labels)
+    return FiniteRing(n, add_table, mul_table, zero, one, labels, construction)
 
 
 def _power(base: int, exp: int, limit: int) -> int:
@@ -447,7 +461,7 @@ def make_zmod(n: int) -> FiniteRing:
         np.remainder(idx[rows, None] + idx, n, out=add[rows], casting="unsafe")
         np.remainder(idx[rows, None] * idx, n, out=mul[rows], casting="unsafe")
     one = 1 if n > 1 else 0
-    return FiniteRing(n, _frozen(add), _frozen(mul), 0, one, _numerals(n), f"z{n}")
+    return _ring(n, _frozen(add), _frozen(mul), 0, one, _numerals(n), f"z{n}")
 
 
 def _is_prime(p: int) -> bool:
@@ -593,8 +607,8 @@ def _structure_ring(parts: Sequence, rules: Sequence[tuple[int, int, int, object
 
     Precondition: every rule table is biadditive, so it sends a zero
     digit on either side to the zero of part ``t``.  The callers ensure
-    it: their ring tables passed ``ring_from_tables`` or a constructor,
-    and their bimodules passed ``check_bimodule``.
+    it: their ring tables are a ``FiniteRing``'s and their bimodules
+    passed ``check_bimodule``, so the result is a ring and is not checked.
 
     Both tables are built level by level, from the least significant digit
     up to the whole ring; level ``q`` holds the elements whose digits
@@ -648,8 +662,8 @@ def _structure_ring(parts: Sequence, rules: Sequence[tuple[int, int, int, object
             columns = np.broadcast_to(index(products), (len(block), m))
             gathered = _gather(add, columns[:, :, None], block[:, None, :size])
             block[:, : m * size] = gathered.reshape(len(block), -1)
-    return FiniteRing(n, _frozen(add), _frozen(mul), int(index(zero)), int(index(one)),
-                      _Labels(label, orders), construction)
+    return _ring(n, _frozen(add), _frozen(mul), int(index(zero)), int(index(one)),
+                 _Labels(label, orders), construction)
 
 
 def direct_product(rings: Sequence[FiniteRing]) -> FiniteRing:
@@ -889,9 +903,8 @@ def pierce_corner(R: FiniteRing, e: int) -> FiniteRing:
     members = _distinct(mul[mul[e], e])
     pos = _positions(R, members)
     corner = np.ix_(members, members)
-    return FiniteRing(members.size, _frozen(pos[R.add_table[corner]]),
-                      _frozen(pos[mul[corner]]), int(pos[R.zero]), int(pos[e]),
-                      _member_labels(R.labels, members.tolist()), None)
+    return _ring(members.size, _frozen(pos[R.add_table[corner]]), _frozen(pos[mul[corner]]),
+                 int(pos[R.zero]), int(pos[e]), _member_labels(R.labels, members.tolist()))
 
 
 def opposite(R: FiniteRing) -> FiniteRing:
@@ -908,7 +921,7 @@ def opposite(R: FiniteRing) -> FiniteRing:
     if cached is not None:
         return cached
     construction = f"opp({R.construction})" if R.construction else None
-    opp = FiniteRing(R.order, R.add_table, R.mul_table.T, R.zero, R.one, R.labels, construction)
+    opp = _ring(R.order, R.add_table, R.mul_table.T, R.zero, R.one, R.labels, construction)
     R._cache["opposite"] = opp
     opp._cache["opposite"] = weakref.ref(R)
     return opp

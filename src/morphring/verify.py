@@ -165,6 +165,22 @@ def _witness_failure(kind: str, masks: list[int], mul: np.ndarray, own: np.ndarr
             "lhs": join(masks[own[x]], masks[own[y]]), "rhs": masks[other[mul[b[x], c]]]}
 
 
+def _sum_rule(counts: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``S = A + B`` for the class ids ``x``, ``y``, ``z`` of ``A``, ``B``, ``S``, where
+    ``counts[i, j]`` is the size of the meet of class masks ``i`` and ``j``: for subgroups,
+    ``S = A + B`` iff ``S ⊇ A ∪ B`` and ``|S|·|A ∩ B| = |A|·|B|``."""
+    size = counts.diagonal().astype(np.int64)  # |S|·|A ∩ B| overflows int32
+    return ((_gather(counts, z, x) == size[x]) & (_gather(counts, z, y) == size[y])
+            & (size[z] * _gather(counts, x, y) == size[x] * size[y]))
+
+
+def _meet_rule(counts: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``S = A ∩ B``, read off ``counts`` as in ``_sum_rule``: ``|A ∩ S| = |B ∩ S| = |A ∩ B| = |S|``."""
+    size = counts.diagonal()
+    return ((_gather(counts, x, z) == size[z]) & (_gather(counts, y, z) == size[z])
+            & (_gather(counts, x, y) == size[z]))
+
+
 @_theorem("sum_intersection_witnesses")
 def verify_witness_identities(R: FiniteRing) -> tuple[str, dict]:
     """Constructive sum and intersection witnesses.
@@ -173,36 +189,19 @@ def verify_witness_identities(R: FiniteRing) -> tuple[str, dict]:
     l(c)`` it follows that ``Ra1 + Ra2 = l(b1 c)``; dually from ``l(a_i) =
     R b_i`` and ``l(b1 a2) = Rc`` that ``l(a1) ∩ l(a2) = R(c b1)``.  Pairs
     lacking any witness are skipped and counted.  The first failing pair in
-    row-major order is reported, its sum before its intersection.  With
-    ``meet(x, y) = |A ∩ B|`` over the class masks, ``S = A ∩ B`` iff
-    ``|A ∩ S| = |B ∩ S| = |A ∩ B| = |S|``; subgroups ``S ⊇ A ∪ B`` with
-    ``|S|·|A ∩ B| = |A|·|B|`` are ``A + B``.  On tables that are not a ring,
-    a pair touching a mask that is not a subgroup is decided by the formed sum.
+    row-major order is reported, its sum before its intersection, each
+    triple of class masks decided by ``_sum_rule`` or ``_meet_rule``.
     """
     ring, tables = _resolve(R, Side.LEFT)
     masks = tables.masks
     bits = np.array([_bool_from_mask(m, ring.order) for m in masks], dtype=np.float32)
     counts = (bits @ bits.T).astype(np.int32)  # exact: each partial sum is an integer < 2**24
-    size = counts.diagonal().astype(np.int64)  # |S|·|A ∩ B| overflows int32
-    meet = functools.partial(_gather, counts)  # meet(x, y) = |A ∩ B| for class id arrays
-    zero = 1 << ring.zero
-    group = np.array([subgroup_sum(ring, zero, m & ~zero) == m for m in masks])
-
-    def sum_holds(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        holds = ((meet(z, x) == size[x]) & (meet(z, y) == size[y])
-                 & (size[z] * meet(x, y) == size[x] * size[y]))
-        odd = (z >= 0) & ~(group[x] & group[y] & group[z])  # only on tables that are not a ring
-        triples = zip(*([masks[i] for i in v[odd].tolist()] for v in np.broadcast_arrays(x, y, z)))
-        holds[odd] = [subgroup_sum(ring, m1, m2) == s for m1, m2, s in triples]
-        return holds
-
     sums = _witness_failure(
         "sum", masks, R.mul_table, tables.pri_id, tables.ann_least, tables.ann_id,
-        sum_holds, functools.partial(subgroup_sum, ring))
+        functools.partial(_sum_rule, counts), functools.partial(subgroup_sum, ring))
     meets = _witness_failure(
         "intersection", masks, R.mul_table.T, tables.ann_id, tables.pri_least, tables.pri_id,
-        lambda x, y, z: (meet(x, z) == size[z]) & (meet(y, z) == size[z]) & (meet(x, y) == size[z]),
-        int.__and__)
+        functools.partial(_meet_rule, counts), int.__and__)
     failures = [f for f in (sums, meets) if isinstance(f, dict)]
     if failures:
         return "refuted", min(failures, key=lambda f: f["pair"])
@@ -296,7 +295,8 @@ def verify_finite_qf(R: FiniteRing) -> tuple[str, dict]:
     A finite ring is artinian and noetherian, so both-sided pseudo-morphic
     rings must be dual rings with all one-sided ideals principal and
     single-element annihilators, and strongly clean; semiprime ones have
-    zero radical.
+    zero radical.  The ``strongly_clean`` conjunct holds on every finite
+    ring (see ``classify._strongly_clean``), so it cannot refute.
     """
     if not all(PREDICATES[name](R).status for name in _PSEUDO_BOTH):
         return "vacuous", {"note": "ring is not pseudo-morphic on both sides"}

@@ -5,6 +5,7 @@ import hashlib
 import pickle
 import time
 import tracemalloc
+import types
 import weakref
 from itertools import product
 
@@ -856,8 +857,14 @@ def _corruptions(tables, orders):
                     yield bad
 
 
+def _raw_tables(R):
+    """``(add, mul, zero, one)`` of a ring."""
+    return R.add_table, R.mul_table, R.zero, R.one
+
+
 def _near_ring():
-    """The maps of Z3 that fix 0, added pointwise and multiplied by ``a * b = b o a``.
+    """The maps of Z3 that fix 0, added pointwise and multiplied by ``a * b = b o a``,
+    as raw ``(add, mul, zero, one)``.
 
     Associative, unital and left distributive, but not right distributive.
     """
@@ -865,7 +872,7 @@ def _near_ring():
     index = {f: i for i, f in enumerate(maps)}
     add = [[index[tuple((x + y) % 3 for x, y in zip(f, g))] for g in maps] for f in maps]
     mul = [[index[tuple(g[f[x]] for x in range(3))] for g in maps] for f in maps]
-    return FiniteRing(9, np.array(add), np.array(mul), 0, index[(0, 1, 2)], ())
+    return np.array(add), np.array(mul), 0, index[(0, 1, 2)]
 
 
 def _incompatible_module():
@@ -891,17 +898,17 @@ _BLOCK_SIZES = (None, 5, 40)
 
 @pytest.mark.parametrize("block", _BLOCK_SIZES)
 @pytest.mark.parametrize("case", [
-    lambda: make_zmod(4),
-    lambda: matrix_ring(make_zmod(2), 2, shape="lower_triangular"),
+    lambda: _raw_tables(make_zmod(4)),
+    lambda: _raw_tables(matrix_ring(make_zmod(2), 2, shape="lower_triangular")),
     _near_ring,
 ], ids=["z4", "tri(z2,2)", "near-ring"])
 def test_axiom_scans_match_whole_table_checks_under_every_corruption(monkeypatch, case, block):
-    R = case()
+    add, mul, zero, one = case()
     if block is not None:
         monkeypatch.setattr(rings, "_BLOCK_ENTRIES", block)
-    for add, mul in _corruptions((R.add_table, R.mul_table), (R.order, R.order)):
-        expected = _reference_ring_axioms(add, mul, R.zero, R.one)
-        assert check_ring_axioms(add, mul, R.zero, R.one) == expected, expected
+    for add, mul in _corruptions((add, mul), (len(add), len(add))):
+        expected = _reference_ring_axioms(add, mul, zero, one)
+        assert check_ring_axioms(add, mul, zero, one) == expected, expected
 
 
 # left ring, bimodule, right ring, and whether the rings' tables are
@@ -931,8 +938,9 @@ def test_bimodule_scans_match_whole_table_checks_under_every_corruption(monkeypa
     for add, lact, ract, *rest in _corruptions(tables, orders):
         radd, rmul, sadd, smul = rest or ring_tables
         bad = BimoduleSpec(M.order, add, lact, ract, M.zero, M.labels)
-        left = FiniteRing(R.order, radd, rmul, R.zero, R.one, R.labels)
-        right = FiniteRing(S.order, sadd, smul, S.zero, S.one, S.labels)
+        # a corrupted ring is no FiniteRing: what check_bimodule reads of one
+        left, right = (types.SimpleNamespace(order=A.order, add_table=a, mul_table=m, one=A.one)
+                       for A, a, m in ((R, radd, rmul), (S, sadd, smul)))
         expected = _reference_bimodule(left, bad, right)
         assert check_bimodule(left, bad, right) == expected, expected
 
@@ -944,6 +952,85 @@ def test_ring_from_tables_validates_the_tables_once(monkeypatch):
     R = make_zmod(6)
     ring_from_tables(R.add_table, R.mul_table, R.zero, R.one)
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the contract: every FiniteRing is a ring
+
+
+def _assert_refused(R, patches):
+    """``FiniteRing`` on ``R``'s tables with ``patches`` written into the multiplication
+    raises, naming the axiom and witness that ``check_ring_axioms`` names."""
+    mul = R.mul_table.copy()
+    for entry, value in patches.items():
+        mul[entry] = value
+    check = check_ring_axioms(R.add_table, mul, R.zero, R.one)
+    assert not check.ok
+    with pytest.raises(ValueError) as refused:
+        FiniteRing(R.order, R.add_table, mul, R.zero, R.one, R.labels)
+    assert str(refused.value) == f"tables violate ring axiom {check.axiom} at {check.witness}"
+
+
+# Multiplication patches that tests once handed to the engine as hand-made
+# rings: the witness check's counting-rule and patched-sum cases, the
+# tables on which directly_finite and strongly_clean were false, and z4
+# with 0·2 = 2, where strongly_regular read from either side differed.
+_ONCE_ACCEPTED = {
+    "sum inclusion": ("tri(z2,2)", {(5, 4): 6}),
+    "sum of a mask that is no subgroup": ("tri(z2,2)", {(6, 2): 4}),
+    "sum a1 in s": ("prod(z2,z2,z2)", {(6, 5): 1}),
+    "meet s in a2": ("prod(z2,z2,z2)", {(5, 6): 2}),
+    "meet s in a1": ("prod(z2,z2)", {(2, 0): 3, (2, 3): 1, (3, 1): 0}),
+    "sum needs subgroups": ("prod(z2,z2,z2)", {(1, 1): 0, (6, 1): 1}),
+    "patched sum fault": ("z12", {(2, 2): 2}),
+    "directly_finite": ("z4", {(2, 3): 1}),
+    "strongly_clean": ("z4", {(3, 3): 0}),
+    "strongly_regular sides": ("z4", {(0, 2): 2}),
+}
+
+
+@pytest.mark.parametrize("case", list(_ONCE_ACCEPTED))
+def test_a_direct_construction_refuses_tables_that_are_not_a_ring(case):
+    from morphring.cli import build_ring, parse_ring_expr
+
+    text, patches = _ONCE_ACCEPTED[case]
+    _assert_refused(build_ring(parse_ring_expr(text)), patches)
+
+
+def test_a_direct_construction_keeps_its_own_copy_of_the_tables():
+    Z4 = make_zmod(4)
+    for dtype in (np.uint16, np.int64):
+        add, mul = Z4.add_table.astype(dtype), Z4.mul_table.astype(dtype)
+        R = FiniteRing(4, add, mul, Z4.zero, Z4.one, Z4.labels, "z4")
+        add[1, 1], mul[2, 2] = 0, 3  # still a valid index, no longer z4
+        assert R == Z4, dtype
+        assert R.mul_table.dtype == np.uint16 and not R.mul_table.flags.writeable
+    for order, labels in ((5, Z4.labels), (4, Z4.labels[:3])):
+        with pytest.raises(ValueError, match=r"order \d, \d labels: tables of order 4"):
+            FiniteRing(order, Z4.add_table, Z4.mul_table, Z4.zero, Z4.one, labels)
+
+
+def test_only_a_direct_construction_checks_the_axioms(monkeypatch):
+    from morphring.cli import _RINGS, build_ring, parse_ring_expr
+
+    calls = []
+    for name in ("_validate_tables", "_ring_axioms"):
+        real = getattr(rings, name)
+        monkeypatch.setattr(rings, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    texts = {"z": "z4", "gf": "gf(2,2)", "prod": "prod(z2,z3)", "mat": "mat(z2,2)",
+             "tri": "tri(z2,2)", "poly": "poly(z4,2)", "trivext": "trivext(z4,ideal(2))",
+             "opp": "opp(tri(z2,2))"}
+    assert set(texts) == set(_RINGS)
+    built = {head: build_ring(parse_ring_expr(text)) for head, text in texts.items()}
+    T2 = built["tri"]
+    copy = pickle.loads(pickle.dumps(T2))
+    others = [formal_triangular(T2, T2, zero_bimodule(T2)), pierce_corner(T2, 4),
+              opposite(T2)]
+    assert calls == []
+    assert copy == T2 and all(R.order for R in others)
+    ring_from_tables(T2.add_table, T2.mul_table, T2.zero, T2.one)
+    assert calls == ["_validate_tables", "_ring_axioms"]
 
 
 def _kernel_inputs():

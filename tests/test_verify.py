@@ -21,6 +21,7 @@ from morphring import (
     all_ideals,
     direct_product,
     annihilator,
+    check_ring_axioms,
     fg_ideal,
     ideal_bimodule,
     make_gf,
@@ -219,29 +220,65 @@ def test_class_id_checks_match_element_pair_loops_on_corpus():
         assert _agrees_with_reference(build_ring(parse_ring_expr(text))).status == "verified", text
 
 
-def _subgroups(R):
-    """Per left class mask: it is an additive subgroup."""
-    zero = 1 << R.zero
-    return [verify_module.subgroup_sum(R, zero, m & ~zero) == m
-            for m in verify_module._resolve(R, Side.LEFT)[1].masks]
-
-
-def _patched(ring, entry, value):
+def _assert_refused(ring, patches):
+    """``FiniteRing`` refuses ``ring``'s tables with ``patches`` written into the
+    multiplication, naming the axiom and witness that ``check_ring_axioms`` names."""
     mul = ring.mul_table.copy()
-    mul[entry] = value
-    return FiniteRing(ring.order, ring.add_table, mul, ring.zero, ring.one, ring.labels)
+    for entry, value in patches.items():
+        mul[entry] = value
+    check = check_ring_axioms(ring.add_table, mul, ring.zero, ring.one)
+    assert not check.ok
+    with pytest.raises(ValueError) as refused:
+        FiniteRing(ring.order, ring.add_table, mul, ring.zero, ring.one, ring.labels)
+    assert str(refused.value) == f"tables violate ring axiom {check.axiom} at {check.witness}"
 
 
-def test_patched_sum_fault_reported_at_the_same_pair():
-    # z12 with 2·2 patched to 2 is no ring, but each of its class masks is
-    # still a subgroup, so the counting rule, not a formed sum, decides
-    # every triple; it must refute at the pair where the formed sums do.
-    bad = _patched(Z12, (2, 2), 2)
-    assert all(_subgroups(bad))
-    report = _agrees_with_reference(bad)
-    assert (report.status, report.details) == ("refuted", {
-        "kind": "sum", "pair": [6, 2], "witnesses": [2, 6, 6],
-        "lhs": mask_of(range(0, 12, 2)), "rhs": mask_of(range(12))})
+def _row_major_triples(R):
+    """Per pair ``(a1, a2)`` in row-major order: the sum triple ``(Ra1, Ra2, l(b1 c))`` of
+    masks, or None when a witness is missing, and the pair's reference witnesses."""
+    mul, pri, ann, ann_first, _, _ = _ref_tables(R)
+    for a1 in R.elements:
+        for a2 in R.elements:
+            b1, b2 = ann_first.get(pri[a1]), ann_first.get(pri[a2])
+            c = None if b1 is None else ann_first.get(pri[mul[a2, b1]])
+            if None in (b1, b2, c):
+                yield (a1, a2), None, None
+            else:
+                yield (a1, a2), (pri[a1], pri[a2], ann[mul[b1, c]]), [b1, b2, c]
+
+
+def _reject_sum_triples(monkeypatch, R, triples):
+    """Patch ``verify._sum_rule`` to reject the given mask triples of ``R``'s left classes."""
+    index = verify_module._resolve(R, Side.LEFT)[1].index
+    ids = [tuple(index[m] for m in triple) for triple in triples]
+    rule = verify_module._sum_rule
+
+    def patched(counts, x, y, z):
+        holds = rule(counts, x, y, z)
+        for i, j, k in ids:
+            holds = holds & ~((x == i) & (y == j) & (z == k))
+        return holds
+    monkeypatch.setattr(verify_module, "_sum_rule", patched)
+
+
+def test_patched_sum_fault_reported_at_the_same_pair(monkeypatch):
+    # The sum rule made to reject triples of z12's class masks: the check
+    # must report the first pair, in row-major order, with a rejected
+    # triple, and its reference witnesses and masks.  The rows of a1 = 2
+    # and a1 = 4 come in the other order by class id, so the second set
+    # tells the orders apart.
+    triples = dict((pair, triple) for pair, triple, _ in _row_major_triples(Z12))
+    assert triples[4, 6] == (mask_of([0, 4, 8]), mask_of([0, 6]), mask_of(range(0, 12, 2)))
+    for rejected in ([triples[4, 6]], [triples[4, 6], triples[2, 3]]):
+        (a1, a2), triple, witnesses = next(
+            row for row in _row_major_triples(Z12) if row[1] in rejected)
+        with monkeypatch.context() as patch:
+            _reject_sum_triples(patch, Z12, rejected)
+            report = verify_witness_identities(Z12)
+        assert (report.status, report.details) == ("refuted", {
+            "kind": "sum", "pair": [a1, a2], "witnesses": witnesses,
+            "lhs": fg_ideal(Z12, Side.LEFT, [a1, a2]), "rhs": triple[2]})
+    assert report.details["pair"] == [2, 3]
 
 
 @contextlib.contextmanager
@@ -261,68 +298,80 @@ def _alarm(seconds):
 @pytest.mark.parametrize("entry", [(0, 1), (0, 3)])
 @pytest.mark.parametrize("value", [1, 2, 3])
 def test_sums_return_on_masks_that_are_not_subgroups(entry, value):
-    # z4 with 0·0 = 2 is no ring, and its class masks need not hold zero.
     # A sum whose first mask lacks zero once cycled forever in its doubling
-    # step; these six two-entry corruptions hung the check and the reference.
+    # step.  z4 with 0·0 = 2 and one more entry patched hung the check and
+    # its reference; no FiniteRing holds such tables now.
     with _alarm(10):
         assert verify_module.subgroup_sum(Z4, 0b0010, 0b0100) == 0b1111
-        bad = _patched(_patched(Z4, (0, 0), 2), entry, value)
-        assert _agrees_with_reference(bad).status == "refuted"
+        _assert_refused(Z4, {(0, 0): 2, entry: value})
 
 
 Z2_2, Z2_3 = (direct_product([make_zmod(2)] * k) for k in (2, 3))
+_RULE_RINGS = (Z12, T2, Z2_2, Z2_3)
 
 
-# Each corruption refutes first at a pair where one conjunct of the counting
-# rule alone fails, so dropping that conjunct moves or loses the refutation.
-@pytest.mark.parametrize("ring, patches, subgroups, details", [
-    # every class mask is a subgroup of z2^3, which is not cyclic: l(b1 c) = {0, 3}
-    # has the size of Ra1 + Ra2 = {0, 1} but not its members
-    (T2, {(5, 4): 6}, True,
-     {"kind": "sum", "pair": [0, 1], "witnesses": [5, 4, 4], "lhs": 3, "rhs": 9}),
-    # some class mask is no subgroup: counting would refute the sum of pair
-    # [1, 2], which the formed sum satisfies, before its intersection fails
-    (T2, {(6, 2): 4}, False,
-     {"kind": "intersection", "pair": [1, 2], "witnesses": [4, 2, 5], "lhs": 21, "rhs": 85}),
-    # Ra1 = {0, 1} is not in l(b1 c) = {0, 2, 4, 6}, which holds Ra2 = {0, 2}
-    (Z2_3, {(6, 5): 1}, True,
-     {"kind": "sum", "pair": [1, 2], "witnesses": [6, 5, 5], "lhs": 15, "rhs": 85}),
-    # R(c b1) = {0, 2} lies in l(a1) = {0, 2, 4, 6} but not in l(a2) = {0, 1, 4, 5}
-    (Z2_3, {(5, 6): 2}, True,
-     {"kind": "intersection", "pair": [1, 2], "witnesses": [6, 5, 5], "lhs": 17, "rhs": 5}),
-    # R(c b1) = {0, 3} lies in l(a2) = {0, 1, 3} but not in l(a1) = {0, 1}; this
-    # takes three entries: no one- or two-entry corruption of z2^2, z4 or z6 shows it
-    (Z2_2, {(2, 0): 3, (2, 3): 1, (3, 1): 0}, False,
-     {"kind": "intersection", "pair": [2, 0], "witnesses": [1, 3, 3], "lhs": 3, "rhs": 9}),
-    # l(b1 c) = {0, 1, 2, 4} is no subgroup, yet it holds Ra1 = {0, 2} and Ra2 =
-    # {0, 4} and has the size of their sum {0, 2, 4, 6}: counting alone passes it
-    (Z2_3, {(1, 1): 0, (6, 1): 1}, False,
-     {"kind": "sum", "pair": [2, 4], "witnesses": [5, 3, 3], "lhs": 85, "rhs": 23}),
-], ids=["inclusion", "subgroups", "sum_a1_in_s", "meet_s_in_a2", "meet_s_in_a1",
-        "sum_needs_subgroups"])
-def test_counting_rule_needs_inclusion_and_subgroups(ring, patches, subgroups, details):
-    bad = ring
-    for entry, value in patches.items():
-        bad = _patched(bad, entry, value)
-    assert all(_subgroups(bad)) is subgroups
-    report = _agrees_with_reference(bad)
-    assert (report.status, report.details) == ("refuted", details)
+def _class_triples(R):
+    """The class-id arrays ``x, y, z`` of every triple of ``R``'s left class masks, the
+    triples of masks, and the table of the sizes of pairwise meets of the masks."""
+    masks = verify_module._resolve(R, Side.LEFT)[1].masks
+    counts = np.array([[(m1 & m2).bit_count() for m2 in masks] for m1 in masks], dtype=np.int32)
+    x, y, z = np.indices((len(masks),) * 3).reshape(3, -1)
+    return x, y, z, [(masks[i], masks[j], masks[k]) for i, j, k in zip(x, y, z)], counts
+
+
+@pytest.mark.parametrize("ring", _RULE_RINGS, ids=lambda R: R.construction)
+def test_counting_rules_decide_every_triple_of_class_masks(ring):
+    # S = A + B and S = A ∩ B, decided by counting, against the formed sum
+    # and meet, on every triple of left class masks
+    x, y, z, triples, counts = _class_triples(ring)
+    formed_sum = [verify_module.subgroup_sum(ring, a, b) == s for a, b, s in triples]
+    assert verify_module._sum_rule(counts, x, y, z).tolist() == formed_sum
+    assert verify_module._meet_rule(counts, x, y, z).tolist() == [a & b == s for a, b, s in triples]
+
+
+# Each conjunct of the two counting rules as a set condition on (A, B, S):
+# the sum rule is A ⊆ S, B ⊆ S and |S|·|A ∩ B| = |A|·|B| over subgroups,
+# the meet rule S ⊆ A, S ⊆ B and |A ∩ B| = |S|.
+_CONJUNCTS = {
+    "sum_a1_in_s": lambda a, b, s: a & ~s == 0,
+    "sum_a2_in_s": lambda a, b, s: b & ~s == 0,
+    "sum_count": lambda a, b, s: s.bit_count() * (a & b).bit_count() == a.bit_count() * b.bit_count(),
+    "meet_s_in_a1": lambda a, b, s: s & ~a == 0,
+    "meet_s_in_a2": lambda a, b, s: s & ~b == 0,
+    "meet_count": lambda a, b, s: (a & b).bit_count() == s.bit_count(),
+}
+
+
+@pytest.mark.parametrize("conjunct", list(_CONJUNCTS))
+def test_counting_rule_needs_inclusion_and_subgroups(conjunct):
+    # Some triple of class masks of these rings fails this conjunct alone,
+    # and the rule rejects it, so a rule without the conjunct would accept it
+    kind = conjunct.partition("_")[0]
+    rule = verify_module._sum_rule if kind == "sum" else verify_module._meet_rule
+    others = [test for name, test in _CONJUNCTS.items()
+              if name.startswith(kind) and name != conjunct]
+    found = 0
+    for ring in _RULE_RINGS:
+        x, y, z, triples, counts = _class_triples(ring)
+        for holds, triple in zip(rule(counts, x, y, z), triples):
+            if not _CONJUNCTS[conjunct](*triple) and all(test(*triple) for test in others):
+                assert not holds, (ring, triple)
+                found += 1
+    assert found
 
 
 @pytest.mark.parametrize("ring", [Z12, T2], ids=["z12", "tri(z2,2)"])
 def test_corrupted_tables_reported_alike(ring):
     # Each single entry of the multiplication table set to zero or one: the
-    # result is no longer a ring, and both versions must name the same first
-    # failing pair, kind, witnesses and masks.
-    kinds = set()
+    # result is no longer a ring, and FiniteRing refuses it with the axiom
+    # and witness that check_ring_axioms reports.
+    corrupted = 0
     for x in ring.elements:
         for y in ring.elements:
             for value in {ring.zero, ring.one} - {int(ring.mul_table[x, y])}:
-                mul = ring.mul_table.copy()
-                mul[x, y] = value
-                bad = FiniteRing(ring.order, ring.add_table, mul, ring.zero, ring.one, ring.labels)
-                kinds.add(_agrees_with_reference(bad).details.get("kind"))
-    assert kinds == {None, "sum", "intersection"}
+                _assert_refused(ring, {(x, y): value})
+                corrupted += 1
+    assert corrupted == {"z12": 244, "tri(z2,2)": 100}[ring.construction]  # 344 in all
 
 
 def test_pseudo_consequences_z4():
