@@ -226,23 +226,23 @@ def fg_ideal(R: FiniteRing, side: Side, generators: Sequence[int]) -> int:
     if not generators:
         raise ValueError("generator list must be nonempty")
     ring, tables = _resolve(R, side)
-    masks, pri_id = tables.masks, tables.pri_id
-    result = masks[pri_id[_check_element(ring, generators[0])]]
-    for g in generators[1:]:
-        result = subgroup_sum(ring, result, masks[pri_id[_check_element(ring, g)]])
+    result = 1 << ring.zero
+    for g in generators:
+        result = subgroup_sum(ring, result, tables.masks[tables.pri_id[_check_element(ring, g)]])
     return result
 
 
 def is_ideal(R: FiniteRing, side: Side, mask: int) -> bool:
-    """True iff the mask is an additive subgroup absorbing the side's multiplication."""
-    ring, _ = _resolve(R, side)
+    """True iff the mask holds zero and is the sum of its members' principal ideals (``a ∈ Ra``)."""
+    ring, tables = _resolve(R, side)
     if not (mask >> ring.zero) & 1:
         return False
     _check_mask(ring, mask)
-    inside = _bool_from_mask(mask, ring.order)
-    members = np.flatnonzero(inside)
-    return bool(inside[ring.add_table[np.ix_(members, members)]].all()
-                and inside[ring.mul_table[:, members]].all())
+    total = 1 << ring.zero
+    for i in _distinct(tables.pri_id[_bool_from_mask(mask, ring.order)]).tolist():
+        if tables.masks[i] & ~mask or (total := subgroup_sum(ring, total, tables.masks[i])) & ~mask:
+            return False
+    return True
 
 
 def all_ideals(R: FiniteRing, side: Side, cap: int | None = None) -> list[int]:

@@ -190,6 +190,10 @@ class FiniteRing:
     def __hash__(self) -> int:
         return hash((self.order, self.zero, self.one, self.construction))
 
+    def __reduce__(self):  # unpickled through _ring: read-only tables, an empty cache
+        return _ring, (self.order, self.add_table, self.mul_table, self.zero, self.one,
+                       self.labels, self.construction)
+
     @property
     def neg_table(self) -> np.ndarray:
         """Read-only ``uint16`` array whose entry ``a`` is the index of ``-a``."""
@@ -230,10 +234,10 @@ class FiniteRing:
 
 def _ring(order: int, add: np.ndarray, mul: np.ndarray, zero: int, one: int,
           labels: Sequence[str], construction: str | None = None) -> FiniteRing:
-    """``FiniteRing`` on read-only ``uint16`` tables proved to be a ring: no check, no copy."""
+    """``FiniteRing`` on tables proved to be a ring, frozen as ``uint16``: no check, no copy."""
     R = object.__new__(FiniteRing)
-    R.__dict__.update(order=order, add_table=add, mul_table=mul, zero=zero, one=one,
-                      labels=labels, construction=construction, _cache={})
+    R.__dict__.update(order=order, add_table=_frozen(add), mul_table=_frozen(mul), zero=zero,
+                      one=one, labels=labels, construction=construction, _cache={})
     return R
 
 
@@ -461,7 +465,7 @@ def make_zmod(n: int) -> FiniteRing:
         np.remainder(idx[rows, None] + idx, n, out=add[rows], casting="unsafe")
         np.remainder(idx[rows, None] * idx, n, out=mul[rows], casting="unsafe")
     one = 1 if n > 1 else 0
-    return _ring(n, _frozen(add), _frozen(mul), 0, one, _numerals(n), f"z{n}")
+    return _ring(n, add, mul, 0, one, _numerals(n), f"z{n}")
 
 
 def _is_prime(p: int) -> bool:
@@ -662,8 +666,8 @@ def _structure_ring(parts: Sequence, rules: Sequence[tuple[int, int, int, object
             columns = np.broadcast_to(index(products), (len(block), m))
             gathered = _gather(add, columns[:, :, None], block[:, None, :size])
             block[:, : m * size] = gathered.reshape(len(block), -1)
-    return _ring(n, _frozen(add), _frozen(mul), int(index(zero)), int(index(one)),
-                 _Labels(label, orders), construction)
+    return _ring(n, add, mul, int(index(zero)), int(index(one)), _Labels(label, orders),
+                 construction)
 
 
 def direct_product(rings: Sequence[FiniteRing]) -> FiniteRing:
@@ -903,7 +907,7 @@ def pierce_corner(R: FiniteRing, e: int) -> FiniteRing:
     members = _distinct(mul[mul[e], e])
     pos = _positions(R, members)
     corner = np.ix_(members, members)
-    return _ring(members.size, _frozen(pos[R.add_table[corner]]), _frozen(pos[mul[corner]]),
+    return _ring(members.size, pos[R.add_table[corner]], pos[mul[corner]],
                  int(pos[R.zero]), int(pos[e]), _member_labels(R.labels, members.tolist()))
 
 

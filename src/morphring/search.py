@@ -1,11 +1,11 @@
 """The open-question falsifier: a left pseudo-morphic ring that is not left quasi-morphic.
 
-``search`` scans a corpus of rings for one, re-validates any hit with raw
-set scans, and fingerprints the corpus with SHA-256.  The module needs the
-classifier and the ring type only, so a search process never compiles the
-theorem checks of ``verify``.  The fingerprint uses the interpreter's
-built-in SHA-256, so no search loads OpenSSL's ``libcrypto`` through
-``hashlib``, which is used only when the built-in module is missing.
+``search`` scans a corpus of rings for one, re-validates any hit with the
+definitions in ``check``, and fingerprints the corpus with SHA-256.  The
+module needs the classifier and the ring type only, so a search process
+never compiles the theorem checks of ``verify``.  The fingerprint uses the
+interpreter's built-in SHA-256, so no search loads OpenSSL's ``libcrypto``
+through ``hashlib``, which is used only when the built-in module is missing.
 """
 
 from __future__ import annotations
@@ -32,31 +32,19 @@ def _expr(R: FiniteRing) -> str:
     return R.construction or f"<order-{R.order} ring>"
 
 
-def _raw_left_flags(R: FiniteRing) -> tuple[bool, bool]:
-    """(pseudo, generalized) by raw set scans, bypassing all cached tables."""
-    n = R.order
-    mul = R.mul_table.tolist()
-    pri = [frozenset(mul[x][a] for x in range(n)) for a in range(n)]
-    ann = [
-        frozenset(x for x in range(n) if mul[x][a] == R.zero)
-        for a in range(n)
-    ]
-    ann_set, pri_set = set(ann), set(pri)
-    pseudo = all(p in ann_set for p in pri)
-    generalized = all(a in pri_set for a in ann)
-    return pseudo, generalized
-
-
 def _search_hit(R: FiniteRing) -> dict | None:
     """Hit record if ``R`` looks left pseudo- but not quasi-morphic, else None.
 
-    Any hit is re-validated with raw scans independent of the classifier's
-    caches before being reported.
+    Any hit is re-validated by the definitions in ``check``, which share no
+    code or cache with the classifier, before being reported.  Only a hit
+    imports ``check``, so a clean search never loads it.
     """
     quasi = PREDICATES["left_quasi_morphic"](R)
     if not PREDICATES["left_pseudo_morphic"](R).status or quasi.status:
         return None
-    raw_pseudo, raw_generalized = _raw_left_flags(R)
+    from .check import left_flags
+
+    raw_pseudo, raw_generalized = left_flags(R.mul_table, R.zero)
     return {
         "expression": _expr(R),
         "quasi_counterexample": quasi.counterexample,

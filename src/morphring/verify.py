@@ -191,6 +191,12 @@ def verify_witness_identities(R: FiniteRing) -> tuple[str, dict]:
     lacking any witness are skipped and counted.  The first failing pair in
     row-major order is reported, its sum before its intersection, each
     triple of class masks decided by ``_sum_rule`` or ``_meet_rule``.
+    Both identities hold in every ring.  Sum: ``a1 b1 = 0`` and ``a2 b1 c =
+    0`` give ``⊇``; if ``x b1 c = 0``, then ``x b1 = r a2 b1`` for some ``r``,
+    so ``x - r a2 ∈ l(b1) = Ra1``.  Intersection: ``b1 a1 = 0`` and ``c b1 a2
+    = 0`` give ``⊇``; ``x = r b1`` with ``r b1 a2 = 0`` puts ``r`` in ``Rc``.
+    So, like ``annihilator_chain_equivalence``, this check is refuted only by
+    a fault in the class tables or the counting rules.
     """
     ring, tables = _resolve(R, Side.LEFT)
     masks = tables.masks

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import morphring.check as check
 import morphring.rings as rings
 from morphring import (
     BimoduleSpec,
@@ -96,29 +97,12 @@ def test_witnesses_satisfy_their_equations():
                     assert annihilator(R, side, [a]) == principal_ideal(R, side, b)
 
 
-def _raw_witnesses(R, side):
-    """Per element, its least pseudo, generalized and morphic witness or None, by set scans."""
-    n = R.order
-    mul = (R.mul_table if side is Side.LEFT else R.mul_table.T).tolist()
-    pri = [frozenset(mul[x][a] for x in range(n)) for a in range(n)]
-    ann = [frozenset(x for x in range(n) if mul[x][b] == R.zero) for b in range(n)]
-
-    def least(holds):
-        return next((b for b in range(n) if holds(b)), None)
-
-    return [(least(lambda b: ann[b] == pri[a]),
-             least(lambda b: pri[b] == ann[a]),
-             least(lambda b: ann[b] == pri[a] and pri[b] == ann[a])) for a in range(n)]
-
-
 def test_witness_vectors_match_set_scans_on_corpus():
-    from morphring.cli import build_ring, default_corpus, parse_ring_expr
-
     for text in default_corpus(128):
         R = build_ring(parse_ring_expr(text))
         profile = ring_morphic_profile(R)
         for side in Side:
-            raw = _raw_witnesses(R, side)
+            raw = check.witnesses(R.mul_table if side is Side.LEFT else R.mul_table.T, R.zero)
             for a, (pseudo, generalized, morphic) in enumerate(raw):
                 c = element_class(R, side, a)
                 assert (c.pseudo_witness, c.generalized_witness, c.morphic_witness) == \
@@ -233,19 +217,6 @@ def test_regularity_full_matrix_ring():
     assert all(M.mul(M.mul(E12, E12), x) != E12 for x in M.elements)
 
 
-# The element definitions that the class-table identities of
-# ``regularity_profile`` and ``commutation_profile`` replace, one element at a time.
-def _element_definitions(R):
-    mul, zero, one = R.mul_table, R.zero, R.one
-    units = np.flatnonzero(((mul == one) & (mul.T == one)).any(axis=1))
-    return {
-        "regular": lambda a: (mul[mul[a], a] == a).any(),                  # axa = a
-        "unit_regular": lambda a: (mul[mul[a, units], a] == a).any(),      # aua = a, u a unit
-        "strongly_regular": lambda a: (mul[mul[a, a]] == a).any(),         # a²x = a
-        "semiprime": lambda a: a == zero or (mul[mul[a], a] != zero).any(),  # aRa != 0
-    }
-
-
 @pytest.mark.parametrize("block", [None, 5], ids=["default blocks", "5 entries per block"])
 def test_class_table_flags_match_element_definitions(monkeypatch, block):
     # at 5 entries every block of the E·U gather is one idempotent row
@@ -255,7 +226,7 @@ def test_class_table_flags_match_element_definitions(monkeypatch, block):
         ring = build_ring(parse_ring_expr(text))
         for R in (ring, opposite(ring)):
             flags = {**vars(regularity_profile(R)), "semiprime": commutation_profile(R).semiprime}
-            for name, holds in _element_definitions(R).items():
+            for name, holds in check.element_definitions(R.mul_table, R.zero, R.one).items():
                 first = next((a for a in R.elements if not holds(a)), None)
                 assert (flags[name].status, flags[name].counterexample) == (first is None, first), \
                     (text, R is ring, name)
@@ -345,21 +316,6 @@ def _frobenius_trivext():
     return trivial_extension(F, M)
 
 
-def _least_symmetry_violation(R):
-    """The least ``(a, b, c)`` in row-major order with ``abc = 0`` but ``acb`` or
-    ``bac`` nonzero: the two transpositions generate every reordering."""
-    mul, zero, idx = R.mul_table, R.zero, np.arange(R.order)
-    for a in range(R.order):
-        abc = mul[mul[a][:, None], idx[None, :]]     # [b, c] = (ab)c
-        acb = mul[mul[a][None, :], idx[:, None]]     # [b, c] = (ac)b
-        bac = mul[mul[:, a][:, None], idx[None, :]]  # [b, c] = (ba)c
-        viol = (abc == zero) & ((acb != zero) | (bac != zero))
-        if viol.any():
-            b, c = np.argwhere(viol)[0]
-            return a, int(b), int(c)
-    return None
-
-
 def test_symmetric_scan_on_noncommutative_reversible_ring():
     # the block scan runs only on a noncommutative reversible ring. F2[Q8] and
     # its opposite are reversible and not symmetric (Marks, JPAA 2002); the
@@ -375,7 +331,7 @@ def test_symmetric_scan_on_noncommutative_reversible_ring():
         p = commutation_profile(ring)
         assert p.reversible.status is True
         assert p.symmetric.status is (violation is None)
-        assert p.symmetric.counterexample == violation == _least_symmetry_violation(ring)
+        assert p.symmetric.counterexample == violation == check.symmetry_violation(mul, ring.zero)
 
 
 def test_structural_zmod12():

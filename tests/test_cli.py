@@ -367,6 +367,15 @@ class TestTablesLoader:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: projected order exceeds the cap 3")
 
+    @pytest.mark.parametrize("body, line", [
+        ("0 1\n1 2\n0 0\n0 1\n0 0\n0 1\n", "module addition entries must lie in [0, 2)"),
+        ("0 1\n1 0\n0 0\n-1 1\n0 0\n0 1\n", "left action entries must lie in [0, 2)"),
+    ], ids=["addition", "left action"])
+    def test_entry_out_of_range_exits_2(self, tmp_path, capsys, body, line):
+        path = self._write(tmp_path, "2 2\n" + body)
+        assert run_command(["classify", f"trivext(z2,tables({path}))"]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+
     def test_no_additive_identity(self, tmp_path, capsys):
         path = self._write(tmp_path, "2 2\n1 1\n1 1\n0 0\n0 1\n0 0\n0 1\n")
         text = f"trivext(z2,tables({path}))"

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+import morphring.check as check
 import morphring.ideals as ideals_module
 import morphring.rings as rings_module
 from morphring import (
@@ -35,6 +36,9 @@ from morphring import (
     subgroup_sum,
     truncated_poly,
 )
+from morphring.classify import _bezout, _exchange_failure, _strongly_clean
+from morphring.cli import build_ring, default_corpus, parse_ring_expr, run_command
+from morphring.ideals import _resolve
 
 
 def T2():
@@ -223,15 +227,13 @@ def test_lattice_overflow_is_recorded(monkeypatch):
 
 
 def test_bezout_reads_the_one_lattice(monkeypatch):
-    from morphring.classify import _bezout
-
     # tri(z2,3) is not Bezout on either side; its lattices fit the default cap
     R = matrix_ring(make_zmod(2), 3, shape="lower_triangular")
-    rings = (R, opposite(R))
     flags = [_bezout(R, side) for side in Side]
-    assert [(flag.status, flag.counterexample) for flag in flags] == list(map(_ref_bezout, rings))
+    assert [(f.status, f.counterexample) for f in flags] == [check.bezout(*_raw(R, s)) for s in Side]
     monkeypatch.setattr(ideals_module, "subgroup_sum", None)  # no second enumeration
-    assert [all_ideals(R, side) for side in Side] == list(map(_ref_all_ideals, rings))
+    for side in Side:
+        assert all_ideals(R, side) == check.all_ideals(*_raw(R, side)), side
 
 
 def test_element_census_zmod4():
@@ -334,230 +336,101 @@ def test_triple_annihilator_identity():
             assert annihilator(R, Side.RIGHT, annihilator(R, Side.LEFT, right)) == right
 
 
-def test_side_tables_match_set_computations_on_corpus(monkeypatch):
-    from morphring.cli import build_ring, default_corpus, parse_ring_expr
-    from morphring.ideals import _resolve
+def _raw(R, side):  # (add, mul, zero) of R, the multiplication read on the side
+    return R.add_table, R.mul_table if side is Side.LEFT else R.mul_table.T, R.zero
 
+
+def test_side_tables_match_set_computations_on_corpus(monkeypatch):
     # at 5 entries every column block of the side tables is one column
     block_sizes = (rings_module._BLOCK_ENTRIES, 5)
     for text, block in ((text, block) for text in default_corpus(64) for block in block_sizes):
         monkeypatch.setattr(rings_module, "_BLOCK_ENTRIES", block)
         R = build_ring(parse_ring_expr(text))
-        rows = R.mul_table.tolist()
-        elements = range(R.order)
-        expected = {
-            # l(b) = {x : xb = 0} and Ra = {xa}
-            Side.LEFT: ([{x for x in elements if rows[x][b] == R.zero} for b in elements],
-                        [{rows[x][a] for x in elements} for a in elements]),
-            # r(b) = {x : bx = 0} and aR = {ax}
-            Side.RIGHT: ([{x for x in elements if rows[b][x] == R.zero} for b in elements],
-                         [{rows[a][x] for x in elements} for a in elements]),
-        }
-        for side, (ann_sets, pri_sets) in expected.items():
+        for side in Side:  # l(b) and Ra on the left, r(b) and aR on the right
+            _, mul, zero = _raw(R, side)
+            ann, pri = check.annihilators(mul, zero), check.principals(mul)
             _, tables = _resolve(R, side)
             masks = tables.masks
             assert all(m1 < m2 for m1, m2 in zip(masks, masks[1:])), (text, side)
-            assert set(masks) == {mask_of(s) for s in ann_sets + pri_sets}, (text, side)
+            assert set(masks) == set(ann + pri), (text, side)
             assert tables.index == {m: i for i, m in enumerate(masks)}, (text, side)
             for ids in (tables.ann_id, tables.pri_id, tables.ann_least, tables.pri_least):
                 assert ids.dtype == np.int32
-            assert [set(mask_members(masks[i])) for i in tables.ann_id] == ann_sets, (text, side)
-            assert [set(mask_members(masks[i])) for i in tables.pri_id] == pri_sets, (text, side)
-            for i, m in enumerate(masks):
-                members = set(mask_members(m))
-                for sets, least in ((ann_sets, tables.ann_least), (pri_sets, tables.pri_least)):
-                    generators = [c for c in elements if sets[c] == members]
-                    assert least[i] == (min(generators) if generators else -1), (text, side, m)
+            assert [masks[i] for i in tables.ann_id] == ann, (text, side)
+            assert [masks[i] for i in tables.pri_id] == pri, (text, side)
+            for per_element, least in ((ann, tables.ann_least), (pri, tables.pri_least)):
+                first = check.least(per_element)
+                assert least.tolist() == [first.get(m, -1) for m in masks], (text, side)
 
 
 def test_census_radical_and_clean_match_element_scans_on_corpus(monkeypatch):
-    from morphring.classify import _strongly_clean
-    from morphring.cli import build_ring, default_corpus, parse_ring_expr
-
     # at 5 entries every census block is one row
     block_sizes = (rings_module._BLOCK_ENTRIES, 5)
-
-    def built(text, flip):
-        ring = build_ring(parse_ring_expr(text))
-        return opposite(ring) if flip else ring
-
     for text, flip in ((text, flip) for text in default_corpus(64) for flip in (False, True)):
-        R = built(text, flip)
-        add, mul = R.add_table.tolist(), R.mul_table.tolist()
-        elements = range(R.order)
-        units = [a for a in elements
-                 if any(mul[a][b] == R.one == mul[b][a] for b in elements)]
-        idempotents = [a for a in elements if mul[a][a] == a]
-        nilpotents = []
-        for a in elements:
-            p = a
-            for _ in elements:
-                if p == R.zero:
-                    nilpotents.append(a)
-                    break
-                p = mul[p][a]
-        neg = [add[x].index(R.zero) for x in elements]
-        radical = [a for a in elements
-                   if all(add[R.one][neg[mul[x][a]]] in units for x in elements)]
-        clean = all(any(add[a][neg[e]] in units
-                        and mul[e][add[a][neg[e]]] == mul[add[a][neg[e]]][e]
-                        for e in idempotents) for a in elements)
+        expected = None
         for block in block_sizes:
             monkeypatch.setattr(rings_module, "_BLOCK_ENTRIES", block)
-            R = built(text, flip)
+            ring = build_ring(parse_ring_expr(text))
+            R = opposite(ring) if flip else ring
+            expected = expected or check.census(R.add_table, R.mul_table, R.zero, R.one)
             census = element_census(R)
-            assert mask_members(census.units) == units, (text, flip)
-            assert mask_members(census.idempotents) == idempotents, (text, flip)
-            assert mask_members(census.nilpotents) == nilpotents, (text, flip)
-            assert mask_members(jacobson_radical(R)) == radical, (text, flip)
-            assert _strongly_clean(R).status is clean, (text, flip)
-
-
-# Reference lattice engine: cyclic extension of subgroups over add rows for
-# ``subgroup_sum`` itself, and for the lattice, Bezout and exchange-law
-# references every sum ``A + B`` formed as the set ``{x + y}`` of all pairs.
-
-
-def _ref_subgroup_sum(add, m1, m2):
-    res = m1
-    for g in mask_members(m2):
-        if (res >> g) & 1:
-            continue
-        sub, shift = res, g
-        while not (res >> shift) & 1:
-            for x in mask_members(sub):
-                res |= 1 << add[x][shift]
-            shift = add[shift][g]
-    return res
-
-
-def _row_masks(member):
-    """The bit mask of each row of a boolean matrix."""
-    return [int.from_bytes(row.tobytes(), "little")
-            for row in np.packbits(member, axis=1, bitorder="little")]
-
-
-def _ref_sums(ring, xs, rest):
-    """The mask of ``{x + y}`` for ``x`` in ``xs`` and ``y`` in each element list of ``rest``."""
-    owner = np.repeat(np.arange(len(rest)), [len(ys) for ys in rest])
-    ys = np.array([y for members in rest for y in members], dtype=np.intp)
-    member = np.zeros((len(rest), ring.order), dtype=bool)
-    member[owner, ring.add_table[np.array(xs)[:, None], ys]] = True
-    return _row_masks(member)
-
-
-def _side_ring(R, side):
-    return opposite(R) if side is Side.RIGHT else R
-
-
-def _ref_principals(ring):
-    """Each distinct left principal ideal ``Ra`` (column ``a``) with its least ``a``, ascending."""
-    member = np.zeros((ring.order, ring.order), dtype=bool)
-    member[np.arange(ring.order)[:, None], ring.mul_table.T] = True
-    least = {}
-    for a, mask in enumerate(_row_masks(member)):
-        least.setdefault(mask, a)
-    return dict(sorted(least.items()))
-
-
-def _ref_annihilators(ring):
-    """The distinct left annihilators ``l(b)`` (the zeros of column ``b``)."""
-    return set(_row_masks(ring.mul_table.T == ring.zero))
-
-
-def _ref_all_ideals(ring):
-    """Breadth-first closure from {0} by single principal-ideal extensions."""
-    zero_mask = 1 << ring.zero
-    generators = {m: mask_members(m) for m in _ref_principals(ring) if m != zero_mask}
-    found = {zero_mask}
-    frontier = [zero_mask]
-    while frontier:
-        next_frontier = []
-        for ideal in frontier:
-            rest = [members for m, members in generators.items() if m & ~ideal]
-            for bigger in _ref_sums(ring, mask_members(ideal), rest):
-                if bigger not in found:
-                    found.add(bigger)
-                    next_frontier.append(bigger)
-        frontier = next_frontier
-    return sorted(found)
-
-
-def _ref_bezout(ring):
-    least = _ref_principals(ring)
-    masks = list(least)
-    members = [mask_members(m) for m in masks]
-    for i, m1 in enumerate(masks[:-1]):
-        for m2, total in zip(masks[i + 1 :], _ref_sums(ring, members[i], members[i + 1 :])):
-            if total not in least:
-                return False, (least[m1], least[m2])
-    return True, None
-
-
-def _ref_exchange_failure(R, side, ideals):
-    other = Side.RIGHT if side is Side.LEFT else Side.LEFT
-    members = [mask_members(annihilator(R, other, m)) for m in ideals]
-    for i, m1 in enumerate(ideals):
-        for m2, total in zip(ideals[i:], _ref_sums(R, members[i], members[i:])):
-            lhs = annihilator(R, other, m1 & m2)
-            if lhs != total:
-                return m1, m2, lhs, total
-    return None
+            for name in ("units", "idempotents", "nilpotents"):
+                assert getattr(census, name) == expected[name], (text, flip, name)
+            assert jacobson_radical(R) == expected["radical"], (text, flip)
+            assert _strongly_clean(R).status is expected["strongly_clean"], (text, flip)
 
 
 def _corpus(max_order):
-    from morphring.cli import build_ring, default_corpus, parse_ring_expr
-
     return [(text, build_ring(parse_ring_expr(text))) for text in default_corpus(max_order)]
 
 
-def test_subgroup_sum_matches_cyclic_extension_on_corpus():
+def test_subgroup_sum_matches_the_formed_sum_on_corpus():
     for text, R in _corpus(64):
-        add = R.add_table.tolist()
-        for side in (Side.LEFT, Side.RIGHT):
-            ring = _side_ring(R, side)
-            masks = sorted(set(_ref_principals(ring)) | _ref_annihilators(ring))
-            for m1 in masks:
-                for m2 in masks:
-                    assert subgroup_sum(ring, m1, m2) == _ref_subgroup_sum(add, m1, m2), text
+        for side in Side:
+            add, mul, zero = _raw(R, side)
+            masks = sorted(set(check.principals(mul)) | set(check.annihilators(mul, zero)))
+            elements = [check.members(m) for m in masks]
+            for m1, xs in zip(masks, elements):
+                assert [subgroup_sum(R, m1, m2) for m2 in masks] == check.sums(add, xs, elements), text
 
 
 def test_essential_and_singular_match_their_definitions_on_corpus():
     # Essential: meets every nonzero ideal of the reference lattice beyond
     # zero; singular: the elements whose annihilator on that side is essential.
     for text, R in _corpus(64):
-        for side in (Side.LEFT, Side.RIGHT):
-            ring = _side_ring(R, side)
-            rows = ring.mul_table.tolist()
-            zero_bit = 1 << ring.zero
-            lattice = _ref_all_ideals(ring)
+        for side in Side:
+            add, mul, zero = _raw(R, side)
+            lattice = check.all_ideals(add, mul, zero)
+            assert [is_essential(R, side, m) for m in lattice] == [
+                check.essential(lattice, zero, m) for m in lattice], text
+            assert singular_ideal(R, side) == check.singular(mul, zero, lattice), (text, side)
 
-            def essential(mask):
-                return all(mask & ideal & ~zero_bit for ideal in lattice if ideal != zero_bit)
 
-            assert [is_essential(R, side, m) for m in lattice] == [essential(m) for m in lattice], text
-            singular = mask_of(a for a in ring.elements
-                               if essential(mask_of(x for x in ring.elements if rows[x][a] == ring.zero)))
-            assert singular_ideal(R, side) == singular, (text, side)
+def test_is_ideal_matches_the_reference_lattice_on_corpus():
+    # An ideal less one nonzero member has |I| - 1 elements, so it is a
+    # subgroup only when |I| = 2, which leaves {0}
+    for text, R in _corpus(64):
+        for side in Side:
+            add, mul, zero = _raw(R, side)
+            for ideal in check.all_ideals(add, mul, zero):
+                assert is_ideal(R, side, ideal), (text, side, ideal)
+                for x in check.members(ideal & ~(1 << zero)):
+                    rest = ideal & ~(1 << x)
+                    assert is_ideal(R, side, rest) is (rest == 1 << zero), (text, side, rest)
 
 
 def test_lattice_engine_matches_pair_loops_on_corpus():
-    from morphring.classify import _bezout, _exchange_failure
-
     for text, R in _corpus(256):
-        for side in (Side.LEFT, Side.RIGHT):
-            ring = _side_ring(R, side)
+        for side in Side:
             lattice = all_ideals(R, side)
-            assert lattice == _ref_all_ideals(ring), (text, side)
+            assert lattice == check.all_ideals(*_raw(R, side)), (text, side)
             flag = _bezout(R, side)
-            assert (flag.status, flag.counterexample) == _ref_bezout(ring), (text, side)
-            assert _exchange_failure(R, side, lattice) == _ref_exchange_failure(R, side, lattice), (text, side)
+            assert (flag.status, flag.counterexample) == check.bezout(*_raw(R, side)), (text, side)
+            assert _exchange_failure(R, side, lattice) == check.exchange_failure(
+                *_raw(R, side), lattice), (text, side)
 
 
 def test_lattice_overflow_text_and_bezout_fallback(monkeypatch):
-    from morphring.classify import _bezout
-    from morphring.cli import build_ring, parse_ring_expr
-
     # z12 is Bezout on both sides, the others on neither
     for text in ("poly(z4,2)", "tri(z2,3)", "z12", "trivext(z8,ideal(2))"):
         for side in (Side.LEFT, Side.RIGHT):
@@ -570,15 +443,12 @@ def test_lattice_overflow_text_and_bezout_fallback(monkeypatch):
                 monkeypatch.setenv("IDEAL_LATTICE_CAP", str(cap))
                 fresh = build_ring(parse_ring_expr(text))
                 flag = _bezout(fresh, side)
-                assert (flag.status, flag.counterexample) == _ref_bezout(_side_ring(fresh, side)), (text, side, cap)
+                assert (flag.status, flag.counterexample) == check.bezout(*_raw(fresh, side)), (text, side, cap)
                 monkeypatch.delenv("IDEAL_LATTICE_CAP")
                 assert len(all_ideals(R, side, cap=size)) == size
 
 
 def test_bezout_ignores_the_lattice_cap(monkeypatch, capsys):
-    from morphring.classify import _bezout
-    from morphring.cli import build_ring, parse_ring_expr, run_command
-
     # 512 ideals per side, all principal, against a lattice cap of 100
     text = "prod(" + ",".join(["z2"] * 9) + ")"
     monkeypatch.setenv("IDEAL_LATTICE_CAP", "100")
@@ -586,7 +456,7 @@ def test_bezout_ignores_the_lattice_cap(monkeypatch, capsys):
     start = time.perf_counter()
     flags = [(flag.status, flag.counterexample) for flag in (_bezout(R, side) for side in Side)]
     assert time.perf_counter() - start < 2.0
-    assert flags == [_ref_bezout(R)] * 2 == [(True, None)] * 2  # commutative: one reference
+    assert flags == [check.bezout(*_raw(R, Side.LEFT))] * 2 == [(True, None)] * 2  # commutative
     assert run_command(["classify", text, "--json"]) == 0
     status = {r["predicate"]: r["status"] for r in map(json.loads, capsys.readouterr().out.splitlines())}
     assert status["bezout_left"] == status["bezout_right"] == "true"

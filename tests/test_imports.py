@@ -3,7 +3,8 @@
 The package re-exports its names lazily, and the command line imports the
 ring engine (numpy and the modules built on it) only for commands that
 build a ring, and ``qz`` only for ``qz``.  No command loads OpenSSL's
-``_hashlib``, and ``search`` does not load the theorem checks of ``verify``.
+``_hashlib`` or the definitional reference ``check``, and ``search`` does
+not load the theorem checks of ``verify``.
 Import graphs and thread counts are checked in fresh interpreters, since
 the test process itself has imported everything.
 """
@@ -50,7 +51,7 @@ _EXPORTED = {
              "truncated_poly zero_bimodule",
 }
 _ENGINE = ("numpy", "morphring.rings", "morphring.ideals", "morphring.classify",
-           "morphring.verify", "concurrent.futures.process")
+           "morphring.verify", "morphring.check", "concurrent.futures.process")
 
 
 def _loaded_after(code: str, watched) -> list[str]:
@@ -73,12 +74,13 @@ def test_qz_command_loads_no_ring_engine_and_no_pool():
                                   ["search", "--max-order", "16", "--json"]], ids=" ".join)
 def test_ring_commands_load_no_qz(argv):
     code = f"from morphring.cli import run_command\nrun_command({argv!r})"
-    assert _loaded_after(code, ["morphring.qz"]) == []
+    assert _loaded_after(code, ["morphring.qz", "morphring.check"]) == []
 
 
 @pytest.mark.parametrize("argv, unloaded", [
-    (["search", "--max-order", "16", "--json"], ["morphring.verify", "_hashlib"]),
-    (["verify", "tri(z2,2)", "--json"], ["_hashlib"]),
+    (["search", "--max-order", "16", "--json"],
+     ["morphring.verify", "morphring.check", "_hashlib"]),
+    (["verify", "tri(z2,2)", "--json"], ["morphring.check", "_hashlib"]),
 ], ids=["search", "verify"])
 def test_ring_commands_load_no_openssl_and_search_no_theorem_checks(argv, unloaded):
     code = f"from morphring.cli import run_command\nassert run_command({argv!r}) == 0"

@@ -12,6 +12,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import morphring.check as check
 import morphring.rings as rings
 from morphring import (
     BimoduleSpec,
@@ -20,6 +21,7 @@ from morphring import (
     Side,
     check_bimodule,
     check_ring_axioms,
+    classify_ring,
     direct_product,
     formal_triangular,
     ideal_bimodule,
@@ -35,6 +37,7 @@ from morphring import (
     truncated_poly,
     zero_bimodule,
 )
+from morphring.cli import _RINGS, build_ring, parse_ring_expr
 
 
 def test_zmod4_axioms_hold():
@@ -221,12 +224,7 @@ def test_full_matrix_ring_m2_z2():
     M = matrix_ring(make_zmod(2), 2)
     assert M.order == 16
     assert check_ring_axioms(M.add_table, M.mul_table, M.zero, M.one).ok
-    units = sum(
-        1
-        for a in M.elements
-        if any(M.mul(a, b) == M.one and M.mul(b, a) == M.one for b in M.elements)
-    )
-    assert units == 6
+    assert check.census(M.add_table, M.mul_table, M.zero, M.one)["units"].bit_count() == 6
     # row-major, first entry most significant: E11 = 8, E12 = 4, E21 = 2, E22 = 1
     assert M.one == 8 + 1
     assert M.mul(4, 2) == 8  # E12 E21 = E11
@@ -245,8 +243,7 @@ def test_lower_triangular_t2_z2():
     assert T.mul(E21, E11) == E21
     assert T.mul(E11, E21) == T.zero
     assert T.mul(E21, E21) == T.zero
-    units = [a for a in T.elements if any(T.mul(a, b) == T.one and T.mul(b, a) == T.one for b in T.elements)]
-    assert len(units) == 2
+    assert check.census(T.add_table, T.mul_table, T.zero, T.one)["units"].bit_count() == 2
     assert T.construction == "tri(z2,2)"
 
 
@@ -601,8 +598,6 @@ _TABLE_SHA256 = {
 
 
 def test_tables_above_order_256_match_recorded_digests():
-    from morphring.cli import build_ring, parse_ring_expr
-
     fields = {f"gf({p},{k})" for p in range(2, 4097) if all(p % d for d in range(2, p))
               for k in range(2, 13) if 256 < p**k <= 4096}
     assert fields | {"poly(z2,11)", "tri(z2,4)"} == set(_TABLE_SHA256)
@@ -616,8 +611,6 @@ def test_tables_above_order_256_match_recorded_digests():
 
 
 def test_building_a_ring_names_no_element(monkeypatch):
-    from morphring.cli import build_ring, parse_ring_expr
-
     named = []
     init = rings._Labels.__init__
 
@@ -660,6 +653,18 @@ def test_labels_read_like_the_tuple_and_pickle_as_it():
         R.labels[64]
     copy = pickle.loads(pickle.dumps(R))
     assert copy == R and type(copy.labels) is tuple and copy.labels == eager
+
+
+@pytest.mark.parametrize("text", ["z8", "tri(z2,2)"])
+def test_a_pickled_ring_is_rebuilt_read_only_with_an_empty_cache(text):
+    # a cached opposite, which refers back weakly, and the _per_ring keys of
+    # a classification once made pickle.dumps fail
+    R = build_ring(parse_ring_expr(text))
+    for ring in (R, opposite(R)):
+        classify_ring(ring)
+        copy = pickle.loads(pickle.dumps(ring))
+        assert copy == ring and copy._cache == {}
+        assert not (copy.add_table.flags.writeable or copy.mul_table.flags.writeable)
 
 
 # ---------------------------------------------------------------------------
@@ -793,54 +798,6 @@ def test_constructors_match_their_definition_on_digit_tuples(name):
     assert all(row[ring.one] == x for x, row in enumerate(rows))
 
 
-# The whole-array checks that preceded the row-block scans, kept as
-# references: every comparison is formed in full, and its witness is the
-# first entry that differs, found by argwhere.
-def _reference_check(laws):
-    for axiom, lhs, rhs in laws:
-        bad = np.argwhere(lhs != rhs)
-        if bad.size:
-            return (False, axiom, tuple(int(v) for v in bad[0]))
-    return (True, None, None)
-
-
-def _reference_group_laws(add, zero, prefix):
-    return [
-        (f"{prefix}add_identity", add[zero], np.arange(len(add))),
-        (f"{prefix}add_inverse", (add == zero).any(axis=1), True),
-        (f"{prefix}add_commutative", add, add.T),
-        (f"{prefix}add_associative", add[add], add[:, add]),
-    ]
-
-
-def _reference_ring_axioms(add, mul, zero, one):
-    idx = np.arange(len(add))
-    return _reference_check(_reference_group_laws(add, zero, "") + [
-        ("identity", mul[one], idx),
-        ("identity", mul[:, one], idx),
-        ("mul_associative", mul[mul], mul[:, mul]),
-        ("left_distributive", mul[:, add], add[mul[:, :, None], mul[:, None, :]]),
-        ("right_distributive", mul[add], add[mul[:, None, :], mul[None, :, :]]),
-    ])
-
-
-def _reference_bimodule(R, M, S):
-    add, lact, ract = M.add_table, M.left_action, M.right_action
-    idx = np.arange(M.order)
-    return _reference_check(_reference_group_laws(add, M.zero, "module_") + [
-        ("left_action_additive_in_module", lact[:, add], add[lact[:, :, None], lact[:, None, :]]),
-        ("left_action_additive_in_ring", lact[R.add_table], add[lact[:, None, :], lact[None]]),
-        ("left_action_associative", lact[R.mul_table], lact[:, lact]),
-        ("right_action_additive_in_module", ract[add], add[ract[:, None, :], ract[None]]),
-        ("right_action_additive_in_ring", ract[:, S.add_table],
-         add[ract[:, :, None], ract[:, None, :]]),
-        ("right_action_associative", ract[:, S.mul_table], ract[ract]),
-        ("action_compatible", ract[lact], lact[:, ract]),
-        ("left_action_unital", lact[R.one], idx),
-        ("right_action_unital", ract[:, S.one], idx),
-    ])
-
-
 def _corruptions(tables, orders):
     """``tables``, then each copy with one entry of one table set to another value.
 
@@ -907,7 +864,7 @@ def test_axiom_scans_match_whole_table_checks_under_every_corruption(monkeypatch
     if block is not None:
         monkeypatch.setattr(rings, "_BLOCK_ENTRIES", block)
     for add, mul in _corruptions((add, mul), (len(add), len(add))):
-        expected = _reference_ring_axioms(add, mul, zero, one)
+        expected = check.ring_axioms(add, mul, zero, one)  # each law over the whole table
         assert check_ring_axioms(add, mul, zero, one) == expected, expected
 
 
@@ -941,7 +898,8 @@ def test_bimodule_scans_match_whole_table_checks_under_every_corruption(monkeypa
         # a corrupted ring is no FiniteRing: what check_bimodule reads of one
         left, right = (types.SimpleNamespace(order=A.order, add_table=a, mul_table=m, one=A.one)
                        for A, a, m in ((R, radd, rmul), (S, sadd, smul)))
-        expected = _reference_bimodule(left, bad, right)
+        expected = check.bimodule_axioms(add, lact, ract, M.zero, (radd, rmul, R.one),
+                                         (sadd, smul, S.one))
         assert check_bimodule(left, bad, right) == expected, expected
 
 
@@ -964,11 +922,11 @@ def _assert_refused(R, patches):
     mul = R.mul_table.copy()
     for entry, value in patches.items():
         mul[entry] = value
-    check = check_ring_axioms(R.add_table, mul, R.zero, R.one)
-    assert not check.ok
+    axioms = check_ring_axioms(R.add_table, mul, R.zero, R.one)
+    assert not axioms.ok
     with pytest.raises(ValueError) as refused:
         FiniteRing(R.order, R.add_table, mul, R.zero, R.one, R.labels)
-    assert str(refused.value) == f"tables violate ring axiom {check.axiom} at {check.witness}"
+    assert str(refused.value) == f"tables violate ring axiom {axioms.axiom} at {axioms.witness}"
 
 
 # Multiplication patches that tests once handed to the engine as hand-made
@@ -991,8 +949,6 @@ _ONCE_ACCEPTED = {
 
 @pytest.mark.parametrize("case", list(_ONCE_ACCEPTED))
 def test_a_direct_construction_refuses_tables_that_are_not_a_ring(case):
-    from morphring.cli import build_ring, parse_ring_expr
-
     text, patches = _ONCE_ACCEPTED[case]
     _assert_refused(build_ring(parse_ring_expr(text)), patches)
 
@@ -1011,8 +967,6 @@ def test_a_direct_construction_keeps_its_own_copy_of_the_tables():
 
 
 def test_only_a_direct_construction_checks_the_axioms(monkeypatch):
-    from morphring.cli import _RINGS, build_ring, parse_ring_expr
-
     calls = []
     for name in ("_validate_tables", "_ring_axioms"):
         real = getattr(rings, name)

@@ -2,7 +2,6 @@
 
 import contextlib
 import hashlib
-import operator
 import signal
 import time
 import tracemalloc
@@ -10,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import morphring.check as check
 import morphring.verify as verify_module
 from morphring import (
     CornerCase,
@@ -44,7 +44,7 @@ from morphring import (
     verify_witness_identities,
 )
 from morphring.classify import PREDICATES
-from morphring.search import _raw_left_flags
+from morphring.cli import build_ring, default_corpus, parse_ring_expr
 
 Z4 = make_zmod(4)
 Z6 = make_zmod(6)
@@ -116,108 +116,16 @@ def test_witness_identities_full_coverage_matrix_ring():
     assert report.details["checked_sum"] == 256
 
 
-# Reference element-pair checks for the two checks that work over class ids:
-# every l(b) and Ra as a mask per element, with first-generator dicts, all
-# read off the raw table, and each witness identity evaluated on every pair
-# of elements at once.  The reference forms every sum with
-# ``verify.subgroup_sum``, where the check decides sums by counting.
-
-
-def _row_masks(member):
-    """The bit mask of each row of a boolean matrix."""
-    return [int.from_bytes(row.tobytes(), "little")
-            for row in np.packbits(member, axis=1, bitorder="little")]
-
-
-def _ref_tables(R):
-    n = R.order
-    mul = R.mul_table
-    member = np.zeros((n, n), dtype=bool)
-    member[np.arange(n)[:, None], mul.T] = True
-    pri = _row_masks(member)                  # Ra: column a as a set
-    ann = _row_masks(mul.T == R.zero)         # l(b): the zeros of column b
-    ann_first, ann_members, pri_first = {}, {}, {}
-    for b, m in enumerate(ann):
-        ann_first.setdefault(m, b)
-        ann_members.setdefault(m, []).append(b)
-    for a, m in enumerate(pri):
-        pri_first.setdefault(m, a)
-    return mul, pri, ann, ann_first, ann_members, pri_first
-
-
-def _ref_lemma(R):
-    _, pri, ann, ann_first, ann_members, _ = _ref_tables(R)
-    both_true = 0
-    for a in range(R.order):
-        candidates = ann_members.get(pri[a], ())
-        pred2 = any(pri[c] in ann_first for c in candidates)
-        pred3 = any(any(pri[d] in ann_first for d in ann_members.get(ann[c], ()))
-                    for c in candidates)
-        if pred2 != pred3:
-            return "refuted", {"element": a, "direct_form": pred2, "isomorphism_form": pred3}
-        both_true += pred2
-    return "verified", {"elements": R.order, "satisfying_both": both_true}
-
-
-def _ref_identity(table, masks, first, dual, combine):
-    """One witness identity on every pair of elements ``(a1, a2)`` at once.
-
-    ``b1``, ``b2`` are the least ``b`` with ``dual[b]`` equal to ``masks[a1]``,
-    ``masks[a2]``, and ``c`` the one for ``masks[table[a2, b1]]`` (-1 for
-    none).  Returns whether all three exist, whether then
-    ``combine(masks[a1], masks[a2]) == dual[table[b1, c]]``, and ``b1, b2, c``.
-    """
-    n = len(masks)
-    least = np.array([first.get(m, -1) for m in masks])
-    b1, b2 = np.meshgrid(least, least, indexing="ij")
-    c = least[table[np.arange(n)[None, :], b1]]
-    checked = (b1 >= 0) & (b2 >= 0) & (c >= 0)
-    ids = {}  # every mask met, numbered in order
-    x = np.array([ids.setdefault(m, len(ids)) for m in masks])
-    distinct = list(ids)
-    met, where = np.unique((x[:, None] * n + x[None, :])[checked], return_inverse=True)
-    lhs = np.full((n, n), -1)  # each pair of masks is combined once
-    lhs[checked] = np.array([ids.setdefault(combine(distinct[k // n], distinct[k % n]), len(ids))
-                             for k in met.tolist()], dtype=np.int64)[where]
-    rhs = np.array([ids.setdefault(m, len(ids)) for m in dual])[table[b1, c]]
-    return checked, ~checked | (lhs == rhs), (b1, b2, c)
-
-
-def _ref_witnesses(R):
-    mul, pri, ann, ann_first, _, pri_first = _ref_tables(R)
-    n = R.order
-    # sum: Ra1 + Ra2 = l(b1 c); intersection: l(a1) & l(a2) = R(c b1), the transposed table
-    kinds = (("sum", mul, pri, ann_first, ann,
-              lambda m1, m2: verify_module.subgroup_sum(R, m1, m2)),
-             ("intersection", mul.T, ann, pri_first, pri, operator.and_))
-    results = [_ref_identity(*kind[1:]) for kind in kinds]
-    # pairs in order, the sum before the intersection of the same pair
-    bad = np.stack([~ok for _, ok, _ in results], axis=-1)
-    if bad.any():
-        a1, a2, k = (int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
-        kind, table, masks, _, dual, combine = kinds[k]
-        b1, b2, c = (int(w[a1, a2]) for w in results[k][2])
-        return "refuted", {"kind": kind, "pair": [a1, a2], "witnesses": [b1, b2, c],
-                           "lhs": combine(masks[a1], masks[a2]), "rhs": dual[table[b1, c]]}
-    checked_sum, checked_meet = (int(checked.sum()) for checked, _, _ in results)
-    return "verified", {"checked_sum": checked_sum, "skipped_sum": n * n - checked_sum,
-                        "checked_intersection": checked_meet,
-                        "skipped_intersection": n * n - checked_meet}
-
-
-def _agrees_with_reference(R):
-    for check, reference in ((verify_lemma_equivalences, _ref_lemma),
-                             (verify_witness_identities, _ref_witnesses)):
-        report = check(R)
-        assert (report.status, report.details) == reference(R), (R, check.__name__)
-    return report
-
-
 def test_class_id_checks_match_element_pair_loops_on_corpus():
-    from morphring.cli import build_ring, default_corpus, parse_ring_expr
-
+    # the two checks that work over class ids, against their definitions in check
     for text in default_corpus(256):
-        assert _agrees_with_reference(build_ring(parse_ring_expr(text))).status == "verified", text
+        R = build_ring(parse_ring_expr(text))
+        for verify, expected in ((verify_lemma_equivalences, check.lemma(R.mul_table, R.zero)),
+                                 (verify_witness_identities,
+                                  check.witness_identities(R.add_table, R.mul_table, R.zero))):
+            report = verify(R)
+            assert (report.status, report.details) == expected, (text, verify.__name__)
+            assert report.status == "verified", text
 
 
 def _assert_refused(ring, patches):
@@ -226,17 +134,19 @@ def _assert_refused(ring, patches):
     mul = ring.mul_table.copy()
     for entry, value in patches.items():
         mul[entry] = value
-    check = check_ring_axioms(ring.add_table, mul, ring.zero, ring.one)
-    assert not check.ok
+    axioms = check_ring_axioms(ring.add_table, mul, ring.zero, ring.one)
+    assert not axioms.ok
     with pytest.raises(ValueError) as refused:
         FiniteRing(ring.order, ring.add_table, mul, ring.zero, ring.one, ring.labels)
-    assert str(refused.value) == f"tables violate ring axiom {check.axiom} at {check.witness}"
+    assert str(refused.value) == f"tables violate ring axiom {axioms.axiom} at {axioms.witness}"
 
 
 def _row_major_triples(R):
     """Per pair ``(a1, a2)`` in row-major order: the sum triple ``(Ra1, Ra2, l(b1 c))`` of
     masks, or None when a witness is missing, and the pair's reference witnesses."""
-    mul, pri, ann, ann_first, _, _ = _ref_tables(R)
+    mul = R.mul_table
+    pri, ann = check.principals(mul), check.annihilators(mul, R.zero)
+    ann_first = check.least(ann)
     for a1 in R.elements:
         for a2 in R.elements:
             b1, b2 = ann_first.get(pri[a1]), ann_first.get(pri[a2])
@@ -831,7 +741,7 @@ def test_heredity_corner_rejects_non_idempotent():
 
 def test_raw_flags_agree_with_classifier():
     for ring in (Z4, Z6, T2, M2, P2, TE):
-        raw_pseudo, raw_generalized = _raw_left_flags(ring)
+        raw_pseudo, raw_generalized = check.left_flags(ring.mul_table, ring.zero)
         profile = ring_morphic_profile(ring).left
         assert raw_pseudo == bool(profile.pseudo.status)
         assert raw_generalized == bool(profile.generalized.status)
