@@ -214,41 +214,38 @@ def _load_bimodule_tables(path: str, base: FiniteRing) -> BimoduleSpec:
     Format: first line ``m |R|``, then an m-by-m addition table, an
     |R|-by-m left action, and an m-by-|R| right action, all as element
     indices.  A header whose extension ``m * |R|`` exceeds ``order_cap()``
-    is refused before the body is parsed.  The bimodule axioms are checked
-    by ``trivial_extension``, after the order cap.
+    is refused before the body is parsed.  ``BimoduleSpec`` checks the
+    entries' range; the bimodule axioms are checked by ``trivial_extension``,
+    after the order cap.
     """
+    import numpy as np
+
     from .rings import BimoduleSpec, _Labels
 
     with open(path, encoding="utf-8") as handle:
         head = handle.read().split(maxsplit=2)
     if len(head) < 2:
         raise ValueError(f"table file {path!r} is missing its header")
-    m, ring_order = int(head[0]), int(head[1])
-    if ring_order != base.order:
+    m, n = int(head[0]), int(head[1])
+    if n != base.order:
         raise ValueError(
-            f"table file {path!r} declares ring order {ring_order}, "
-            f"but the base ring has order {base.order}")
-    if m * base.order > order_cap():
+            f"table file {path!r} declares ring order {n}, but the base ring has order {base.order}")
+    if m * n > order_cap():
         raise _over_cap()
-    body = [int(tok) for tok in head[2].split()] if len(head) > 2 else []
-    expected = m * m + base.order * m + m * base.order
-    if len(body) != expected:
-        raise ValueError(
-            f"table file {path!r} has {len(body)} entries, expected {expected}")
-    add = tuple(tuple(body[i * m:(i + 1) * m]) for i in range(m))
-    offset = m * m
-    left = tuple(tuple(body[offset + r * m:offset + (r + 1) * m])
-                 for r in range(base.order))
-    offset += base.order * m
-    right = tuple(tuple(body[offset + i * base.order:offset + (i + 1) * base.order])
-                  for i in range(m))
-    zero = next((e for e in range(m) if all(add[e][x] == x for x in range(m))), None)
-    if zero is None:
+    tokens = head[2].split() if len(head) > 2 else []
+    # an entry clamped to [-1, m] lies outside [0, m) exactly when it did, and fits int64
+    body = np.array([min(max(int(tok), -1), m) for tok in tokens], dtype=np.int64)
+    if len(body) != (expected := m * m + 2 * n * m):
+        raise ValueError(f"table file {path!r} has {len(body)} entries, expected {expected}")
+    if m < 0:  # a negative m passes the count with m(m + 2|R|) entries
         raise ValueError(f"table file {path!r} has no additive identity")
-    return BimoduleSpec(
-        order=m, add_table=add, left_action=left, right_action=right,
-        zero=zero, labels=_Labels(lambda d: f"m{d[0]}", (m,)),
-        description=f"tables({path})")
+    add, left, right = (part.reshape(shape) for part, shape in zip(
+        np.split(body, [m * m, m * m + n * m]), ((m, m), (n, m), (m, n))))
+    zeros = np.flatnonzero((add == np.arange(m)).all(axis=1))
+    if not zeros.size:
+        raise ValueError(f"table file {path!r} has no additive identity")
+    return BimoduleSpec(m, add, left, right, int(zeros[0]), _Labels(lambda d: f"m{d[0]}", (m,)),
+                        f"tables({path})")
 
 
 def _arguments(expr: RingExpr, built: dict, walk: Callable) -> tuple:

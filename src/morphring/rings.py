@@ -252,26 +252,14 @@ def _per_ring(compute: Callable) -> Callable:
     return cached
 
 
-def _as_indices(table) -> np.ndarray:
-    """``table`` as a ``uint16`` array, with no copy when it already is one.
-
-    Raises ``ValueError`` on an entry outside ``[0, 65536)`` rather than
-    letting the cast wrap it.
-    """
+def _frozen(table) -> np.ndarray:
+    """``table`` as a read-only ``uint16`` array, with no copy when it already is one;
+    an entry outside ``[0, 65536)`` raises ``ValueError`` rather than wrapping."""
     out = np.asarray(table)
     if out.dtype != _TABLE_DTYPE:
         if out.size and (out.min() < 0 or out.max() >= _INDEX_LIMIT):
             raise ValueError(f"table entries must lie in [0, {_INDEX_LIMIT}) to fit uint16")
         out = out.astype(_TABLE_DTYPE)
-    return out
-
-
-def _frozen(table) -> np.ndarray:
-    """``table`` as a read-only ``uint16`` array (no copy when it already is one).
-
-    Raises ``ValueError`` on an entry outside ``[0, 65536)``; nothing wraps.
-    """
-    out = _as_indices(table)
     out.flags.writeable = False
     return out
 
@@ -596,7 +584,8 @@ def _structure_ring(parts: Sequence, rules: Sequence[tuple[int, int, int, object
                     construction: str | None, what: str) -> FiniteRing:
     """The ring on a direct sum of abelian groups with a biadditive product.
 
-    ``parts`` are the additive tables of the components.  An element is a
+    ``parts`` are the additive tables of the components; every part and
+    rule table is a ring's or a ``BimoduleSpec``'s ``uint16`` array.  An element is a
     digit tuple ``(x_0, ..., x_{P-1})``, digit ``p`` an index into part
     ``p``, and its index is the mixed-radix number with the first digit
     most significant; this is the one element encoding of ``make_gf`` and
@@ -633,12 +622,11 @@ def _structure_ring(parts: Sequence, rules: Sequence[tuple[int, int, int, object
     orders = [len(part) for part in parts]
     n = math.prod(orders)
     _require_order(n, what)
-    parts = [_as_indices(part) for part in parts]
     strides = [math.prod(orders[q + 1:]) for q in range(len(orders))]
     # rules_at[j]: the rules whose right factor is digit j, as (i, t, table)
     rules_at = [[] for _ in parts]
     for i, j, t, table in rules:
-        rules_at[j].append((i, t, _as_indices(table)))
+        rules_at[j].append((i, t, table))
 
     def index(digit_tuple: Sequence) -> np.integer | np.ndarray:
         return sum(np.multiply(d, s, dtype=np.int32) for d, s in zip(digit_tuple, strides))
@@ -750,12 +738,11 @@ class BimoduleSpec:
     """An explicit bimodule: abelian group tables plus two action tables.
 
     ``left_action[r, m]`` is the module index of ``r . m`` for a ring index
-    ``r``; ``right_action[m, s]`` is ``m . s``.  No implicit coercions:
-    every action is a full table.  The constructors here give read-only
-    ``uint16`` arrays, so a module has at most 65,536 elements;
-    ``check_bimodule`` also accepts nested integer sequences, so that a
-    hand-written spec can be validated before use.  The ring builders take
-    every table as ``uint16`` and refuse an entry that does not fit.
+    ``r``; ``right_action[m, s]`` is ``m . s``; every action is a full table.
+    Construction checks that ``add_table`` is ``order x order``, that every
+    entry is an integer in ``[0, order)`` and that ``zero`` is one, and keeps
+    read-only ``uint16`` tables: a ``uint16`` array is kept and made
+    read-only, any other is converted; ``check_bimodule`` checks the rest.
     """
 
     order: int
@@ -766,27 +753,36 @@ class BimoduleSpec:
     labels: Sequence[str]
     description: str | None = None
 
+    def __post_init__(self) -> None:
+        m, shape = self.order, np.shape(self.add_table)
+        if shape != (m, m):
+            raise ValueError(f"module addition table shape {shape} != ({m}, {m})")
+        if m > _INDEX_LIMIT:
+            raise ValueError(f"order {m} is above {_INDEX_LIMIT}, the most a uint16 table can index")
+        if not 0 <= self.zero < m:
+            raise ValueError(f"zero index {self.zero} out of range [0, {m})")
+        for attr, name in (("add_table", "module addition"), ("left_action", "left action"),
+                           ("right_action", "right action")):
+            t = np.asarray(getattr(self, attr))
+            if not np.issubdtype(t.dtype, np.integer):
+                raise ValueError(f"{name} entries must be integer element indices")
+            if t.size and (t.min() < 0 or t.max() >= m):
+                raise ValueError(f"{name} entries must lie in [0, {m})")
+            object.__setattr__(self, attr, _frozen(t.astype(_TABLE_DTYPE, copy=False)))
 
-def check_bimodule(left_ring: FiniteRing, M: BimoduleSpec, right_ring: FiniteRing) -> AxiomCheck:
-    """Validate the abelian group and both unital, compatible actions."""
-    m = M.order
-    add = np.asarray(M.add_table)
-    if add.shape != (m, m):
-        raise ValueError(f"module addition table shape {add.shape} != ({m}, {m})")
-    lact = np.asarray(M.left_action)
-    ract = np.asarray(M.right_action)
-    if lact.shape != (left_ring.order, m):
-        raise ValueError(f"left action shape {lact.shape} != ({left_ring.order}, {m})")
-    if ract.shape != (m, right_ring.order):
-        raise ValueError(f"right action shape {ract.shape} != ({m}, {right_ring.order})")
-    for name, t in (("module addition", add), ("left action", lact), ("right action", ract)):
-        if t.size and (t.min() < 0 or t.max() >= m):
-            raise ValueError(f"{name} entries must lie in [0, {m})")
 
+def check_bimodule(left: tuple, M: BimoduleSpec, right: tuple) -> AxiomCheck:
+    """Validate the abelian group and both unital, compatible actions of ``M``; ``left``
+    and ``right`` are the raw ``(add, mul, one)`` tables of its two rings, which need not
+    be a ring, as in ``check.bimodule_axioms``."""
+    m, add, lact, ract = M.order, M.add_table, M.left_action, M.right_action
+    (radd, rmul, rone), (sadd, smul, sone) = left, right
+    nr, ns = len(radd), len(sadd)
+    if lact.shape != (nr, m):
+        raise ValueError(f"left action shape {lact.shape} != ({nr}, {m})")
+    if ract.shape != (m, ns):
+        raise ValueError(f"right action shape {ract.shape} != ({m}, {ns})")
     idx = np.arange(m)
-    nr, ns = left_ring.order, right_ring.order
-    radd, rmul = left_ring.add_table, left_ring.mul_table
-    sadd, smul = right_ring.add_table, right_ring.mul_table
     return _axiom_check((
         *_group_axioms(add, M.zero, "module_"),
         # r.(m1+m2) vs r.m1 + r.m2, axes [r, m1, m2]
@@ -807,8 +803,8 @@ def check_bimodule(left_ring: FiniteRing, M: BimoduleSpec, right_ring: FiniteRin
         ("right_action_associative", m, ns * ns, lambda x: ract[x][:, smul] != ract[ract[x]]),
         # (r.m).s vs r.(m.s), axes [r, m, s]
         ("action_compatible", nr, m * ns, lambda r: ract[lact[r]] != lact[r][:, ract]),
-        ("left_action_unital", m, 1, lambda x: lact[left_ring.one, x] != idx[x]),
-        ("right_action_unital", m, 1, lambda x: ract[x, right_ring.one] != idx[x]),
+        ("left_action_unital", m, 1, lambda x: lact[rone, x] != idx[x]),
+        ("right_action_unital", m, 1, lambda x: ract[x, sone] != idx[x]),
     ))
 
 
@@ -820,8 +816,8 @@ def regular_bimodule(R: FiniteRing) -> BimoduleSpec:
 
 def zero_bimodule(R: FiniteRing) -> BimoduleSpec:
     """The one-element bimodule over ``R``."""
-    zeros = _frozen(np.zeros((R.order, 1), dtype=_TABLE_DTYPE))
-    return BimoduleSpec(1, _frozen([[0]]), zeros, zeros.T,
+    zeros = np.zeros((R.order, 1), dtype=_TABLE_DTYPE)
+    return BimoduleSpec(1, [[0]], zeros, zeros.T,
                         0, _member_labels(R.labels, [R.zero]), "ideal(0)")
 
 
@@ -855,16 +851,15 @@ def ideal_bimodule(R: FiniteRing, d: int) -> BimoduleSpec:
     add = pos[R.add_table[np.ix_(members, members)]]
     lact = pos[mul[:, members]]
     ract = pos[mul[members, :]]
-    labels = _member_labels(R.labels, members.tolist())
-    return BimoduleSpec(members.size, _frozen(add), _frozen(lact), _frozen(ract),
-                        int(pos[R.zero]), labels, f"ideal({d})")
+    return BimoduleSpec(members.size, add, lact, ract, int(pos[R.zero]),
+                        _member_labels(R.labels, members.tolist()), f"ideal({d})")
 
 
 def trivial_extension(R: FiniteRing, M: BimoduleSpec) -> FiniteRing:
     """The ring on pairs ``(r, m)`` with ``(r1,m1)(r2,m2) = (r1 r2, r1 m2 + m1 r2)``."""
     what = f"trivial extension of order {R.order} by module of order {M.order}"
     _require_order(R.order * M.order, what)  # before the bimodule check's cubic scans
-    result = check_bimodule(R, M, R)
+    result = check_bimodule((R.add_table, R.mul_table, R.one), M, (R.add_table, R.mul_table, R.one))
     if not result.ok:
         raise ValueError(f"invalid bimodule: {result.axiom} fails at {result.witness}")
     construction = (
@@ -886,7 +881,7 @@ def formal_triangular(R: FiniteRing, S: FiniteRing, V: BimoduleSpec) -> FiniteRi
     """
     what = f"triangular ring of order {R.order}*{V.order}*{S.order}"
     _require_order(R.order * V.order * S.order, what)
-    result = check_bimodule(R, V, S)
+    result = check_bimodule((R.add_table, R.mul_table, R.one), V, (S.add_table, S.mul_table, S.one))
     if not result.ok:
         raise ValueError(f"invalid bimodule: {result.axiom} fails at {result.witness}")
     rl, vl, sl = R.labels, V.labels, S.labels

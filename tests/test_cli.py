@@ -370,7 +370,10 @@ class TestTablesLoader:
     @pytest.mark.parametrize("body, line", [
         ("0 1\n1 2\n0 0\n0 1\n0 0\n0 1\n", "module addition entries must lie in [0, 2)"),
         ("0 1\n1 0\n0 0\n-1 1\n0 0\n0 1\n", "left action entries must lie in [0, 2)"),
-    ], ids=["addition", "left action"])
+        ("0 1\n1 0\n0 0\n70000 1\n0 0\n0 1\n", "left action entries must lie in [0, 2)"),
+        (f"0 1\n1 0\n0 0\n{10 ** 23} 1\n0 0\n0 1\n", "left action entries must lie in [0, 2)"),
+        ("0 1\n1 0\n0 0\nx 1\n0 0\n0 1\n", "invalid literal for int() with base 10: 'x'"),
+    ], ids=["addition", "left action", "past uint16", "past int64", "not an integer"])
     def test_entry_out_of_range_exits_2(self, tmp_path, capsys, body, line):
         path = self._write(tmp_path, "2 2\n" + body)
         assert run_command(["classify", f"trivext(z2,tables({path}))"]) == 2

@@ -5,7 +5,6 @@ import hashlib
 import pickle
 import time
 import tracemalloc
-import types
 import weakref
 from itertools import product
 
@@ -37,7 +36,7 @@ from morphring import (
     truncated_poly,
     zero_bimodule,
 )
-from morphring.cli import _RINGS, build_ring, parse_ring_expr
+from morphring.cli import _RINGS, _load_bimodule_tables, build_ring, parse_ring_expr
 
 
 def test_zmod4_axioms_hold():
@@ -321,20 +320,39 @@ def test_ideal_bimodule_requires_commutative_base():
 
 def test_check_bimodule_rejects_bad_action():
     R = make_zmod(2)
-    M = regular_bimodule(R)
-    bad = BimoduleSpec(
-        M.order,
-        M.add_table,
-        ((0, 0), (0, 0)),  # left action of 1 is no longer unital
-        M.right_action,
-        M.zero,
-        M.labels,
-    )
-    result = check_bimodule(R, bad, R)
+    M, ring = regular_bimodule(R), (R.add_table, R.mul_table, R.one)
+    # the left action of 1 is no longer unital
+    bad = BimoduleSpec(M.order, M.add_table, ((0, 0), (0, 0)), M.right_action, M.zero, M.labels)
+    result = check_bimodule(ring, bad, ring)
     assert not result.ok
     assert result.axiom == "left_action_unital"
     with pytest.raises(ValueError):
         trivial_extension(R, bad)
+
+
+def test_a_bimodule_spec_checks_and_freezes_its_tables_when_built():
+    R, Z4, labels = make_zmod(2), make_zmod(4), ("0", "1")
+    add, mul = R.add_table, R.mul_table
+    for tables, zero, message in (
+            ((((0, 1), (1, 2)), mul, mul), 0, "module addition entries must lie in [0, 2)"),
+            ((add, ((0, 0), (0, -1)), mul), 0, "left action entries must lie in [0, 2)"),
+            ((add, mul, ((0, 0), (70000, 1))), 0, "right action entries must lie in [0, 2)"),
+            ((add, mul * 1.0, mul), 0, "left action entries must be integer element indices"),
+            ((((0, 1),), mul, mul), 0, "module addition table shape (1, 2) != (2, 2)"),
+            ((add, mul, mul), 2, "zero index 2 out of range [0, 2)")):
+        with pytest.raises(ValueError) as refused:
+            BimoduleSpec(2, *tables, zero, labels)
+        assert str(refused.value) == message
+    M = regular_bimodule(R)  # uint16 tables are kept, not copied
+    assert M.add_table is add and M.left_action is mul and M.right_action is mul
+    writable = mul.copy()
+    N = BimoduleSpec(2, add.tolist(), writable, writable, 0, labels)
+    assert N.left_action is writable and not writable.flags.writeable
+    assert N.add_table.dtype == np.uint16 and not N.add_table.flags.writeable
+    with pytest.raises(ValueError, match=r"left action shape \(2, 2\) != \(4, 2\)"):
+        check_bimodule((Z4.add_table, Z4.mul_table, Z4.one), N, (add, mul, R.one))
+    with pytest.raises(ValueError, match=r"right action shape \(2, 2\) != \(2, 4\)"):
+        check_bimodule((add, mul, R.one), N, (Z4.add_table, Z4.mul_table, Z4.one))
 
 
 def test_formal_triangular_is_transpose_of_lower_triangular_matrices():
@@ -469,14 +487,16 @@ def test_tables_are_readonly_int32_and_opposite_shares_storage():
     assert np.array_equal(O.mul_table, R.mul_table.T)
 
 
-def test_every_constructor_gives_readonly_uint16_tables():
+def test_every_constructor_gives_readonly_uint16_tables(tmp_path):
     Z2, Z4, T2 = make_zmod(2), make_zmod(4), matrix_ring(make_zmod(2), 2, shape="lower_triangular")
     as_lists = ring_from_tables(Z4.add_table.tolist(), Z4.mul_table.tolist(), 0, 1)
     rings = [Z4, make_gf(2, 3), direct_product([Z2, T2]), matrix_ring(Z2, 2), T2,
              truncated_poly(Z4, 2), trivial_extension(Z4, ideal_bimodule(Z4, 2)),
              formal_triangular(Z2, Z2, regular_bimodule(Z2)), pierce_corner(T2, 4),
              as_lists, opposite(T2)]
-    specs = [regular_bimodule(T2), zero_bimodule(Z4), ideal_bimodule(Z4, 2)]
+    (tmp_path / "m").write_text("2 2 0 1 1 0 0 0 0 1 0 0 0 1")
+    specs = [regular_bimodule(T2), zero_bimodule(Z4), ideal_bimodule(Z4, 2), _column_module(),
+             _load_bimodule_tables(str(tmp_path / "m"), Z2)]
     tables = [t for R in rings for t in (R.add_table, R.mul_table, R.neg_table)]
     tables += [t for M in specs for t in (M.add_table, M.left_action, M.right_action)]
     for table in tables:
@@ -495,6 +515,8 @@ def test_tables_refuse_indices_that_do_not_fit_uint16(monkeypatch):
     huge = np.broadcast_to(np.zeros(1, dtype=np.int64), (70000, 70000))
     with pytest.raises(ValueError, match="65536"):
         ring_from_tables(huge, huge, 0, 0)
+    with pytest.raises(ValueError, match="65536"):
+        BimoduleSpec(70000, huge, huge, huge, 0, ("0",))
     monkeypatch.setenv("RING_ORDER_CAP", "70000")
     Z2, Z256 = make_zmod(2), make_zmod(256)
     tracemalloc.start()
@@ -553,7 +575,8 @@ def test_vectorised_helpers_match_element_scans():
             assert members[M.right_action[i, r]] == R.mul(v, r)
         for j, w in enumerate(members):
             assert members[M.add_table[i, j]] == R.add(v, w)
-    assert check_bimodule(R, M, R).ok
+    assert check_bimodule((R.add_table, R.mul_table, R.one), M,
+                          (R.add_table, R.mul_table, R.one)).ok
     R, e = matrix_ring(make_zmod(2), 2), 8  # e = E11
     C = pierce_corner(R, e)
     members = sorted({R.mul(R.mul(e, x), e) for x in R.elements})
@@ -686,7 +709,7 @@ def _tables(A):
     """(add, mul or left action, right action or None) of a ring or bimodule as lists."""
     if isinstance(A, FiniteRing):
         return A.add_table.tolist(), A.mul_table.tolist(), None
-    return [np.asarray(t).tolist() for t in (A.add_table, A.left_action, A.right_action)]
+    return [t.tolist() for t in (A.add_table, A.left_action, A.right_action)]
 
 
 def _convolution(B, terms):
@@ -895,11 +918,8 @@ def test_bimodule_scans_match_whole_table_checks_under_every_corruption(monkeypa
     for add, lact, ract, *rest in _corruptions(tables, orders):
         radd, rmul, sadd, smul = rest or ring_tables
         bad = BimoduleSpec(M.order, add, lact, ract, M.zero, M.labels)
-        # a corrupted ring is no FiniteRing: what check_bimodule reads of one
-        left, right = (types.SimpleNamespace(order=A.order, add_table=a, mul_table=m, one=A.one)
-                       for A, a, m in ((R, radd, rmul), (S, sadd, smul)))
-        expected = check.bimodule_axioms(add, lact, ract, M.zero, (radd, rmul, R.one),
-                                         (sadd, smul, S.one))
+        left, right = (radd, rmul, R.one), (sadd, smul, S.one)  # a corrupted ring is no ring
+        expected = check.bimodule_axioms(add, lact, ract, M.zero, left, right)
         assert check_bimodule(left, bad, right) == expected, expected
 
 
@@ -914,19 +934,6 @@ def test_ring_from_tables_validates_the_tables_once(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the contract: every FiniteRing is a ring
-
-
-def _assert_refused(R, patches):
-    """``FiniteRing`` on ``R``'s tables with ``patches`` written into the multiplication
-    raises, naming the axiom and witness that ``check_ring_axioms`` names."""
-    mul = R.mul_table.copy()
-    for entry, value in patches.items():
-        mul[entry] = value
-    axioms = check_ring_axioms(R.add_table, mul, R.zero, R.one)
-    assert not axioms.ok
-    with pytest.raises(ValueError) as refused:
-        FiniteRing(R.order, R.add_table, mul, R.zero, R.one, R.labels)
-    assert str(refused.value) == f"tables violate ring axiom {axioms.axiom} at {axioms.witness}"
 
 
 # Multiplication patches that tests once handed to the engine as hand-made
@@ -948,9 +955,9 @@ _ONCE_ACCEPTED = {
 
 
 @pytest.mark.parametrize("case", list(_ONCE_ACCEPTED))
-def test_a_direct_construction_refuses_tables_that_are_not_a_ring(case):
+def test_a_direct_construction_refuses_tables_that_are_not_a_ring(case, assert_refused):
     text, patches = _ONCE_ACCEPTED[case]
-    _assert_refused(build_ring(parse_ring_expr(text)), patches)
+    assert_refused(build_ring(parse_ring_expr(text)), patches)
 
 
 def test_a_direct_construction_keeps_its_own_copy_of_the_tables():

@@ -13,7 +13,6 @@ import morphring.check as check
 import morphring.verify as verify_module
 from morphring import (
     CornerCase,
-    FiniteRing,
     Flag,
     Side,
     TriangularCase,
@@ -21,7 +20,6 @@ from morphring import (
     all_ideals,
     direct_product,
     annihilator,
-    check_ring_axioms,
     fg_ideal,
     ideal_bimodule,
     make_gf,
@@ -128,19 +126,6 @@ def test_class_id_checks_match_element_pair_loops_on_corpus():
             assert report.status == "verified", text
 
 
-def _assert_refused(ring, patches):
-    """``FiniteRing`` refuses ``ring``'s tables with ``patches`` written into the
-    multiplication, naming the axiom and witness that ``check_ring_axioms`` names."""
-    mul = ring.mul_table.copy()
-    for entry, value in patches.items():
-        mul[entry] = value
-    axioms = check_ring_axioms(ring.add_table, mul, ring.zero, ring.one)
-    assert not axioms.ok
-    with pytest.raises(ValueError) as refused:
-        FiniteRing(ring.order, ring.add_table, mul, ring.zero, ring.one, ring.labels)
-    assert str(refused.value) == f"tables violate ring axiom {axioms.axiom} at {axioms.witness}"
-
-
 def _row_major_triples(R):
     """Per pair ``(a1, a2)`` in row-major order: the sum triple ``(Ra1, Ra2, l(b1 c))`` of
     masks, or None when a witness is missing, and the pair's reference witnesses."""
@@ -207,13 +192,13 @@ def _alarm(seconds):
 
 @pytest.mark.parametrize("entry", [(0, 1), (0, 3)])
 @pytest.mark.parametrize("value", [1, 2, 3])
-def test_sums_return_on_masks_that_are_not_subgroups(entry, value):
+def test_sums_return_on_masks_that_are_not_subgroups(entry, value, assert_refused):
     # A sum whose first mask lacks zero once cycled forever in its doubling
     # step.  z4 with 0·0 = 2 and one more entry patched hung the check and
     # its reference; no FiniteRing holds such tables now.
     with _alarm(10):
         assert verify_module.subgroup_sum(Z4, 0b0010, 0b0100) == 0b1111
-        _assert_refused(Z4, {(0, 0): 2, entry: value})
+        assert_refused(Z4, {(0, 0): 2, entry: value})
 
 
 Z2_2, Z2_3 = (direct_product([make_zmod(2)] * k) for k in (2, 3))
@@ -271,7 +256,7 @@ def test_counting_rule_needs_inclusion_and_subgroups(conjunct):
 
 
 @pytest.mark.parametrize("ring", [Z12, T2], ids=["z12", "tri(z2,2)"])
-def test_corrupted_tables_reported_alike(ring):
+def test_corrupted_tables_reported_alike(ring, assert_refused):
     # Each single entry of the multiplication table set to zero or one: the
     # result is no longer a ring, and FiniteRing refuses it with the axiom
     # and witness that check_ring_axioms reports.
@@ -279,7 +264,7 @@ def test_corrupted_tables_reported_alike(ring):
     for x in ring.elements:
         for y in ring.elements:
             for value in {ring.zero, ring.one} - {int(ring.mul_table[x, y])}:
-                _assert_refused(ring, {(x, y): value})
+                assert_refused(ring, {(x, y): value})
                 corrupted += 1
     assert corrupted == {"z12": 244, "tri(z2,2)": 100}[ring.construction]  # 344 in all
 
@@ -431,8 +416,6 @@ _FLAG_FAULTS = [
      {"check": "all_ideals_principal", "side": "right", "counterexample": (2, 3)}),
     ("_lear", "lear_left", lambda R: Flag(False, counterexample=21),
      {"check": "all_ideals_are_annihilators", "side": "left", "counterexample": 21}),
-    ("_strongly_clean", "strongly_clean", lambda R: Flag(False, counterexample=7),
-     {"check": "strongly_clean", "counterexample": 7}),
 ]
 
 
@@ -444,6 +427,11 @@ def test_finite_qf_refutes_with_the_failing_flag(monkeypatch, _, name, fault, de
     report = verify_finite_qf(Z12)
     assert (report.theorem, report.status, report.details) == (
         "finite_dual_ring_battery", "refuted", details)
+
+
+def test_finite_qf_reads_no_strongly_clean_flag(monkeypatch):
+    monkeypatch.setitem(PREDICATES, "strongly_clean", lambda R: Flag(False, counterexample=7))
+    assert verify_finite_qf(Z12).status == "verified"
 
 
 # Each theorem check refutes under a named fault: one PREDICATES entry that
