@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Iterable, Sequence
@@ -399,12 +398,14 @@ def _verify_suite(expr: RingExpr, ring: FiniteRing, only: str | None,
     return [available[name]() for name in available]
 
 
-def _emit(records: list[dict], as_json: bool, human: Callable[[], str]) -> None:
+def _emit(records: list[dict], as_json: bool, human: Callable[[], str]) -> int:
+    """Print ``records`` and return the exit status every command shares."""
     if as_json:
         for record in records:
             print(json.dumps(record, ensure_ascii=False))
     else:
         print(human())
+    return 1 if any(r["status"] in ("refuted", "mismatch") for r in records) else 0
 
 
 def _human_table(rows: list[Sequence[str]]) -> str:
@@ -434,9 +435,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     ring = _build_checked(expr)
     expression = serialize_ring_expr(expr)
     records = profile_records(expression, classify_ring(ring))
-    _emit(records, args.json,
-          lambda: _ring_table(expression, ("predicate", "status", "witness"), records))
-    return 0
+    return _emit(records, args.json,
+                 lambda: _ring_table(expression, ("predicate", "status", "witness"), records))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -446,9 +446,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     expression = serialize_ring_expr(expr)
     reports = _verify_suite(expr, ring, args.theorem, built)
     records = [_report_record(expression, report) for report in reports]
-    _emit(records, args.json,
-          lambda: _ring_table(expression, ("theorem", "status", "details"), records))
-    return 1 if any(r["status"] == "refuted" for r in records) else 0
+    return _emit(records, args.json,
+                 lambda: _ring_table(expression, ("theorem", "status", "details"), records))
 
 
 _EXAMPLE_TABLE: list[tuple[str, str, str]] = [
@@ -527,8 +526,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
                     r["witness"]["computed"], r["status"]) for r in records]
         return _human_table(rows_h)
 
-    _emit(records, args.json, human)
-    return 1 if any(r["status"] == "mismatch" for r in records) else 0
+    return _emit(records, args.json, human)
 
 
 def _worker_search(expression: str) -> dict | None:
@@ -541,11 +539,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
     _check_corpus_flags(args)
     from .search import _search_report  # before _map: forked workers inherit it, not import it each
 
-    start = time.perf_counter()
     expressions = default_corpus(args.max_order)
     # serially, one ring is alive at a time: each is built as the map reaches it
     hits = _map(_worker_search, expressions, args.jobs)
-    report = _search_report(expressions, hits, start)
+    report = _search_report(zip(expressions, hits))
     records = [_report_record(report.expression, report)]
 
     def human() -> str:
@@ -556,8 +553,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             lines.append(f"  hit: {_fmt_witness(hit)}")
         return "\n".join(lines)
 
-    _emit(records, args.json, human)
-    return 1 if report.status == "refuted" else 0
+    return _emit(records, args.json, human)
 
 
 def _cmd_qz(args: argparse.Namespace) -> int:
@@ -570,8 +566,7 @@ def _cmd_qz(args: argparse.Namespace) -> int:
         return (f"{report.expression} suite at bound {args.bound}: "
                 f"{report.status}\n{_fmt_witness(report.details)}")
 
-    _emit(records, args.json, human)
-    return 1 if report.status == "refuted" else 0
+    return _emit(records, args.json, human)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -40,19 +40,9 @@ def order_cap() -> int:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one theorem check on one ring."""
+    """Outcome of one theorem check on one ring: exactly what its record prints."""
 
     theorem: str
     expression: str
     status: str
     details: dict
-    elapsed: float
-
-    def to_record(self) -> dict:
-        """Stable machine form; excludes wall-clock time for diffability."""
-        return {
-            "theorem": self.theorem,
-            "expression": self.expression,
-            "status": self.status,
-            "details": self.details,
-        }

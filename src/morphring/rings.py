@@ -740,9 +740,10 @@ class BimoduleSpec:
     ``left_action[r, m]`` is the module index of ``r . m`` for a ring index
     ``r``; ``right_action[m, s]`` is ``m . s``; every action is a full table.
     Construction checks that ``add_table`` is ``order x order``, that every
-    entry is an integer in ``[0, order)`` and that ``zero`` is one, and keeps
-    read-only ``uint16`` tables: a ``uint16`` array is kept and made
-    read-only, any other is converted; ``check_bimodule`` checks the rest.
+    entry is an integer in ``[0, order)``, that ``zero`` is one and that
+    there are ``order`` labels, and keeps read-only ``uint16`` tables: a
+    ``uint16`` array is kept and made read-only, any other is converted;
+    ``check_bimodule`` checks the rest.
     """
 
     order: int
@@ -761,6 +762,8 @@ class BimoduleSpec:
             raise ValueError(f"order {m} is above {_INDEX_LIMIT}, the most a uint16 table can index")
         if not 0 <= self.zero < m:
             raise ValueError(f"zero index {self.zero} out of range [0, {m})")
+        if len(self.labels) != m:
+            raise ValueError(f"order {m}, {len(self.labels)} labels")
         for attr, name in (("add_table", "module addition"), ("left_action", "left action"),
                            ("right_action", "right action")):
             t = np.asarray(getattr(self, attr))

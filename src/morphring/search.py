@@ -10,7 +10,6 @@ through ``hashlib``, which is used only when the built-in module is missing.
 
 from __future__ import annotations
 
-import time
 from typing import Iterable
 
 try:
@@ -56,20 +55,19 @@ def _search_hit(R: FiniteRing) -> dict | None:
     }
 
 
-def _search_report(expressions: list[str], hits: Iterable[dict | None],
-                   start: float) -> VerificationReport:
-    """The search report over ``expressions``, given each ring's hit or None.
-
-    ``hits`` is consumed before ``expressions`` is read, so it may fill
-    that list as it goes.
-    """
-    hits = [hit for hit in hits if hit]
+def _search_report(searched: Iterable[tuple[str, dict | None]]) -> VerificationReport:
+    """The search report over ``(expression, hit or None)`` pairs, one per ring."""
+    expressions: list[str] = []
+    hits: list[dict] = []
+    for expression, hit in searched:
+        expressions.append(expression)
+        if hit:
+            hits.append(hit)
     fingerprint = sha256("\n".join(sorted(expressions)).encode()).hexdigest()
     status = "refuted" if any(h["confirmed"] for h in hits) else "verified"
     details = {"rings": len(expressions), "fingerprint": fingerprint, "hits": hits}
     return VerificationReport("pseudo_not_quasi_search",
-                              f"corpus[{len(expressions)}]", status, details,
-                              time.perf_counter() - start)
+                              f"corpus[{len(expressions)}]", status, details)
 
 
 def search_counterexample(rings: Iterable[FiniteRing]) -> VerificationReport:
@@ -79,11 +77,4 @@ def search_counterexample(rings: Iterable[FiniteRing]) -> VerificationReport:
     pass, so a generator keeps a single ring alive at a time.  A clean run
     reports the corpus size and a fingerprint of the sorted expression list.
     """
-    start = time.perf_counter()
-    expressions: list[str] = []
-
-    def hit(R: FiniteRing) -> dict | None:
-        expressions.append(_expr(R))
-        return _search_hit(R)
-
-    return _search_report(expressions, map(hit, rings), start)
+    return _search_report(map(lambda R: (_expr(R), _search_hit(R)), rings))

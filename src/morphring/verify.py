@@ -14,7 +14,6 @@ for a pseudo- but not quasi-morphic ring lives in ``search``;
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -83,13 +82,11 @@ RING_THEOREMS: dict[str, Callable[..., VerificationReport]] = {}
 
 
 def _theorem(name: str) -> Callable:
-    """Register a ring check returning ``(status, details)`` as a timed report maker."""
+    """Register a ring check returning ``(status, details)`` as a report maker."""
     def register(check: Callable[..., tuple[str, dict]]) -> Callable[..., VerificationReport]:
         @functools.wraps(check)
         def run(R: FiniteRing, *args, **kwargs) -> VerificationReport:
-            start = time.perf_counter()
-            status, details = check(R, *args, **kwargs)
-            return VerificationReport(name, _expr(R), status, details, time.perf_counter() - start)
+            return VerificationReport(name, _expr(R), *check(R, *args, **kwargs))
         RING_THEOREMS[name] = run
         return run
     return register
@@ -455,11 +452,9 @@ def verify_extension_heredity(
     record name: every ring has the flag if the big ring has it, and the
     claim is vacuous if the big ring has not.
     """
-    start = time.perf_counter()
     expression, big, claims = case.claims()
     if isinstance(claims, str):
-        return VerificationReport("extension_heredity", expression, "vacuous",
-                                  {"note": claims}, time.perf_counter() - start)
+        return VerificationReport("extension_heredity", expression, "vacuous", {"note": claims})
     checked: dict[str, bool] = {}
     vacuous: list[str] = []
     for name, flag, rings in claims:
@@ -472,8 +467,7 @@ def verify_extension_heredity(
     if failures:
         details["failures"] = failures
     status = "refuted" if failures else "verified" if checked else "vacuous"
-    return VerificationReport("extension_heredity", expression, status, details,
-                              time.perf_counter() - start)
+    return VerificationReport("extension_heredity", expression, status, details)
 
 
 def verify_triangular_example_identity() -> VerificationReport:
@@ -488,7 +482,6 @@ def verify_triangular_example_identity() -> VerificationReport:
     transpose); this check passes exactly when the headline claims hold and
     the displayed identity fails both ways.
     """
-    start = time.perf_counter()
     T = matrix_ring(make_zmod(2), 2, shape="lower_triangular")
     E22, E21, E11 = 1, 2, 4
     l_e21 = annihilator(T, Side.LEFT, [E21])
@@ -505,8 +498,5 @@ def verify_triangular_example_identity() -> VerificationReport:
         diverges[tag] = displayed != principal_ideal(ring, Side.LEFT, E21)
     ok = headline and diverges["row"] and diverges["transpose"]
     details = {"headline_claims": headline, "identity_diverges": diverges}
-    return VerificationReport(
-        "triangular_example_identity", "tri(z2,2)",
-        "verified" if ok else "refuted", details,
-        time.perf_counter() - start,
-    )
+    return VerificationReport("triangular_example_identity", "tri(z2,2)",
+                              "verified" if ok else "refuted", details)

@@ -208,11 +208,13 @@ def test_criterion_5_reduced_ring_suite(corpus64, capsys):
 
 
 def test_criterion_6_qz_suite(capsys):
+    start = time.perf_counter()
     report = verify_qz_suite(48)
-    ok = report.status == "verified" and report.elapsed < 1.0
+    elapsed = time.perf_counter() - start
+    ok = report.status == "verified" and elapsed < 1.0
     _report(capsys, 6, ok)
     assert report.status == "verified", report.details
-    assert report.elapsed < 1.0, f"runtime {report.elapsed:.3f}s exceeds 1s"
+    assert elapsed < 1.0, f"runtime {elapsed:.3f}s exceeds 1s"
 
 
 def test_criterion_7_falsifier_run(capsys):

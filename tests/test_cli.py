@@ -239,19 +239,20 @@ class TestCommands:
         by_predicate = {r["predicate"]: r for r in _records(capsys)}
         assert by_predicate["triangular_example_identity"]["status"] == "verified"
 
-    def test_verify_indeterminate_exits_0(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("status, code", [("indeterminate", 0), ("vacuous", 0),
+                                              ("verified", 0), ("refuted", 1)])
+    def test_verify_exits_1_only_when_refuted(self, capsys, monkeypatch, status, code):
         from morphring import verify
         from morphring.verify import VerificationReport
 
         stub = VerificationReport("finite_dual_ring_battery", "z4",
-                                  "indeterminate", {"note": "lattice overflow"},
-                                  0.0)
+                                  status, {"note": "lattice overflow"})
         monkeypatch.setitem(verify.RING_THEOREMS, "finite_dual_ring_battery",
                             lambda R: stub)
         assert run_command(["verify", "z4", "--theorem",
-                            "finite_dual_ring_battery", "--json"]) == 0
+                            "finite_dual_ring_battery", "--json"]) == code
         (record,) = _records(capsys)
-        assert record["status"] == "indeterminate"
+        assert record["status"] == status
 
     def test_corpus_flags_known_mismatch(self, capsys):
         assert run_command(["corpus", "--json"]) == 1
@@ -299,6 +300,17 @@ class TestCommands:
         solo = capsys.readouterr().out
         run_command(["search", "--max-order", "64", "--jobs", "3", "--json"])
         assert capsys.readouterr().out == solo
+
+    def test_search_exits_1_on_a_confirmed_hit(self, capsys, monkeypatch):
+        from morphring import search
+
+        hit = {"expression": "z4", "confirmed": True}
+        monkeypatch.setattr(search, "_search_hit",
+                            lambda R: hit if R.construction == "z4" else None)
+        assert run_command(["search", "--max-order", "16", "--json"]) == 1
+        (record,) = _records(capsys)
+        assert record["status"] == "refuted"
+        assert record["witness"]["hits"] == [hit]
 
     def test_qz_suite(self, capsys):
         assert run_command(["qz", "--bound", "6", "--json"]) == 0
@@ -517,7 +529,6 @@ def test_map_bounds_the_worker_count(monkeypatch, capsys):
     import concurrent.futures
 
     import morphring.cli as cli
-    import morphring.search as search
 
     pools, chunks = [], []
 
@@ -537,12 +548,8 @@ def test_map_bounds_the_worker_count(monkeypatch, capsys):
             chunks.append(chunksize)
             return map(fn, items)
 
-    reports = []
-    real_report = search._search_report
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli, "_available_cpus", lambda: 4)
-    monkeypatch.setattr(search, "_search_report",
-                        lambda *a: reports.append(real_report(*a)) or reports[-1])
     assert list(cli._map(str, [1, 2, 3], 1)) == ["1", "2", "3"]
     assert pools == []
     assert list(cli._map(str, [1, 2, 3], 100000)) == ["1", "2", "3"]
@@ -553,7 +560,6 @@ def test_map_bounds_the_worker_count(monkeypatch, capsys):
     assert chunks == [1, -(-len(default_corpus(16)) // 16)]
     (record,) = _records(capsys)
     assert record["witness"]["rings"] == len(default_corpus(16))
-    assert reports[0].elapsed > 0.0
 
 
 @pytest.mark.parametrize("command", ["search", "corpus"])

@@ -292,11 +292,10 @@ def test_suite_rejects_small_bound():
 
 
 def test_suite_deterministic_record():
-    first = verify_qz_suite(6).to_record()
-    second = verify_qz_suite(6).to_record()
-    assert first == second
-    assert first["theorem"] == "quotient_module_lattice"
-    assert first["expression"] == "Z⋉(Q/Z)"
+    first = verify_qz_suite(6)
+    assert first == verify_qz_suite(6)
+    assert first.theorem == "quotient_module_lattice"
+    assert first.expression == "Z⋉(Q/Z)"
 
 
 _contains = TEIdeal.contains

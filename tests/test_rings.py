@@ -333,15 +333,17 @@ def test_check_bimodule_rejects_bad_action():
 def test_a_bimodule_spec_checks_and_freezes_its_tables_when_built():
     R, Z4, labels = make_zmod(2), make_zmod(4), ("0", "1")
     add, mul = R.add_table, R.mul_table
-    for tables, zero, message in (
+    for tables, zero, message, *names in (
             ((((0, 1), (1, 2)), mul, mul), 0, "module addition entries must lie in [0, 2)"),
             ((add, ((0, 0), (0, -1)), mul), 0, "left action entries must lie in [0, 2)"),
             ((add, mul, ((0, 0), (70000, 1))), 0, "right action entries must lie in [0, 2)"),
             ((add, mul * 1.0, mul), 0, "left action entries must be integer element indices"),
             ((((0, 1),), mul, mul), 0, "module addition table shape (1, 2) != (2, 2)"),
-            ((add, mul, mul), 2, "zero index 2 out of range [0, 2)")):
+            ((add, mul, mul), 2, "zero index 2 out of range [0, 2)"),
+            # too few labels: the extension's third label would raise an IndexError
+            ((add, mul, mul), 0, "order 2, 1 labels", ("0",))):
         with pytest.raises(ValueError) as refused:
-            BimoduleSpec(2, *tables, zero, labels)
+            BimoduleSpec(2, *tables, zero, *(names or [labels]))
         assert str(refused.value) == message
     M = regular_bimodule(R)  # uint16 tables are kept, not copied
     assert M.add_table is add and M.left_action is mul and M.right_action is mul
