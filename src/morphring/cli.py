@@ -624,8 +624,7 @@ def run_command(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    # The engine's one BLAS call, verify's float32 intersection-count matmul, is
-    # small and exact at any thread count, so OpenBLAS need not start its threads.
+    # The engine makes no BLAS call, so OpenBLAS need not start its threads.
     # Set before numpy loads and inherited by pool workers; a value already set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(run_command(sys.argv[1:]))

@@ -332,19 +332,18 @@ def _grid_mask(sub_den: int, grid: int) -> int:
 def _sumset(m1: int, m2: int, grid: int) -> int:
     """Bitmask of ``{(x + y) mod grid}`` for ``x`` in ``m1`` and ``y`` in ``m2``.
 
-    Lays the denser mask twice end to end; the low ``grid`` bits of that
-    laid pair shifted right by ``grid - y`` are the mask rotated by ``y``.
-    One such shift per set bit ``y`` of the sparser mask, masked once.
+    Shifts the denser mask left by each set bit ``y`` of the sparser mask;
+    the union holds every sum ``x + y < 2·grid`` unreduced, and one fold of
+    its bits at ``grid`` and above onto the low ``grid`` bits reduces them.
     """
     if m2.bit_count() > m1.bit_count():
         m1, m2 = m2, m1
-    doubled = m1 | m1 << grid
     out = 0
     while m2:
         top = m2.bit_length() - 1
-        out |= doubled >> (grid - top)
+        out |= m1 << top
         m2 ^= 1 << top
-    return out & ((1 << grid) - 1)
+    return (out | out >> grid) & ((1 << grid) - 1)
 
 
 def verify_qz_suite(bound: int) -> VerificationReport:

@@ -139,7 +139,7 @@ def _main_in_fresh_interpreter(argv: list[str], env: dict) -> tuple[int, int | N
 def test_main_leaves_the_blas_thread_pool_unstarted():
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     assert _main_in_fresh_interpreter(["classify", "z4", "--json"], env) == (0, 1, "1")
-    # verify runs the engine's one BLAS call, the intersection-count matmul
+    # verify runs every theorem check, the heaviest numpy work of any command
     assert _main_in_fresh_interpreter(["verify", "tri(z2,2)", "--json"], env) == (0, 1, "1")
 
 

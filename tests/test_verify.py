@@ -7,10 +7,10 @@ import signal
 import time
 import tracemalloc
 
-import numpy as np
 import pytest
 
 import morphring.check as check
+import morphring.ideals as ideals_module
 import morphring.verify as verify_module
 from morphring import (
     CornerCase,
@@ -115,8 +115,9 @@ def test_witness_identities_full_coverage_matrix_ring():
 
 
 def test_class_id_checks_match_element_pair_loops_on_corpus():
-    # the two checks that work over class ids, against their definitions in check
-    for text in default_corpus(256):
+    # the two checks that work over class ids, against their definitions in check,
+    # on every ring whose verify stdout test_cli pins by digest
+    for text in default_corpus(512):
         R = build_ring(parse_ring_expr(text))
         for verify, expected in ((verify_lemma_equivalences, check.lemma(R.mul_table, R.zero)),
                                  (verify_witness_identities,
@@ -124,56 +125,6 @@ def test_class_id_checks_match_element_pair_loops_on_corpus():
             report = verify(R)
             assert (report.status, report.details) == expected, (text, verify.__name__)
             assert report.status == "verified", text
-
-
-def _row_major_triples(R):
-    """Per pair ``(a1, a2)`` in row-major order: the sum triple ``(Ra1, Ra2, l(b1 c))`` of
-    masks, or None when a witness is missing, and the pair's reference witnesses."""
-    mul = R.mul_table
-    pri, ann = check.principals(mul), check.annihilators(mul, R.zero)
-    ann_first = check.least(ann)
-    for a1 in R.elements:
-        for a2 in R.elements:
-            b1, b2 = ann_first.get(pri[a1]), ann_first.get(pri[a2])
-            c = None if b1 is None else ann_first.get(pri[mul[a2, b1]])
-            if None in (b1, b2, c):
-                yield (a1, a2), None, None
-            else:
-                yield (a1, a2), (pri[a1], pri[a2], ann[mul[b1, c]]), [b1, b2, c]
-
-
-def _reject_sum_triples(monkeypatch, R, triples):
-    """Patch ``verify._sum_rule`` to reject the given mask triples of ``R``'s left classes."""
-    index = verify_module._resolve(R, Side.LEFT)[1].index
-    ids = [tuple(index[m] for m in triple) for triple in triples]
-    rule = verify_module._sum_rule
-
-    def patched(counts, x, y, z):
-        holds = rule(counts, x, y, z)
-        for i, j, k in ids:
-            holds = holds & ~((x == i) & (y == j) & (z == k))
-        return holds
-    monkeypatch.setattr(verify_module, "_sum_rule", patched)
-
-
-def test_patched_sum_fault_reported_at_the_same_pair(monkeypatch):
-    # The sum rule made to reject triples of z12's class masks: the check
-    # must report the first pair, in row-major order, with a rejected
-    # triple, and its reference witnesses and masks.  The rows of a1 = 2
-    # and a1 = 4 come in the other order by class id, so the second set
-    # tells the orders apart.
-    triples = dict((pair, triple) for pair, triple, _ in _row_major_triples(Z12))
-    assert triples[4, 6] == (mask_of([0, 4, 8]), mask_of([0, 6]), mask_of(range(0, 12, 2)))
-    for rejected in ([triples[4, 6]], [triples[4, 6], triples[2, 3]]):
-        (a1, a2), triple, witnesses = next(
-            row for row in _row_major_triples(Z12) if row[1] in rejected)
-        with monkeypatch.context() as patch:
-            _reject_sum_triples(patch, Z12, rejected)
-            report = verify_witness_identities(Z12)
-        assert (report.status, report.details) == ("refuted", {
-            "kind": "sum", "pair": [a1, a2], "witnesses": witnesses,
-            "lhs": fg_ideal(Z12, Side.LEFT, [a1, a2]), "rhs": triple[2]})
-    assert report.details["pair"] == [2, 3]
 
 
 @contextlib.contextmanager
@@ -197,62 +148,8 @@ def test_sums_return_on_masks_that_are_not_subgroups(entry, value, assert_refuse
     # step.  z4 with 0·0 = 2 and one more entry patched hung the check and
     # its reference; no FiniteRing holds such tables now.
     with _alarm(10):
-        assert verify_module.subgroup_sum(Z4, 0b0010, 0b0100) == 0b1111
+        assert ideals_module.subgroup_sum(Z4, 0b0010, 0b0100) == 0b1111
         assert_refused(Z4, {(0, 0): 2, entry: value})
-
-
-Z2_2, Z2_3 = (direct_product([make_zmod(2)] * k) for k in (2, 3))
-_RULE_RINGS = (Z12, T2, Z2_2, Z2_3)
-
-
-def _class_triples(R):
-    """The class-id arrays ``x, y, z`` of every triple of ``R``'s left class masks, the
-    triples of masks, and the table of the sizes of pairwise meets of the masks."""
-    masks = verify_module._resolve(R, Side.LEFT)[1].masks
-    counts = np.array([[(m1 & m2).bit_count() for m2 in masks] for m1 in masks], dtype=np.int32)
-    x, y, z = np.indices((len(masks),) * 3).reshape(3, -1)
-    return x, y, z, [(masks[i], masks[j], masks[k]) for i, j, k in zip(x, y, z)], counts
-
-
-@pytest.mark.parametrize("ring", _RULE_RINGS, ids=lambda R: R.construction)
-def test_counting_rules_decide_every_triple_of_class_masks(ring):
-    # S = A + B and S = A ∩ B, decided by counting, against the formed sum
-    # and meet, on every triple of left class masks
-    x, y, z, triples, counts = _class_triples(ring)
-    formed_sum = [verify_module.subgroup_sum(ring, a, b) == s for a, b, s in triples]
-    assert verify_module._sum_rule(counts, x, y, z).tolist() == formed_sum
-    assert verify_module._meet_rule(counts, x, y, z).tolist() == [a & b == s for a, b, s in triples]
-
-
-# Each conjunct of the two counting rules as a set condition on (A, B, S):
-# the sum rule is A ⊆ S, B ⊆ S and |S|·|A ∩ B| = |A|·|B| over subgroups,
-# the meet rule S ⊆ A, S ⊆ B and |A ∩ B| = |S|.
-_CONJUNCTS = {
-    "sum_a1_in_s": lambda a, b, s: a & ~s == 0,
-    "sum_a2_in_s": lambda a, b, s: b & ~s == 0,
-    "sum_count": lambda a, b, s: s.bit_count() * (a & b).bit_count() == a.bit_count() * b.bit_count(),
-    "meet_s_in_a1": lambda a, b, s: s & ~a == 0,
-    "meet_s_in_a2": lambda a, b, s: s & ~b == 0,
-    "meet_count": lambda a, b, s: (a & b).bit_count() == s.bit_count(),
-}
-
-
-@pytest.mark.parametrize("conjunct", list(_CONJUNCTS))
-def test_counting_rule_needs_inclusion_and_subgroups(conjunct):
-    # Some triple of class masks of these rings fails this conjunct alone,
-    # and the rule rejects it, so a rule without the conjunct would accept it
-    kind = conjunct.partition("_")[0]
-    rule = verify_module._sum_rule if kind == "sum" else verify_module._meet_rule
-    others = [test for name, test in _CONJUNCTS.items()
-              if name.startswith(kind) and name != conjunct]
-    found = 0
-    for ring in _RULE_RINGS:
-        x, y, z, triples, counts = _class_triples(ring)
-        for holds, triple in zip(rule(counts, x, y, z), triples):
-            if not _CONJUNCTS[conjunct](*triple) and all(test(*triple) for test in others):
-                assert not holds, (ring, triple)
-                found += 1
-    assert found
 
 
 @pytest.mark.parametrize("ring", [Z12, T2], ids=["z12", "tri(z2,2)"])
@@ -287,7 +184,7 @@ def _tri3_reaching_the_ideal_loops(monkeypatch):
     R = matrix_ring(make_zmod(2), 3, shape="lower_triangular")
     for side in Side:
         principal = verify_module._resolve(R, side)[1].principal_masks
-        two = {verify_module.subgroup_sum(R, m1, m2) for m1 in principal for m2 in principal}
+        two = {ideals_module.subgroup_sum(R, m1, m2) for m1 in principal for m2 in principal}
         assert (len(principal), len(two)) == (26, 39) and two < set(all_ideals(R, side))
     return R
 
@@ -539,16 +436,17 @@ def test_theorem_checks_on_nine_z2_within_bound(monkeypatch):
 
 
 def test_witness_identities_on_ten_z2_within_bounds(monkeypatch):
-    # z2^10 has 1,024 left classes, so 2^20 pairs per witness identity, all
-    # read off one intersection-count table a row block at a time; one Python
-    # call per class triple took 1.6 to 2.8 s on 2 vCPUs and peaked at 97 MB
+    # z2^10 has 1,024 left classes, so 2^20 pairs per witness identity, each
+    # counted when its three witnesses exist, one row per class a block at a
+    # time; both bounds lie below the 0.2 s and 23.5 MB that a class x class
+    # intersection-count table took on 2 vCPUs, so such a table fails them
     monkeypatch.delenv("RING_ORDER_CAP", raising=False)
     start = time.perf_counter()
     report = verify_witness_identities(direct_product([make_zmod(2)] * 10))
     elapsed = time.perf_counter() - start
     assert report.details == {"checked_sum": 1 << 20, "skipped_sum": 0,
                               "checked_intersection": 1 << 20, "skipped_intersection": 0}
-    assert elapsed < 1.0, f"{elapsed:.2f} s"
+    assert elapsed < 0.25, f"{elapsed:.2f} s"
     R = direct_product([make_zmod(2)] * 10)  # a fresh ring: no tables cached on it
     tracemalloc.start()
     try:
@@ -556,7 +454,7 @@ def test_witness_identities_on_ten_z2_within_bounds(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40 << 20, f"peaked at {peak / 2**20:.1f} MB"
+    assert peak < 12 << 20, f"peaked at {peak / 2**20:.1f} MB"
 
 
 @pytest.mark.parametrize("factors, digest", [
