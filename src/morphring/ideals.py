@@ -133,22 +133,44 @@ def _packed_rows(bits: np.ndarray) -> np.ndarray:
     return np.packbits(bits, axis=1, bitorder="little")[:, ::-1]
 
 
-@_per_ring
-def _side_tables(R: FiniteRing) -> SideTables:
-    """The left ``SideTables`` of ``R``, built once and cached on it."""
+def _packed_side_rows(R: FiniteRing) -> np.ndarray:
+    """``l(b)`` for every ``b``, then ``Ra`` for every ``a``: ``2n`` rows of ``_packed_rows``,
+    filled a block of columns of ``R.mul_table`` at a time (the last block's scratch is
+    freed on return, before the rows are numbered)."""
     n = R.order
-    annihilators, principals = [], []
+    packed = np.empty((2 * n, (n + 7) // 8), dtype=np.uint8)
     for rows in _row_blocks(n, n):
         cols = _columns(R.mul_table, rows)  # row i: x a for every x, a = rows.start + i
-        annihilators.append(_packed_rows(cols == R.zero))  # l(a) = {x : x a = 0}
-        members = np.zeros(cols.shape, dtype=bool)          # Ra, set within each row
-        members.reshape(-1)[np.arange(0, members.size, n)[:, None] + cols] = True
-        principals.append(_packed_rows(members))
-    packed = np.concatenate(annihilators + principals)  # rows b: l(b), then rows n + a: Ra
-    distinct, ids = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
-                              return_inverse=True)
-    masks = [int.from_bytes(row.tobytes(), "big") for row in distinct]
-    ids = ids.reshape(2, n).astype(np.int32)     # rows: ann_id, pri_id
+        packed[rows] = _packed_rows(cols == R.zero)  # l(a) = {x : x a = 0}
+        members = np.zeros(cols.shape, dtype=bool)   # Ra, set within each row
+        for sub in _row_blocks(len(cols), n << 4):   # an index of 1/16 of a block
+            offsets = np.arange(sub.start * n, sub.stop * n, n)
+            members.reshape(-1)[offsets[:, None] + cols[sub]] = True
+        packed[n + rows.start:n + rows.stop] = _packed_rows(members)
+    return packed
+
+
+@_per_ring
+def _side_tables(R: FiniteRing) -> SideTables:
+    """The left ``SideTables`` of ``R``, built once and cached on it.
+
+    One ``argsort`` orders the packed rows as bytes, which is the order of
+    their masks; a row that differs from the one before it in that order
+    starts a new id.  Sorted rows are compared a block at a time, so no
+    sorted copy of the rows is held.
+    """
+    n = R.order
+    packed = _packed_side_rows(R)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    order = np.argsort(keys)
+    new = np.ones(2 * n, dtype=bool)  # new[k]: sorted row k is not sorted row k - 1
+    for block in _row_blocks(2 * n - 1, packed.shape[1]):
+        run = keys[order[block.start:block.stop + 1]]
+        new[block.start + 1:block.stop + 1] = run[1:] != run[:-1]
+    masks = [int.from_bytes(keys[i].tobytes(), "big") for i in order[new].tolist()]
+    ids = np.empty(2 * n, dtype=np.int32)
+    ids[order] = np.cumsum(new) - 1
+    ids = ids.reshape(2, n)                      # rows: ann_id, pri_id
     least = np.full((2, len(masks)), -1, dtype=np.int32)
     for side_ids, side_least in zip(ids, least):
         seen, first = np.unique(side_ids, return_index=True)

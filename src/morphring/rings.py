@@ -612,12 +612,17 @@ def _structure_ring(parts: Sequence, rules: Sequence[tuple[int, int, int, object
     other digit is its part's zero) is read off the rules on the digits of
     all ``n`` elements.  An element of level ``q`` is such a one-digit
     element plus an element of the level below, so its column is one
-    gather of the two columns from ``add``: one gather per digit, about
-    ``2 n**2`` entries in all.  Rows of ``mul`` are independent, so it is
-    filled a block of rows at a time, each block through every level in
-    place; the level sums of ``add`` run a block of part ``q``'s rows at a
-    time.  Digit sums run in ``int32`` and each gather forms an ``intp`` index
-    of about ``_BLOCK_ENTRIES`` entries; values are cast to ``uint16`` on store.
+    gather of the two columns from ``add``.  The slab of level ``q`` whose
+    digit ``q`` is part ``q``'s zero ``z`` is the level below itself: it is
+    not gathered, only copied into place when ``z`` is not index 0.  So a
+    level of a part of order ``m`` gathers ``(m - 1) / m`` of its entries,
+    ``n (n - 1)`` entries in all when every part has order 2.  Rows of
+    ``mul`` are independent, so it is filled a block of rows at a time,
+    each block through every level in place; the level sums of ``add`` run
+    a block of part ``q``'s rows at a time.  Digit sums run in ``int32``;
+    each gather writes into ``mul`` a run of rows whose ``intp`` index
+    holds at most ``_BLOCK_ENTRIES / 16`` entries (or one row), and values
+    are cast to ``uint16`` on store.
     """
     orders = [len(part) for part in parts]
     n = math.prod(orders)
@@ -646,14 +651,21 @@ def _structure_ring(parts: Sequence, rules: Sequence[tuple[int, int, int, object
         digits = np.unravel_index(np.arange(rows.start, rows.stop), orders)
         block[:, 0] = index(zero)  # the column of 0
         for q in reversed(range(len(parts))):
-            m, size = orders[q], strides[q]
+            m, size, z = orders[q], strides[q], zero[q]
             # products[t][a, y]: digit t of a times the one-digit element y in digit q
             products = list(zero)
             for i, t, table in rules_at[q]:
                 products[t] = _gather(parts[t], products[t], table[digits[i]])
             columns = np.broadcast_to(index(products), (len(block), m))
-            gathered = _gather(add, columns[:, :, None], block[:, None, :size])
-            block[:, : m * size] = gathered.reshape(len(block), -1)
+            below = block[:, z * size:(z + 1) * size]  # slab y = z is the level below
+            if z:
+                below[...] = block[:, :size]
+            for start, stop in ((0, z), (z + 1, m)):  # the slabs y != z, in two runs
+                if start == stop:
+                    continue
+                for sub in _row_blocks(len(block), (stop - start) * size << 4):
+                    gathered = _gather(add, columns[sub, start:stop, None], below[sub, None, :])
+                    block[sub, start * size:stop * size] = gathered.reshape(len(gathered), -1)
     return _ring(n, add, mul, int(index(zero)), int(index(one)), _Labels(label, orders),
                  construction)
 

@@ -413,9 +413,9 @@ def test_classify_poly_z2_11_peak_memory(monkeypatch):
     classify_ring(R)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    # about 5.0 MB: the 4 MB intp index of one row block of gathers; an n x n
-    # bool temporary would add 4 MB more, an unpacked 2n x n side-table matrix 8 MB
-    assert peak < 7 << 20, f"classify poly(z2,11) peaked at {peak / 2**20:.1f} MB"
+    # about 3.5 MB, all in the side tables: 1 MB of packed rows and the columns and
+    # bools of a block; an n x n bool temporary would add 4 MB, a block-wide intp index 4 MB
+    assert peak < 4.5 * 2**20, f"classify poly(z2,11) peaked at {peak / 2**20:.1f} MB"
 
 
 def test_flag_text():

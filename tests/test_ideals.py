@@ -341,8 +341,9 @@ def _raw(R, side):  # (add, mul, zero) of R, the multiplication read on the side
 
 
 def test_side_tables_match_set_computations_on_corpus(monkeypatch):
-    # at 5 entries every column block of the side tables is one column
-    block_sizes = (rings_module._BLOCK_ENTRIES, 5)
+    # at 5 entries every column block of the side tables is one column; at 512 a
+    # block of 16-column rings scatters Ra two rows at a time
+    block_sizes = (rings_module._BLOCK_ENTRIES, 5, 512)
     for text, block in ((text, block) for text in default_corpus(64) for block in block_sizes):
         monkeypatch.setattr(rings_module, "_BLOCK_ENTRIES", block)
         R = build_ring(parse_ring_expr(text))

@@ -783,8 +783,11 @@ def _shifted(R):
 def _reference_cases():
     Z2, Z4, G4 = make_zmod(2), make_zmod(4), make_gf(2, 2)
     T2 = matrix_ring(Z2, 2, shape="lower_triangular")
-    S4, ST2 = _shifted(Z4), _shifted(T2)
+    S2, S4, ST2 = _shifted(Z2), _shifted(Z4), _shifted(T2)
     return {
+        # order-2 parts: the builder skips the zero digit's slab, half of every level
+        "poly(z2,5)": lambda: _poly_case(Z2, 5),
+        "prod(shift(z2),z2)": lambda: _product_case([S2, Z2]),
         "poly(shift(z4),3)": lambda: _poly_case(S4, 3),
         "mat(shift(z4),2)": lambda: _matrix_case(S4, 2, "full"),
         "trivext(shift(tri(z2,2)),self)": lambda: _trivext_case(ST2, regular_bimodule(ST2)),
@@ -821,6 +824,15 @@ def test_constructors_match_their_definition_on_digit_tuples(name):
     rows = ring.mul_table.tolist()
     assert all(one_x == x for x, one_x in enumerate(rows[ring.one]))
     assert all(row[ring.one] == x for x, row in enumerate(rows))
+
+
+def test_constructors_build_the_same_tables_in_shorter_runs_of_rows(monkeypatch):
+    # at 512 entries most levels of a block of rows are gathered in several runs
+    cases = _reference_cases()
+    expected = {name: case()[0] for name, case in cases.items()}
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 512)
+    for name, case in cases.items():
+        assert case()[0] == expected[name], name
 
 
 def _corruptions(tables, orders):
@@ -1044,15 +1056,29 @@ def test_kernels_read_a_transposed_view_through_its_base():
     assert peak < base.nbytes // 8  # the index and the result, not a copy of the 2 MB table
 
 
-def test_side_tables_and_build_of_poly_z2_11_stay_within_8_mb():
+_SCRATCH_CASES = {  # a builder, the number of distinct masks, the side tables' bound
+    # a chain ring: its twelve ideals are every l(b) and every Ra
+    "poly(z2,11)": (lambda: truncated_poly(make_zmod(2), 11), 12, 4_500_000),
+    # every l(b) and every Ra distinct, the most masks a ring of order 4096 has
+    "prod(z2 x12)": (lambda: direct_product([make_zmod(2)] * 12), 4096, 8_000_000),
+}
+
+
+@pytest.mark.parametrize("name", list(_SCRATCH_CASES))
+def test_side_tables_within_bound_and_build_within_1_mb_over_tables(name):
     from morphring.ideals import _side_tables
+    build, distinct, side_bound = _SCRATCH_CASES[name]
     tracemalloc.start()
-    R = truncated_poly(make_zmod(2), 11)
+    R = build()
     build_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.reset_peak()
     before = tracemalloc.get_traced_memory()[0]
-    _side_tables(R)
-    tables_peak = tracemalloc.get_traced_memory()[1] - before
+    tables = _side_tables(R)
+    side_peak = tracemalloc.get_traced_memory()[1] - before
     tracemalloc.stop()
-    assert tables_peak <= 8_000_000
-    assert build_peak <= R.add_table.nbytes + R.mul_table.nbytes + 8_000_000
+    assert len(tables.masks) == distinct
+    # the side tables hold their packed rows (2n x n/8 bytes) and a block of columns;
+    # the build gathers a run of rows at a time and skips the zero digit's slab
+    assert side_peak <= side_bound, f"side tables of {name}: {side_peak / 1e6:.2f} MB"
+    assert build_peak <= R.add_table.nbytes + R.mul_table.nbytes + 1_000_000, \
+        f"build of {name}: {build_peak / 1e6:.2f} MB"
