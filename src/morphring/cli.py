@@ -15,6 +15,7 @@ or usage errors, 1 if any check is refuted or mismatched, otherwise 0.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -627,4 +628,8 @@ def main() -> None:
     # The engine makes no BLAS call, so OpenBLAS need not start its threads.
     # Set before numpy loads and inherited by pool workers; a value already set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    sys.exit(run_command(sys.argv[1:]))
+    status = run_command(sys.argv[1:])
+    # A one-shot run holds all it built until exit; the interpreter's final collections
+    # skip the frozen generation, and module teardown still frees it by reference count.
+    gc.freeze()
+    sys.exit(status)

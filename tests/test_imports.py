@@ -5,8 +5,8 @@ ring engine (numpy and the modules built on it) only for commands that
 build a ring, and ``qz`` only for ``qz``.  No command loads OpenSSL's
 ``_hashlib`` or the definitional reference ``check``, and ``search`` does
 not load the theorem checks of ``verify``.
-Import graphs and thread counts are checked in fresh interpreters, since
-the test process itself has imported everything.
+Import graphs, thread counts and the collector's state at exit are checked
+in fresh interpreters, since the test process itself has imported everything.
 """
 
 import importlib
@@ -120,33 +120,54 @@ def test_search_without_a_builtin_sha256_prints_the_same_record(capsys):
 _TASKS = "/proc/self/task"
 
 
-def _main_in_fresh_interpreter(argv: list[str], env: dict) -> tuple[int, int | None, str | None]:
-    """Exit status, OS thread count (None without ``/proc``) and
-    ``OPENBLAS_NUM_THREADS`` after ``cli.main()``."""
-    script = ("import json, os, sys\n"
+def _main_in_fresh_interpreter(argv: list[str],
+                               env: dict) -> tuple[int, int | None, str | None, int, str]:
+    """Exit status, OS thread count (None without ``/proc``),
+    ``OPENBLAS_NUM_THREADS`` and the collector's frozen object count after
+    ``cli.main()``, then what the command printed to stdout."""
+    script = ("import gc, json, os, sys\n"
               "from morphring.cli import main\n"
               f"sys.argv = ['morphring', *{argv!r}]\n"
+              "assert gc.get_freeze_count() == 0\n"
               "try:\n    main()\nexcept SystemExit as exc:\n    status = exc.code\n"
               f"threads = len(os.listdir({_TASKS!r})) if os.path.isdir({_TASKS!r}) else None\n"
-              "print(json.dumps([status, threads, os.environ.get('OPENBLAS_NUM_THREADS')]))")
+              "print(json.dumps([status, threads, os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+              "                  gc.get_freeze_count()]), file=sys.stderr)")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=60, env={**env, "PYTHONPATH": SRC})
     assert done.returncode == 0, done.stderr
-    return tuple(json.loads(done.stdout.splitlines()[-1]))
+    return (*json.loads(done.stderr.splitlines()[-1]), done.stdout)
 
 
 @pytest.mark.skipif(not os.path.isdir(_TASKS), reason="no /proc task list")
 def test_main_leaves_the_blas_thread_pool_unstarted():
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    assert _main_in_fresh_interpreter(["classify", "z4", "--json"], env) == (0, 1, "1")
+    assert _main_in_fresh_interpreter(["classify", "z4", "--json"], env)[:3] == (0, 1, "1")
     # verify runs every theorem check, the heaviest numpy work of any command
-    assert _main_in_fresh_interpreter(["verify", "tri(z2,2)", "--json"], env) == (0, 1, "1")
+    assert _main_in_fresh_interpreter(["verify", "tri(z2,2)", "--json"], env)[:3] == (0, 1, "1")
 
 
 def test_main_keeps_a_blas_thread_count_the_user_set():
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
-    status, _, value = _main_in_fresh_interpreter(["classify", "z4", "--json"], env)
+    status, _, value, _, _ = _main_in_fresh_interpreter(["classify", "z4", "--json"], env)
     assert (status, value) == (0, "2")
+
+
+@pytest.mark.parametrize("argv, expected", [(["classify", "z4", "--json"], 0),
+                                            (["corpus", "--json"], 1),
+                                            (["classify", "z("], 2)],
+                         ids=["exit 0", "exit 1", "exit 2"])
+def test_main_exits_with_the_status_and_output_of_run_command_and_the_collector_frozen(
+        argv, expected, capsys):
+    # the interpreter's final collections skip frozen objects; a deterministic
+    # stand-in for a gate on exit time
+    from morphring.cli import run_command
+
+    assert run_command(argv) == expected
+    printed = capsys.readouterr().out
+    status, _, _, frozen, out = _main_in_fresh_interpreter(argv, dict(os.environ))
+    assert (status, out) == (expected, printed)
+    assert frozen > 0
 
 
 @pytest.mark.parametrize("text, shared", [("z4", True), ("tri(z2,2)", False)])
