@@ -135,8 +135,8 @@ def _packed_rows(bits: np.ndarray) -> np.ndarray:
 
 def _packed_side_rows(R: FiniteRing) -> np.ndarray:
     """``l(b)`` for every ``b``, then ``Ra`` for every ``a``: ``2n`` rows of ``_packed_rows``,
-    filled a block of columns of ``R.mul_table`` at a time (the last block's scratch is
-    freed on return, before the rows are numbered)."""
+    filled a block of columns of ``R.mul_table`` at a time (a block's scratch is freed
+    before the next block's columns are read)."""
     n = R.order
     packed = np.empty((2 * n, (n + 7) // 8), dtype=np.uint8)
     for rows in _row_blocks(n, n):
@@ -147,6 +147,7 @@ def _packed_side_rows(R: FiniteRing) -> np.ndarray:
             offsets = np.arange(sub.start * n, sub.stop * n, n)
             members.reshape(-1)[offsets[:, None] + cols[sub]] = True
         packed[n + rows.start:n + rows.stop] = _packed_rows(members)
+        del cols, members
     return packed
 
 

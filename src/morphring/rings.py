@@ -137,15 +137,26 @@ def _member_labels(labels: Sequence[str], members: list[int]) -> _Labels:
     return _Labels(lambda d: labels[members[d[0]]], (len(members),))
 
 
+class _AdditionTable:
+    """``FiniteRing.add_table``, kept in ``_add``, a list shared with the opposite ring: the
+    table, or a built ring's parts until the first read forms the table in their place."""
+
+    def __get__(self, R, owner=None) -> np.ndarray:
+        held = R._add  # read on the class, an AttributeError: the field has no default
+        if not isinstance(held[0], np.ndarray):
+            held[0] = _frozen(_addition_table(held[0]))
+        return held[0]
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteRing:
     """An associative ring with identity, given by Cayley tables.
 
     ``add_table[a, b]`` and ``mul_table[a, b]`` are element indices in
-    ``[0, order)``, held as read-only ``uint16`` arrays of shape
-    ``(order, order)``; they are the only stored form of the tables, and
-    ``order`` is at most 65,536.  The opposite ring's ``mul_table`` is the
-    transposed view of this one's.
+    ``[0, order)``, read-only ``uint16`` arrays of shape ``(order, order)``,
+    and ``order`` is at most 65,536.  A built ring keeps its parts' addition
+    tables, not its own: that is formed on first read.  The opposite ring
+    shares ``add_table`` and has the transposed view of ``mul_table``.
     Every ``FiniteRing`` is a ring: a direct call checks its tables as
     ``check_ring_axioms`` does, raises ``ValueError`` at the first violated
     axiom and keeps read-only ``uint16`` copies.  The constructors,
@@ -160,7 +171,7 @@ class FiniteRing:
     """
 
     order: int
-    add_table: np.ndarray
+    add_table: np.ndarray = _AdditionTable()
     mul_table: np.ndarray
     zero: int
     one: int
@@ -174,8 +185,8 @@ class FiniteRing:
             raise ValueError(f"order {self.order}, {len(self.labels)} labels: tables of order {n}")
         if not (check := _ring_axioms(add, mul, self.zero, self.one)).ok:
             raise ValueError(f"tables violate ring axiom {check.axiom} at {check.witness}")
-        object.__setattr__(self, "add_table", _frozen(add))
-        object.__setattr__(self, "mul_table", _frozen(mul))
+        self.__dict__.update(_add=[_frozen(add)], mul_table=_frozen(mul))
+        del self.__dict__["add_table"]  # __init__ stored it; it is read through _add
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteRing):
@@ -232,12 +243,14 @@ class FiniteRing:
         return f"FiniteRing(order={self.order}, construction={name!r})"
 
 
-def _ring(order: int, add: np.ndarray, mul: np.ndarray, zero: int, one: int,
+def _ring(order: int, add, mul: np.ndarray, zero: int, one: int,
           labels: Sequence[str], construction: str | None = None) -> FiniteRing:
-    """``FiniteRing`` on tables proved to be a ring, frozen as ``uint16``: no check, no copy."""
+    """``FiniteRing`` on tables proved to be a ring, frozen as ``uint16``: no check, no copy;
+    ``add`` is a table or an ``_add`` list (``_AdditionTable``), which is shared."""
     R = object.__new__(FiniteRing)
-    R.__dict__.update(order=order, add_table=_frozen(add), mul_table=_frozen(mul), zero=zero,
-                      one=one, labels=labels, construction=construction, _cache={})
+    R.__dict__.update(order=order, _add=add if isinstance(add, list) else [_frozen(add)],
+                      mul_table=_frozen(mul), zero=zero, one=one, labels=labels,
+                      construction=construction, _cache={})
     return R
 
 
@@ -579,6 +592,32 @@ def make_gf(p: int, k: int) -> FiniteRing:
 # composite constructors
 
 
+def _addition_table(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """The digitwise addition table of ``_structure_ring``'s encoding on ``parts``, in place.
+
+    The table of level ``q`` (digits before ``q`` all index 0) is the corner of side
+    ``m s`` of the whole table, ``s`` the stride of digit ``q``: its block ``(x, y)`` is
+    the level below, the corner of side ``s``, plus part ``q``'s ``(x, y)`` times ``s``.
+    Rows of digits ``x != 0`` read the corner; the rows of ``x = 0`` then overwrite it from
+    a copy, a block of rows at a time.  A scaled or copied block holds at most
+    ``_BLOCK_ENTRIES / 2`` entries, so with numpy's buffers it stays under a block's bytes.
+    """
+    n = math.prod(map(len, parts))
+    add, size = np.zeros((n, n), dtype=_TABLE_DTYPE), 1  # the corner [[0]]: the empty level
+    for part in (part for part in reversed(parts) if len(part) > 1):  # order 1 adds nothing
+        m = len(part)
+        below, level = add[:size, :size], add[:m * size, :m * size].reshape(m, size, m, size)
+        for xs in _row_blocks(m - 1, 2 * m):
+            xs = slice(xs.start + 1, xs.stop + 1)  # the digits x != 0
+            np.add(np.multiply(part[xs], size, dtype=_TABLE_DTYPE)[:, None, :, None],
+                   below[None, :, None, :], out=level[xs])
+        scaled = np.multiply(part[0], size, dtype=_TABLE_DTYPE)
+        for rows in _row_blocks(size, 2 * size):
+            np.add(scaled[:, None], below[rows, None, :].copy(), out=level[0, rows])
+        size *= m
+    return add
+
+
 def _structure_ring(parts: Sequence, rules: Sequence[tuple[int, int, int, object]],
                     zero: Sequence[int], one: Sequence[int], label: Callable[[tuple], str],
                     construction: str | None, what: str) -> FiniteRing:
@@ -603,14 +642,13 @@ def _structure_ring(parts: Sequence, rules: Sequence[tuple[int, int, int, object
     it: their ring tables are a ``FiniteRing``'s and their bimodules
     passed ``check_bimodule``, so the result is a ring and is not checked.
 
-    Both tables are built level by level, from the least significant digit
-    up to the whole ring; level ``q`` holds the elements whose digits
-    before ``q`` are zeros.  Addition on a level is the digitwise sum of
-    part ``q``'s table and the table of the level below.  Multiplication
-    is filled by distributivity, a column (all ``a`` times one ``b``) at a
-    time.  The column of a one-digit element (digit ``q`` is ``y``, every
-    other digit is its part's zero) is read off the rules on the digits of
-    all ``n`` elements.  An element of level ``q`` is such a one-digit
+    The multiplication table is filled from ``_addition_table(parts)``,
+    which the ring does not keep, level by level from the least significant
+    digit up; level ``q`` holds the elements whose digits before ``q`` are
+    zeros.  It is filled by distributivity, a column (all ``a`` times one
+    ``b``) at a time.  The column of a one-digit element (digit ``q`` is
+    ``y``, every other digit is its part's zero) is read off the rules on
+    the digits of all ``n`` elements.  An element of level ``q`` is such a one-digit
     element plus an element of the level below, so its column is one
     gather of the two columns from ``add``.  The slab of level ``q`` whose
     digit ``q`` is part ``q``'s zero ``z`` is the level below itself: it is
@@ -618,8 +656,7 @@ def _structure_ring(parts: Sequence, rules: Sequence[tuple[int, int, int, object
     level of a part of order ``m`` gathers ``(m - 1) / m`` of its entries,
     ``n (n - 1)`` entries in all when every part has order 2.  Rows of
     ``mul`` are independent, so it is filled a block of rows at a time,
-    each block through every level in place; the level sums of ``add`` run
-    a block of part ``q``'s rows at a time.  Digit sums run in ``int32``;
+    each block through every level in place.  Digit sums run in ``int32``;
     each gather writes into ``mul`` a run of rows whose ``intp`` index
     holds at most ``_BLOCK_ENTRIES / 16`` entries (or one row), and values
     are cast to ``uint16`` on store.
@@ -636,15 +673,7 @@ def _structure_ring(parts: Sequence, rules: Sequence[tuple[int, int, int, object
     def index(digit_tuple: Sequence) -> np.integer | np.ndarray:
         return sum(np.multiply(d, s, dtype=np.int32) for d, s in zip(digit_tuple, strides))
 
-    add = np.zeros((1, 1), dtype=_TABLE_DTYPE)  # the table of the empty level
-    for q in reversed(range(len(parts))):
-        m, size = orders[q], strides[q]
-        level = np.empty((m * size, m * size), dtype=_TABLE_DTYPE)
-        for xs in _row_blocks(m, m):  # digit q times its stride plus the level below
-            np.add(np.multiply(parts[q][xs], size, dtype=np.int32)[:, None, :, None],
-                   add[None, :, None, :], out=level.reshape(m, size, m, size)[xs],
-                   dtype=np.int32, casting="unsafe")
-        add = level
+    add = _addition_table(parts)
     mul = np.empty((n, n), dtype=_TABLE_DTYPE)
     for rows in _row_blocks(n, n):
         block = mul[rows]
@@ -666,8 +695,8 @@ def _structure_ring(parts: Sequence, rules: Sequence[tuple[int, int, int, object
                 for sub in _row_blocks(len(block), (stop - start) * size << 4):
                     gathered = _gather(add, columns[sub, start:stop, None], below[sub, None, :])
                     block[sub, start * size:stop * size] = gathered.reshape(len(gathered), -1)
-    return _ring(n, add, mul, int(index(zero)), int(index(one)), _Labels(label, orders),
-                 construction)
+    return _ring(n, [tuple(parts)], mul, int(index(zero)), int(index(one)),
+                 _Labels(label, orders), construction)
 
 
 def direct_product(rings: Sequence[FiniteRing]) -> FiniteRing:
@@ -924,8 +953,8 @@ def pierce_corner(R: FiniteRing, e: int) -> FiniteRing:
 def opposite(R: FiniteRing) -> FiniteRing:
     """The opposite ring: same elements, reversed multiplication.
 
-    Its ``mul_table`` is the transposed view of ``R.mul_table`` and its
-    ``add_table`` is the same array, so no table is copied.  ``R`` caches
+    Its ``mul_table`` is the transposed view of ``R.mul_table``, and the two
+    share ``add_table``, formed once for both, so no table is copied.  ``R`` caches
     the result, which refers back to ``R`` weakly: ``opposite(opposite(R))``
     is ``R`` while ``R`` lives, and no reference cycle outlives ``R``.
     """
@@ -935,7 +964,7 @@ def opposite(R: FiniteRing) -> FiniteRing:
     if cached is not None:
         return cached
     construction = f"opp({R.construction})" if R.construction else None
-    opp = _ring(R.order, R.add_table, R.mul_table.T, R.zero, R.one, R.labels, construction)
+    opp = _ring(R.order, R._add, R.mul_table.T, R.zero, R.one, R.labels, construction)
     R._cache["opposite"] = opp
     opp._cache["opposite"] = weakref.ref(R)
     return opp

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import math
 import pickle
 import time
 import tracemalloc
@@ -693,6 +694,98 @@ def test_a_pickled_ring_is_rebuilt_read_only_with_an_empty_cache(text):
 
 
 # ---------------------------------------------------------------------------
+# a built ring's addition table, formed from its parts when it is read
+
+
+# SHA-256 of the little-endian uint16 add_table, then mul_table, of every ring
+# of default_corpus(512) in order, recorded from the level-by-level addition
+# builder that kept each ring's table
+_CORPUS_512_TABLES_SHA256 = "057c1b3513949375d0891795b1cf77e0bda84292e3a9ed429ce59f18fc0b8723"
+
+
+@pytest.mark.parametrize("block", [None, 512])
+def test_corpus_tables_match_the_recorded_digest(monkeypatch, block):
+    from morphring.cli import default_corpus
+
+    if block is not None:  # row blocks in the former and in the multiplication fill
+        monkeypatch.setattr(rings, "_BLOCK_ENTRIES", block)
+    digest = hashlib.sha256()
+    for text in default_corpus(512):
+        R = build_ring(parse_ring_expr(text))
+        for table in (R.add_table, R.mul_table):
+            digest.update(np.ascontiguousarray(table, dtype="<u2").tobytes())
+    assert digest.hexdigest() == _CORPUS_512_TABLES_SHA256
+
+
+def _spy_former(monkeypatch) -> list:
+    """The orders of the addition tables formed from now on."""
+    formed, former = [], rings._addition_table
+    monkeypatch.setattr(rings, "_addition_table",
+                        lambda parts: formed.append(math.prod(map(len, parts))) or former(parts))
+    return formed
+
+
+def test_deciding_a_built_ring_forms_its_addition_table_only_for_a_lattice(monkeypatch):
+    from morphring.cli import default_corpus
+    from morphring.search import _search_hit
+
+    monkeypatch.setenv("RING_ORDER_CAP", "512")
+    decided = [build_ring(parse_ring_expr(text)) for text in ("poly(z2,9)", "gf(2,8)")]
+    searched = [build_ring(parse_ring_expr(text)) for text in default_corpus(64)]
+    lattice = build_ring(parse_ring_expr("prod(tri(z2,2),z2)"))
+    formed = _spy_former(monkeypatch)
+    for R in decided:
+        classify_ring(R)
+    for R in searched:
+        _search_hit(R)
+    assert formed == []
+    classify_ring(lattice)  # the sums of its ideal lattice read the table, on both sides
+    assert formed == [16]
+
+
+def test_a_built_ring_holds_its_multiplication_table_and_parts():
+    tracemalloc.start()
+    R = truncated_poly(make_zmod(2), 11)
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    assert held <= R.mul_table.nbytes + (256 << 10), f"{held / 2**20:.2f} MiB held"
+
+
+@pytest.mark.parametrize("build", [lambda: truncated_poly(make_zmod(2), 11),
+                                   lambda: make_gf(2039, 1)], ids=["poly(z2,11)", "gf(2039,1)"])
+def test_forming_an_addition_table_traces_it_and_at_most_1_mib(build):
+    R = build()
+    tracemalloc.start()
+    table = R.add_table
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert table.nbytes == 2 * R.order ** 2
+    assert peak <= table.nbytes + (1 << 20), f"{peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("first", ["ring", "opposite"])
+def test_a_ring_and_its_opposite_form_one_addition_table(monkeypatch, first):
+    R = matrix_ring(make_zmod(2), 3, shape="lower_triangular")
+    O = opposite(R)
+    formed = _spy_former(monkeypatch)
+    table = (R if first == "ring" else O).add_table
+    assert O.add_table is table and R.add_table is table and formed == [64]
+    assert table.dtype == np.uint16 and not table.flags.writeable
+
+
+def test_a_pickled_ring_whose_table_was_never_read_unpickles_equal(monkeypatch):
+    formed = _spy_former(monkeypatch)
+    R = build_ring(parse_ring_expr("trivext(z8,ideal(2))"))
+    copy = pickle.loads(pickle.dumps(R))
+    assert formed == [32, 32]  # the build, then the pickle's read
+    assert copy == R and copy.add_table is not R.add_table
+    for table in (copy.add_table, copy.mul_table):
+        assert table.dtype == np.uint16 and not table.flags.writeable
+    with pytest.raises(AttributeError):
+        R.add_table = copy.add_table
+
+
+# ---------------------------------------------------------------------------
 # every composite constructor against its definition, on digit tuples
 
 
@@ -1058,9 +1151,9 @@ def test_kernels_read_a_transposed_view_through_its_base():
 
 _SCRATCH_CASES = {  # a builder, the number of distinct masks, the side tables' bound
     # a chain ring: its twelve ideals are every l(b) and every Ra
-    "poly(z2,11)": (lambda: truncated_poly(make_zmod(2), 11), 12, 4_500_000),
+    "poly(z2,11)": (lambda: truncated_poly(make_zmod(2), 11), 12, 3_400_000),
     # every l(b) and every Ra distinct, the most masks a ring of order 4096 has
-    "prod(z2 x12)": (lambda: direct_product([make_zmod(2)] * 12), 4096, 8_000_000),
+    "prod(z2 x12)": (lambda: direct_product([make_zmod(2)] * 12), 4096, 6_900_000),
 }
 
 
@@ -1077,8 +1170,8 @@ def test_side_tables_within_bound_and_build_within_1_mb_over_tables(name):
     side_peak = tracemalloc.get_traced_memory()[1] - before
     tracemalloc.stop()
     assert len(tables.masks) == distinct
-    # the side tables hold their packed rows (2n x n/8 bytes) and a block of columns;
-    # the build gathers a run of rows at a time and skips the zero digit's slab
+    # the side tables hold their packed rows (2n x n/8 bytes), a block of columns and one
+    # bool block; the build gathers a run of rows at a time and skips the zero digit's slab
     assert side_peak <= side_bound, f"side tables of {name}: {side_peak / 1e6:.2f} MB"
     assert build_peak <= R.add_table.nbytes + R.mul_table.nbytes + 1_000_000, \
         f"build of {name}: {build_peak / 1e6:.2f} MB"
