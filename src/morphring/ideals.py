@@ -14,8 +14,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rings import (FiniteRing, _check_element, _columns, _distinct, _env_cap, _gather,
-                    _is_commutative, _per_ring, _row_blocks, opposite)
+from .rings import (FiniteRing, _addition_split, _check_element, _columns, _distinct, _env_cap,
+                    _gather, _is_commutative, _per_ring, _row_blocks, opposite)
 
 __all__ = [
     "ElementCensus",
@@ -135,15 +135,15 @@ def _packed_rows(bits: np.ndarray) -> np.ndarray:
 
 def _packed_side_rows(R: FiniteRing) -> np.ndarray:
     """``l(b)`` for every ``b``, then ``Ra`` for every ``a``: ``2n`` rows of ``_packed_rows``,
-    filled a block of columns of ``R.mul_table`` at a time (a block's scratch is freed
+    filled half a block of columns of ``R.mul_table`` at a time (a block's scratch is freed
     before the next block's columns are read)."""
     n = R.order
     packed = np.empty((2 * n, (n + 7) // 8), dtype=np.uint8)
-    for rows in _row_blocks(n, n):
+    for rows in _row_blocks(n, 2 * n):
         cols = _columns(R.mul_table, rows)  # row i: x a for every x, a = rows.start + i
         packed[rows] = _packed_rows(cols == R.zero)  # l(a) = {x : x a = 0}
         members = np.zeros(cols.shape, dtype=bool)   # Ra, set within each row
-        for sub in _row_blocks(len(cols), n << 4):   # an index of 1/16 of a block
+        for sub in _row_blocks(len(cols), n << 5):   # an index of 1/32 of a block
             offsets = np.arange(sub.start * n, sub.stop * n, n)
             members.reshape(-1)[offsets[:, None] + cols[sub]] = True
         packed[n + rows.start:n + rows.stop] = _packed_rows(members)
@@ -158,7 +158,9 @@ def _side_tables(R: FiniteRing) -> SideTables:
     One ``argsort`` orders the packed rows as bytes, which is the order of
     their masks; a row that differs from the one before it in that order
     starts a new id.  Sorted rows are compared a block at a time, so no
-    sorted copy of the rows is held.
+    sorted copy of the rows is held.  The masks are read from the last block
+    of rows back, each block freed once read, so the rows and the masks are
+    not held whole together.
     """
     n = R.order
     packed = _packed_side_rows(R)
@@ -168,9 +170,15 @@ def _side_tables(R: FiniteRing) -> SideTables:
     for block in _row_blocks(2 * n - 1, packed.shape[1]):
         run = keys[order[block.start:block.stop + 1]]
         new[block.start + 1:block.stop + 1] = run[1:] != run[:-1]
-    masks = [int.from_bytes(keys[i].tobytes(), "big") for i in order[new].tolist()]
     ids = np.empty(2 * n, dtype=np.int32)
     ids[order] = np.cumsum(new) - 1
+    rows = order[new]  # the row of each distinct mask, the masks ascending
+    masks, width = [0] * len(rows), packed.shape[1]
+    del keys  # no view of packed is left, so it can shed the rows read
+    for block in reversed(list(_row_blocks(2 * n, width))):
+        for i in np.flatnonzero((rows >= block.start) & (rows < block.stop)).tolist():
+            masks[i] = int.from_bytes(packed[rows[i]].tobytes(), "big")
+        packed.resize((block.start, width), refcheck=False)
     ids = ids.reshape(2, n)                      # rows: ann_id, pri_id
     least = np.full((2, len(masks)), -1, dtype=np.int32)
     for side_ids, side_least in zip(ids, least):
@@ -233,14 +241,18 @@ def subgroup_sum(R: FiniteRing, m1: int, m2: int) -> int:
         return m1
     if m1 & ~m2 == 0:
         return m2
-    add = R.add_table
+    s, hi, lo = _addition_split(R)
+
+    def plus(xs, g: int):  # xs + g; addition commutes, so row g of a split table adds g
+        return hi[xs, g] if s == 1 else hi[g // s].take(xs // s) * s + lo[g % s].take(xs % s)
+
     res = _bool_from_mask(m1 | 1 << R.zero, R.order)
     todo = _bool_from_mask(m2, R.order)
     while (rest := todo & ~res).any():
         shift = int(rest.argmax())
         while not res[shift]:
-            res[add[np.flatnonzero(res), shift]] = True
-            shift = int(add[shift, shift])
+            res[plus(np.flatnonzero(res), shift)] = True
+            shift = int(plus(shift, shift))
     return _mask_from_bool(res)
 
 

@@ -138,8 +138,9 @@ def _member_labels(labels: Sequence[str], members: list[int]) -> _Labels:
 
 
 class _AdditionTable:
-    """``FiniteRing.add_table``, kept in ``_add``, a list shared with the opposite ring: the
-    table, or a built ring's parts until the first read forms the table in their place."""
+    """``FiniteRing.add_table``, kept first in ``_add``, a list shared with the opposite ring
+    (``_addition_split`` appends to it): the table, or a built ring's parts until the first
+    read forms the table in their place."""
 
     def __get__(self, R, owner=None) -> np.ndarray:
         held = R._add  # read on the class, an AttributeError: the field has no default
@@ -618,6 +619,28 @@ def _addition_table(parts: Sequence[np.ndarray]) -> np.ndarray:
     return add
 
 
+def _split(orders: Sequence[int]) -> tuple[int, int]:
+    """``(k, s)``: the leading ``k`` digits, as many as have an addition table of at most
+    ``_BLOCK_ENTRIES`` entries and at least one, and ``s`` the order of the rest, so that
+    ``x + y`` is ``hi[x // s, y // s] * s + lo[x % s, y % s]`` for the tables of the two."""
+    k, size = 1, orders[0]
+    while k < len(orders) and (size * orders[k]) ** 2 <= _BLOCK_ENTRIES:
+        size, k = size * orders[k], k + 1
+    return k, math.prod(orders[k:])
+
+
+def _addition_split(R: FiniteRing) -> tuple[int, np.ndarray, np.ndarray | None]:
+    """``(s, hi, lo)`` of ``_split`` for a built ring with ``s > 1`` whose table is unread,
+    formed from its parts once and kept in ``_add``, which the opposite ring shares;
+    ``(1, R.add_table, None)`` for any other ring."""
+    held = R._add
+    if len(held) == 1 and not isinstance(parts := held[0], np.ndarray):
+        k, s = _split([len(part) for part in parts])
+        if s > 1:
+            held += [s, _frozen(_addition_table(parts[:k])), _frozen(_addition_table(parts[k:]))]
+    return tuple(held[1:]) if len(held) > 1 else (1, R.add_table, None)
+
+
 def _structure_ring(parts: Sequence, rules: Sequence[tuple[int, int, int, object]],
                     zero: Sequence[int], one: Sequence[int], label: Callable[[tuple], str],
                     construction: str | None, what: str) -> FiniteRing:
@@ -642,24 +665,27 @@ def _structure_ring(parts: Sequence, rules: Sequence[tuple[int, int, int, object
     it: their ring tables are a ``FiniteRing``'s and their bimodules
     passed ``check_bimodule``, so the result is a ring and is not checked.
 
-    The multiplication table is filled from ``_addition_table(parts)``,
-    which the ring does not keep, level by level from the least significant
-    digit up; level ``q`` holds the elements whose digits before ``q`` are
-    zeros.  It is filled by distributivity, a column (all ``a`` times one
-    ``b``) at a time.  The column of a one-digit element (digit ``q`` is
-    ``y``, every other digit is its part's zero) is read off the rules on
-    the digits of all ``n`` elements.  An element of level ``q`` is such a one-digit
-    element plus an element of the level below, so its column is one
-    gather of the two columns from ``add``.  The slab of level ``q`` whose
-    digit ``q`` is part ``q``'s zero ``z`` is the level below itself: it is
-    not gathered, only copied into place when ``z`` is not index 0.  So a
-    level of a part of order ``m`` gathers ``(m - 1) / m`` of its entries,
-    ``n (n - 1)`` entries in all when every part has order 2.  Rows of
-    ``mul`` are independent, so it is filled a block of rows at a time,
-    each block through every level in place.  Digit sums run in ``int32``;
-    each gather writes into ``mul`` a run of rows whose ``intp`` index
-    holds at most ``_BLOCK_ENTRIES / 16`` entries (or one row), and values
-    are cast to ``uint16`` on store.
+    The multiplication table is filled level by level from the least
+    significant digit up; level ``q`` holds the elements whose digits before
+    ``q`` are zeros.  It is filled by distributivity, a column (all ``a``
+    times one ``b``) at a time.  The column of a one-digit element (digit
+    ``q`` is ``y``, every other digit is its part's zero) is read off the
+    rules on the digits of all ``n`` elements.  An element of level ``q`` is
+    such a one-digit element plus an element of the level below, so its
+    column is one gather of the two columns from an addition table.  The
+    slab of level ``q`` whose digit ``q`` is part ``q``'s zero ``z`` is the
+    level below itself: it is not gathered, only copied into place when
+    ``z`` is not index 0; nor is a slab ``c + 0`` while the levels below
+    hold only zeros, or ``0 + b`` when no rule writes the digits summed.
+    Rows of ``mul`` are independent, so it is filled a block of rows at a
+    time, each block through every level in place.  Digit sums run in
+    ``int32``; each gather writes a run of rows whose ``intp`` index holds
+    at most ``_BLOCK_ENTRIES / 16`` entries (or one row), and values are
+    cast to ``uint16`` on store.  The sums are read from the two digit
+    groups of ``_split`` apart, each a plane of the fill with its own table
+    and strides: the block of ``mul`` holds the leading group's indices and
+    one reused scratch block the trailing group's, until the block becomes
+    ``leading * s + trailing``.  With ``s = 1`` the block is the one plane.
     """
     orders = [len(part) for part in parts]
     n = math.prod(orders)
@@ -670,31 +696,52 @@ def _structure_ring(parts: Sequence, rules: Sequence[tuple[int, int, int, object
     for i, j, t, table in rules:
         rules_at[j].append((i, t, table))
 
-    def index(digit_tuple: Sequence) -> np.integer | np.ndarray:
-        return sum(np.multiply(d, s, dtype=np.int32) for d, s in zip(digit_tuple, strides))
+    def index(digit_tuple: Sequence, strides=strides) -> np.integer | np.ndarray:
+        return sum(np.multiply(d, st, dtype=np.int32) for d, st in zip(digit_tuple, strides) if st)
 
-    add = _addition_table(parts)
+    k, s = _split(orders)
+    # a plane per digit group: its addition table and its digits' strides, 0 off the group
+    planes = [(_addition_table(parts[:k]), [st // s for st in strides])]
+    if s > 1:
+        planes.append((_addition_table(parts[k:]), [st % s for st in strides]))
+        low = np.empty((max(1, _BLOCK_ENTRIES // n), n), dtype=_TABLE_DTYPE)
     mul = np.empty((n, n), dtype=_TABLE_DTYPE)
     for rows in _row_blocks(n, n):
         block = mul[rows]
+        outs = (block,) if s == 1 else (block, low[:len(block)])
+        fills = [[out, add, group, True] for out, (add, group) in zip(outs, planes)]
         digits = np.unravel_index(np.arange(rows.start, rows.stop), orders)
-        block[:, 0] = index(zero)  # the column of 0
+        for plane, _, group, _ in fills:
+            plane[:, 0] = index(zero, group)  # the column of 0
         for q in reversed(range(len(parts))):
             m, size, z = orders[q], strides[q], zero[q]
             # products[t][a, y]: digit t of a times the one-digit element y in digit q
             products = list(zero)
             for i, t, table in rules_at[q]:
                 products[t] = _gather(parts[t], products[t], table[digits[i]])
-            columns = np.broadcast_to(index(products), (len(block), m))
-            below = block[:, z * size:(z + 1) * size]  # slab y = z is the level below
-            if z:
-                below[...] = block[:, :size]
-            for start, stop in ((0, z), (z + 1, m)):  # the slabs y != z, in two runs
-                if start == stop:
-                    continue
-                for sub in _row_blocks(len(block), (stop - start) * size << 4):
-                    gathered = _gather(add, columns[sub, start:stop, None], below[sub, None, :])
-                    block[sub, start * size:stop * size] = gathered.reshape(len(gathered), -1)
+            for fill in fills:  # fill[3]: the plane's levels so far hold only its zero
+                plane, add, group, blank = fill
+                below = plane[:, z * size:(z + 1) * size]  # slab y = z is the level below
+                if z:
+                    below[...] = plane[:, :size]
+                writes = any(group[t] for _, t, _ in rules_at[q])  # else the columns are 0
+                if writes:
+                    columns = np.broadcast_to(index(products, group), (len(block), m))[..., None]
+                for start, stop in ((0, z), (z + 1, m)):  # the slabs y != z, in two runs
+                    if start == stop:
+                        continue
+                    slabs = plane[:, start * size:stop * size].reshape(len(block), -1, size)
+                    if not writes:  # 0 + b
+                        slabs[...] = below[:, None]
+                    elif blank:  # c + 0
+                        slabs[...] = columns[:, start:stop]
+                    else:
+                        for sub in _row_blocks(len(block), (stop - start) * size << 4):
+                            slabs[sub] = _gather(add, columns[sub, start:stop], below[sub, None])
+                fill[3] = blank and not writes
+        if s > 1:
+            block *= s
+            block += outs[1]
     return _ring(n, [tuple(parts)], mul, int(index(zero)), int(index(one)),
                  _Labels(label, orders), construction)
 

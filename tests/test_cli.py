@@ -449,6 +449,20 @@ def test_verify_records_golden_over_corpus_128(capsys):
     assert digest.hexdigest() == VERIFY_CORPUS_128_SHA256
 
 
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_records_golden_over_corpus_128_with_split_addition(monkeypatch, capsys, command):
+    from morphring import rings
+
+    # every ring above order 22 sums its ideals through its two digit groups' tables
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 512)
+    digest = hashlib.sha256()
+    for text in default_corpus(128):
+        assert run_command([command, text, "--json"]) == 0, text
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == {"classify": CLASSIFY_CORPUS_128_SHA256,
+                                  "verify": VERIFY_CORPUS_128_SHA256}[command]
+
+
 @pytest.mark.parametrize("command", sorted(CORPUS_512_REST_SHA256))
 def test_records_golden_over_the_rest_of_corpus_512(capsys, command):
     small = set(default_corpus(128))

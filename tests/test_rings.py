@@ -785,6 +785,46 @@ def test_a_pickled_ring_whose_table_was_never_read_unpickles_equal(monkeypatch):
         R.add_table = copy.add_table
 
 
+def test_the_split_keeps_a_table_of_at_most_a_block_whole():
+    # (k, s): the leading k digits keep an addition table of at most 2**19 entries, at least one
+    assert rings._split([724]) == (1, 1) and rings._split([2] * 9) == (9, 1)
+    assert rings._split([2] * 10) == (9, 2) and rings._split([2] * 12) == (9, 8)
+    assert rings._split([1024, 2, 2]) == (1, 4) and rings._split([8, 64, 2]) == (2, 2)
+
+
+_TWELVE_Z2 = "prod(" + ",".join(["z2"] * 12) + ")"
+
+
+@pytest.mark.parametrize("argv", [("classify", "poly(z2,11)"), ("classify", "gf(2,12)"),
+                                  ("classify", _TWELVE_Z2), ("verify", _TWELVE_Z2)],
+                         ids=["classify poly(z2,11)", "classify gf(2,12)",
+                              "classify prod(z2 x12)", "verify prod(z2 x12)"])
+def test_big_commands_form_no_addition_table_over_a_block(monkeypatch, argv):
+    from morphring.cli import run_command
+
+    monkeypatch.setenv("RING_ORDER_CAP", "4096")
+    formed = _spy_former(monkeypatch)
+    assert run_command([*argv, "--json"]) == 0
+    assert formed and max(formed) ** 2 <= rings._BLOCK_ENTRIES, formed
+
+
+@pytest.mark.parametrize("first", ["ring", "opposite"])
+def test_a_ring_and_its_opposite_share_one_pair_of_split_tables(monkeypatch, first):
+    from morphring.ideals import subgroup_sum
+
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 512)  # six z2 digits: 16 x 4 of order 64
+    R = matrix_ring(make_zmod(2), 3, shape="lower_triangular")
+    O = opposite(R)
+    formed = _spy_former(monkeypatch)
+    a, b = 0b101001, 0b010011  # <a> and <b> meet in 0, so their sum has four members
+    total = subgroup_sum(R if first == "ring" else O, 1 | 1 << a, 1 | 1 << b)
+    s, hi, lo = split = rings._addition_split(R)
+    assert all(x is y for x, y in zip(rings._addition_split(O), split))
+    assert formed == [16, 4]  # the two digit groups' tables, no 64 x 64 table
+    assert s == 4 and (hi.shape, lo.shape) == ((16, 16), (4, 4)) and not hi.flags.writeable
+    assert total == 1 | 1 << a | 1 << b | 1 << R.add(a, b) and formed == [16, 4, 64]
+
+
 # ---------------------------------------------------------------------------
 # every composite constructor against its definition, on digit tuples
 
@@ -1151,14 +1191,14 @@ def test_kernels_read_a_transposed_view_through_its_base():
 
 _SCRATCH_CASES = {  # a builder, the number of distinct masks, the side tables' bound
     # a chain ring: its twelve ideals are every l(b) and every Ra
-    "poly(z2,11)": (lambda: truncated_poly(make_zmod(2), 11), 12, 3_400_000),
+    "poly(z2,11)": (lambda: truncated_poly(make_zmod(2), 11), 12, 2_400_000),
     # every l(b) and every Ra distinct, the most masks a ring of order 4096 has
-    "prod(z2 x12)": (lambda: direct_product([make_zmod(2)] * 12), 4096, 6_900_000),
+    "prod(z2 x12)": (lambda: direct_product([make_zmod(2)] * 12), 4096, 5_800_000),
 }
 
 
 @pytest.mark.parametrize("name", list(_SCRATCH_CASES))
-def test_side_tables_within_bound_and_build_within_1_mb_over_tables(name):
+def test_side_tables_and_build_within_their_bounds(name):
     from morphring.ideals import _side_tables
     build, distinct, side_bound = _SCRATCH_CASES[name]
     tracemalloc.start()
@@ -1170,8 +1210,9 @@ def test_side_tables_within_bound_and_build_within_1_mb_over_tables(name):
     side_peak = tracemalloc.get_traced_memory()[1] - before
     tracemalloc.stop()
     assert len(tables.masks) == distinct
-    # the side tables hold their packed rows (2n x n/8 bytes), a block of columns and one
-    # bool block; the build gathers a run of rows at a time and skips the zero digit's slab
+    # the side tables hold their packed rows (2n x n/8 bytes), half a block of columns and
+    # one bool block, and free the rows as the masks are read; the build holds mul_table,
+    # one scratch block and its two digit groups' addition tables of at most a block each
     assert side_peak <= side_bound, f"side tables of {name}: {side_peak / 1e6:.2f} MB"
-    assert build_peak <= R.add_table.nbytes + R.mul_table.nbytes + 1_000_000, \
+    assert build_peak <= R.mul_table.nbytes + 2_500_000, \
         f"build of {name}: {build_peak / 1e6:.2f} MB"
