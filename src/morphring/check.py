@@ -120,6 +120,26 @@ def exchange_failure(add, mul, zero: int, ideals: list[int]) -> tuple[int, int, 
     return None
 
 
+def p_injective(mul, zero: int) -> int | None:
+    """The least ``a`` with ``r(l(a)) != aR``, or None: None exactly when the ring is left
+    P-injective; pass ``mul.T`` for the right flag, ``l(r(a)) = Ra``."""
+    mul = np.asarray(mul)
+    right = functools.cache(functools.partial(annihilator, mul.T, zero))
+    return next((a for a, (m, p) in enumerate(zip(annihilators(mul, zero), principals(mul.T)))
+                 if right(m) != p), None)
+
+
+def dual_failure(add, mul, zero: int) -> int | None:
+    """The first left ideal with ``l(r(I)) != I``, then the first right ideal with
+    ``r(l(I)) != I``, ascending, or None: None exactly for a dual ring."""
+    mul = np.asarray(mul)
+    for table in (mul, mul.T):  # left ideals, then right ideals
+        for ideal in all_ideals(add, table, zero):
+            if annihilator(table, zero, annihilator(table.T, zero, ideal)) != ideal:
+                return ideal
+    return None
+
+
 def essential(lattice: list[int], zero: int, mask: int) -> bool:
     """``mask`` meets every nonzero ideal of ``lattice`` beyond zero."""
     zero_bit = 1 << zero

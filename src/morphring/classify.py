@@ -20,13 +20,13 @@ import numpy as np
 from .ideals import (
     LatticeOverflow,
     Side,
-    all_ideals,
     annihilator,
     element_census,
     lattice_cap,
     mask_members,
     subgroup_sum,
     _bool_from_mask,
+    _lattice,
     _resolve,
 )
 from .rings import (FiniteRing, OrderCapExceeded, _check_element, _columns, _first_violation,
@@ -280,10 +280,10 @@ def commutation_profile(R: FiniteRing) -> CommutationProfile:
     return CommutationProfile(reduced, reversible, symmetric, semiprime, Flag(True))
 
 
-def _fg_ideals(R: FiniteRing, side: Side) -> list[int]:
+def _fg_ideals(R: FiniteRing, side: Side) -> dict[int, int]:
     """Every side ideal, each finitely generated in a finite ring: the lattice at a cap
     no lower than the principal count, so only a side that is not Bézout can overflow."""
-    return all_ideals(R, side, max(len(_resolve(R, side)[1].principal_masks), lattice_cap()))
+    return _lattice(R, side, max(len(_resolve(R, side)[1].principal_masks), lattice_cap()))
 
 
 def _bezout(R: FiniteRing, side: Side) -> Flag:
@@ -319,13 +319,14 @@ def _bezout(R: FiniteRing, side: Side) -> Flag:
 
 
 def _p_injective(R: FiniteRing, side: Side) -> Flag:
-    """Left flag: ``rl(a) = aR`` for all ``a``; right flag: ``lr(a) = Ra``."""
-    _, own = _resolve(R, side)            # side annihilators, e.g. l(a) for Left
-    _, mirrored = _resolve(R, side.other) # other-side principal ideals, e.g. aR for Left
-    back = np.full(len(own.masks), -1)    # per annihilator id: id of its other-side annihilator
-    for i in np.flatnonzero(own.ann_least >= 0).tolist():
-        back[i] = mirrored.index.get(annihilator(R, side.other, own.masks[i]), -1)
-    return _all_true(back[own.ann_id] == mirrored.pri_id)
+    """Left flag: ``rl(a) = aR`` for all ``a``; right flag: ``lr(a) = Ra``.  As ``l(aR) = l(a)``,
+    this is the double-annihilator law on the other side's principal ideals, read in the order
+    of their least generators, so the first failure's least generator is the least failing ``a``."""
+    _, tables = _resolve(R, side.other)
+    least = np.sort(tables.pri_least[tables.pri_least >= 0])  # least generators, ascending
+    ideals = [tables.masks[i] for i in tables.pri_id[least].tolist()]
+    failure = _double_annihilator_failure(R, side.other, ideals)
+    return Flag(True) if failure is None else Flag(False, counterexample=tables.pri_witness(failure))
 
 
 def _double_annihilator_failure(R: FiniteRing, side: Side, ideals: Iterable[int]) -> int | None:
@@ -334,11 +335,11 @@ def _double_annihilator_failure(R: FiniteRing, side: Side, ideals: Iterable[int]
                  if annihilator(R, side, annihilator(R, side.other, ideal)) != ideal), None)
 
 
-@_per_ring  # keyed on the cap too, as ``all_ideals`` checks it on every call
+@_per_ring  # keyed on the cap too, as ``_lattice`` checks it on every call
 def _dual_ring(R: FiniteRing, cap: int) -> Flag:
     """Every one-sided ideal, on either side, is its double annihilator."""
     try:
-        lattices = [(side, all_ideals(R, side, cap)) for side in Side]
+        lattices = [(side, _lattice(R, side, cap)) for side in Side]
     except LatticeOverflow as exc:
         return Flag(None, note=str(exc))
     for side, ideals in lattices:
@@ -351,7 +352,7 @@ def _dual_ring(R: FiniteRing, cap: int) -> Flag:
 def _lear(R: FiniteRing, side: Side) -> Flag:
     """Every side ideal is the side annihilator of a single element."""
     try:
-        ideals = all_ideals(R, side)
+        ideals = _lattice(R, side)
     except LatticeOverflow as exc:
         return Flag(None, note=str(exc))
     _, tables = _resolve(R, side)
@@ -385,28 +386,23 @@ def _strongly_clean(R: FiniteRing) -> Flag:
 
 
 def _exchange_failure(R: FiniteRing, side: Side,
-                      ideals: list[int]) -> tuple[int, int, int, int] | None:
+                      lattice: dict[int, int]) -> tuple[int, int, int, int] | None:
     """First pair of side ideals breaking ann(I1 ∩ I2) = ann(I1) + ann(I2).
 
-    Annihilators are taken on the other side.  The inclusion ``⊇`` always
-    holds, and ``|A + B| = |A|·|B| / |A ∩ B|``, so each pair is decided by
-    counting; the sum is formed only for the pair reported.  Returns
-    ``(I1, I2, lhs, rhs)``, or None when every pair holds; raises
-    ``LatticeOverflow`` when the pairs exceed the pair budget.
+    Annihilators are taken on the other side and read from ``lattice``, which holds
+    the meet of any two of its ideals.  The inclusion ``⊇`` always holds, and
+    ``|A + B| = |A|·|B| / |A ∩ B|``, so each pair is decided by counting; the sum is formed
+    only for the pair reported.  Returns ``(I1, I2, lhs, rhs)``, or None when every pair
+    holds; raises ``LatticeOverflow`` when the pairs exceed the pair budget.
     """
-    if len(ideals) * (len(ideals) + 1) // 2 > _PAIR_BUDGET:
-        raise LatticeOverflow(f"{len(ideals)} ideals exceed the pair budget")
-    other = side.other
-    memo = _resolve(R, other)[1].ann_of_mask
-    anns = [annihilator(R, other, m) for m in ideals]
+    if len(lattice) * (len(lattice) + 1) // 2 > _PAIR_BUDGET:
+        raise LatticeOverflow(f"{len(lattice)} ideals exceed the pair budget")
+    ideals, anns = list(lattice), list(lattice.values())
     sizes = [a.bit_count() for a in anns]
     for i, m1 in enumerate(ideals):
         a1, n1 = anns[i], sizes[i]
         for j in range(i, len(ideals)):
-            meet = m1 & ideals[j]
-            lhs = memo.get(meet)
-            if lhs is None:
-                lhs = annihilator(R, other, meet)
+            lhs = lattice[m1 & ideals[j]]
             if lhs.bit_count() * (a1 & anns[j]).bit_count() != n1 * sizes[j]:
                 return m1, ideals[j], lhs, subgroup_sum(R, a1, anns[j])
     return None
@@ -419,7 +415,7 @@ def _ikeda_nakayama(R: FiniteRing, side: Side) -> Flag:
     if _dual_ring(R, lattice_cap()).status:
         return Flag(True)
     try:
-        failure = _exchange_failure(R, side, all_ideals(R, side))
+        failure = _exchange_failure(R, side, _lattice(R, side))
     except LatticeOverflow as exc:
         return Flag(None, note=str(exc))
     if failure:

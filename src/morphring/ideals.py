@@ -212,13 +212,12 @@ def annihilator(R: FiniteRing, side: Side, S: int | Iterable[int]) -> int:
     ring, tables = _resolve(R, side)
     target = S if isinstance(S, int) else mask_of(_check_element(ring, s) for s in S)
     _check_mask(ring, target)
-    memo = tables.ann_of_mask
-    if target not in memo:
+    if (result := tables.ann_of_mask.get(target)) is None:
         result = (1 << ring.order) - 1
         for i in _distinct(tables.ann_id[_bool_from_mask(target, ring.order)]).tolist():
             result &= tables.masks[i]
-        memo[target] = result
-    return memo[target]
+        tables.ann_of_mask[target] = result
+    return result
 
 
 def principal_ideal(R: FiniteRing, side: Side, a: int) -> int:
@@ -281,7 +280,12 @@ def is_ideal(R: FiniteRing, side: Side, mask: int) -> bool:
 
 
 def all_ideals(R: FiniteRing, side: Side, cap: int | None = None) -> list[int]:
-    """All side ideals, sorted as masks.
+    """All side ideals, sorted as masks: the keys of ``_lattice``, as a fresh list."""
+    return list(_lattice(R, side, cap))
+
+
+def _lattice(R: FiniteRing, side: Side, cap: int | None = None) -> dict[int, int]:
+    """Every side ideal, ascending as masks, mapped to its other-side annihilator.
 
     Every side ideal of a finite ring is a sum of principal ones, so the
     lattice is the join closure of the nonzero principal ideals.  Starting
@@ -291,8 +295,8 @@ def all_ideals(R: FiniteRing, side: Side, cap: int | None = None) -> list[int]:
     ``LatticeOverflow`` if more than ``cap`` ideals appear (default:
     ``lattice_cap()``); never silently truncates.  A ``cap`` equal to the
     number of principal ideals overflows exactly when some ideal is not
-    principal.  A complete lattice, or the largest cap that overflowed, is
-    kept on the ring and checked against every later cap; calls get fresh lists.
+    principal.  Annihilators are taken once the lattice is complete; it, or the
+    largest cap that overflowed, is kept on the ring and checked against every later cap.
     """
     ring, tables = _resolve(R, side)
     if cap is None:
@@ -302,7 +306,7 @@ def all_ideals(R: FiniteRing, side: Side, cap: int | None = None) -> list[int]:
     if cap <= ring._cache.get("ideals_overflow", -1) or cached is not None and len(cached) > cap:
         raise LatticeOverflow(overflow)
     if cached is not None:
-        return list(cached)
+        return cached
     zero_mask = 1 << ring.zero
     generators = sorted((m for m in tables.principal_masks if m != zero_mask),
                         key=lambda m: (m.bit_count(), m))
@@ -315,8 +319,8 @@ def all_ideals(R: FiniteRing, side: Side, cap: int | None = None) -> list[int]:
             if len(found) > cap:
                 ring._cache["ideals_overflow"] = cap
                 raise LatticeOverflow(overflow)
-    ring._cache["ideals"] = tuple(sorted(found))
-    return list(ring._cache["ideals"])
+    ring._cache["ideals"] = {m: annihilator(ring, Side.RIGHT, m) for m in sorted(found)}
+    return ring._cache["ideals"]
 
 
 @dataclass(frozen=True)

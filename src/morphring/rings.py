@@ -602,10 +602,14 @@ def _addition_table(parts: Sequence[np.ndarray]) -> np.ndarray:
     Rows of digits ``x != 0`` read the corner; the rows of ``x = 0`` then overwrite it from
     a copy, a block of rows at a time.  A scaled or copied block holds at most
     ``_BLOCK_ENTRIES / 2`` entries, so with numpy's buffers it stays under a block's bytes.
+    With one part above order 1, that part's own read-only table is the result, not a copy.
     """
+    big = [part for part in parts if len(part) > 1]  # order 1 adds nothing
+    if len(big) == 1:
+        return big[0]
     n = math.prod(map(len, parts))
     add, size = np.zeros((n, n), dtype=_TABLE_DTYPE), 1  # the corner [[0]]: the empty level
-    for part in (part for part in reversed(parts) if len(part) > 1):  # order 1 adds nothing
+    for part in reversed(big):
         m = len(part)
         below, level = add[:size, :size], add[:m * size, :m * size].reshape(m, size, m, size)
         for xs in _row_blocks(m - 1, 2 * m):

@@ -14,7 +14,6 @@ from morphring import (
     FiniteRing,
     OrderCapExceeded,
     Side,
-    all_ideals,
     annihilator,
     classify_ring,
     commutation_profile,
@@ -36,6 +35,7 @@ from morphring import (
     truncated_poly,
 )
 from morphring.classify import PREDICATES
+from morphring.ideals import _lattice
 from morphring.cli import build_ring, default_corpus, parse_ring_expr
 
 
@@ -489,12 +489,23 @@ def test_ikeda_nakayama_is_read_off_a_dual_ring(monkeypatch):
         R = build_ring(parse_ring_expr(text))
         dual = PREDICATES["dual_ring"](R).status
         for side in Side:
-            failure = exchange(R, side, all_ideals(R, side))
+            failure = exchange(R, side, _lattice(R, side))
             flag = PREDICATES[f"ikeda_nakayama_{side.value}"](R)
             assert (flag.status, flag.counterexample) == (
                 failure is None, failure and failure[:2]), (text, side)
             tally[dual, flag.status] += 1
     assert tally == {(True, True): 362, (False, False): 116}
+
+
+def test_p_injectivity_and_dual_rings_match_their_definitions_on_corpus():
+    # both flags read one double-annihilator law; the references state each by definition
+    for text in default_corpus(256):
+        R = build_ring(parse_ring_expr(text))
+        for side, mul in zip(Side, (R.mul_table, R.mul_table.T)):
+            flag, least = PREDICATES[f"p_injective_{side.value}"](R), check.p_injective(mul, R.zero)
+            assert (flag.status, flag.counterexample) == (least is None, least), (text, side)
+        flag, failure = PREDICATES["dual_ring"](R), check.dual_failure(R.add_table, R.mul_table, R.zero)
+        assert (flag.status, flag.counterexample) == (failure is None, failure), text
 
 
 @pytest.fixture(scope="module")

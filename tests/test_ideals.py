@@ -38,7 +38,7 @@ from morphring import (
 )
 from morphring.classify import _bezout, _exchange_failure, _strongly_clean
 from morphring.cli import build_ring, default_corpus, parse_ring_expr, run_command
-from morphring.ideals import _resolve
+from morphring.ideals import _lattice, _resolve
 
 
 def T2():
@@ -427,8 +427,11 @@ def test_lattice_engine_matches_pair_loops_on_corpus():
             assert lattice == check.all_ideals(*_raw(R, side)), (text, side)
             flag = _bezout(R, side)
             assert (flag.status, flag.counterexample) == check.bezout(*_raw(R, side)), (text, side)
-            assert _exchange_failure(R, side, lattice) == check.exchange_failure(
+            assert _exchange_failure(R, side, _lattice(R, side)) == check.exchange_failure(
                 *_raw(R, side), lattice), (text, side)
+            other = _raw(R, side)[1].T  # the other side's multiplication
+            assert list(_lattice(R, side).values()) == [
+                check.annihilator(other, R.zero, m) for m in lattice], (text, side)
 
 
 def test_lattice_overflow_text_and_bezout_fallback(monkeypatch):

@@ -549,6 +549,23 @@ def test_one_part_build_peaks_below_three_times_its_tables():
     assert np.array_equal(F.mul_table, make_zmod(p).mul_table)
 
 
+def test_a_one_part_digit_group_reads_its_parts_table():
+    # gf(p,1) is one digit: its build reads Z_p's table and forms no copy, so it peaks at
+    # Z_p's two tables, mul_table and two blocks of intp gather indices
+    tracemalloc.start()
+    F = make_gf(2039, 1)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    table = F.mul_table.nbytes
+    assert peak <= 3 * table + 16 * rings._BLOCK_ENTRIES + (1 << 20), f"{peak / 2**20:.2f} MiB"
+    (part,) = F._add[0]
+    assert F.add_table is part
+    # prod(z2,z1000) splits into one digit each side: both groups are their parts' tables
+    Z2, Z1000 = make_zmod(2), make_zmod(1000)
+    s, hi, lo = rings._addition_split(direct_product([Z2, Z1000]))
+    assert s == 1000 and hi is Z2.add_table and lo is Z1000.add_table
+
+
 def test_ring_equality_compares_table_contents():
     a = truncated_poly(make_zmod(2), 3)
     b = truncated_poly(make_zmod(2), 3)
